@@ -25,10 +25,13 @@ import numpy as np
 import scipy.special as sp
 
 from . import fso_link, rf_link, specfun
+from .specfun import COLLIDE_TOL, EPS_PERTURB
 from .system import ScenarioConfig
 
-_PERTURB = 1e-6
-_NEAR_POLE = 1e-8
+_REL_TOL = 1e-9         # closed-form CDF, BER and capacity families
+_PDF_REL_TOL = 1e-7     # closed-form density
+_ORACLE_ABS_TOL = 1e-8  # oracle integral, absolute
+_FIT_ITERS = 48         # log-domain bisection steps of the calibration fit
 
 
 @dataclass(frozen=True)
@@ -98,14 +101,12 @@ def _sum_weights(shadow: rf_link.ShadowedRicianParams) -> np.ndarray:
     w_j = (1/j!) sum_{k=j}^{m-1} C(m-1, k) (Omega/(2bm))^k; the binomial
     form of (-1)^k (1-m)_k / k! makes every weight positive.
     """
-    m = shadow.m_int
-    z = shadow.omega / (2.0 * shadow.b * shadow.m)
-    weights = np.empty(m)
-    partial = [0.0] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        partial[k] = partial[k + 1] + math.comb(m - 1, k) * z ** k
-    for j in range(m):
-        weights[j] = partial[j] / math.factorial(j)
+    coeffs = rf_link.series_coeffs(shadow).tolist()
+    weights = np.empty(len(coeffs))
+    partial = 0.0
+    for j in range(len(coeffs) - 1, -1, -1):
+        partial += coeffs[j]
+        weights[j] = partial / math.factorial(j)
     return weights
 
 
@@ -153,7 +154,7 @@ def _s_blocks(scn: ScenarioConfig) -> list[specfun.GBlock]:
 
 
 def _family_total(scn: ScenarioConfig, t_block: specfun.GBlock, x2: float,
-                  rel_tol: float = 1e-9, out_scale: float = 1.0) -> tuple[float, float]:
+                  rel_tol: float, out_scale: float) -> tuple[float, float]:
     """Weighted sum of the shared-kernel G terms.
 
     ``out_scale`` is the prefactor the caller will multiply the total by;
@@ -178,14 +179,14 @@ def _family_total(scn: ScenarioConfig, t_block: specfun.GBlock, x2: float,
 # distribution of the end-to-end SNDR
 # ---------------------------------------------------------------------------
 
-def sndr_cdf_exact(x: float, scn: ScenarioConfig, rel_tol: float = 1e-9) -> float:
+def sndr_cdf_exact(x: float, scn: ScenarioConfig) -> float:
     """CDF of the end-to-end SNDR from the bivariate closed form."""
     if x <= 0:
         raise ValueError("x must be positive")
     t_block = specfun.GBlock(a=_t_upper(scn), b=_t_lower_base(scn, 0.0),
                              m=0, n=3 * scn.detection_r)
     pref = _prefactor(scn)
-    total, err = _family_total(scn, t_block, _x2_base(scn) / x, rel_tol,
+    total, err = _family_total(scn, t_block, _x2_base(scn) / x, _REL_TOL,
                                out_scale=pref)
     raw = 1.0 - pref * total
     clamped = min(max(raw, 0.0), 1.0)
@@ -195,14 +196,14 @@ def sndr_cdf_exact(x: float, scn: ScenarioConfig, rel_tol: float = 1e-9) -> floa
     return clamped
 
 
-def sndr_pdf_exact(x: float, scn: ScenarioConfig, rel_tol: float = 1e-7) -> float:
+def sndr_pdf_exact(x: float, scn: ScenarioConfig) -> float:
     """Density of the end-to-end SNDR (derivative of the closed-form CDF)."""
     if x <= 0:
         raise ValueError("x must be positive")
     t_block = specfun.GBlock(a=_t_upper(scn), b=_t_lower_base(scn, 1.0),
                              m=0, n=3 * scn.detection_r)
     pref = _prefactor(scn) / x
-    total, _ = _family_total(scn, t_block, _x2_base(scn) / x, rel_tol,
+    total, _ = _family_total(scn, t_block, _x2_base(scn) / x, _PDF_REL_TOL,
                              out_scale=pref)
     return max(pref * total, 0.0)
 
@@ -228,7 +229,7 @@ def sndr_moments(order: int, scn: ScenarioConfig) -> float:
     return float(pref * math.fsum(terms))
 
 
-def sndr_cdf_oracle(x: float, scn: ScenarioConfig, abs_tol: float = 1e-8) -> float:
+def sndr_cdf_oracle(x: float, scn: ScenarioConfig) -> float:
     """Single-integral CDF, independent of the bivariate machinery.
 
     F(x) = 1 - int_0^inf  ccdf_g2(C X / z) f_g1(kappa X + z) dz,  X = |b|^2 x,
@@ -270,7 +271,7 @@ def sndr_cdf_oracle(x: float, scn: ScenarioConfig, abs_tol: float = 1e-8) -> flo
         f40 = integrand(mid + half * nodes40)
         v20 = half * float(w20 @ f20)
         v40 = half * float(w40 @ f40)
-        if abs(v40 - v20) <= max(abs_tol / len(edges), 1e-13) or depth >= 12:
+        if abs(v40 - v20) <= max(_ORACLE_ABS_TOL / len(edges), 1e-13) or depth >= 12:
             return v40, abs(v40 - v20)
         lv, le = panel(a, mid, depth + 1)
         rv, re = panel(mid, b, depth + 1)
@@ -285,12 +286,12 @@ def sndr_cdf_oracle(x: float, scn: ScenarioConfig, abs_tol: float = 1e-8) -> flo
 # performance metrics
 # ---------------------------------------------------------------------------
 
-def outage_exact(gamma_th: float, scn: ScenarioConfig, rel_tol: float = 1e-9) -> float:
+def outage_exact(gamma_th: float, scn: ScenarioConfig) -> float:
     """Probability that the SNDR falls below the threshold."""
-    return sndr_cdf_exact(gamma_th, scn, rel_tol=rel_tol)
+    return sndr_cdf_exact(gamma_th, scn)
 
 
-def ber_exact(mod: ModulationSpec, scn: ScenarioConfig, rel_tol: float = 1e-9) -> float:
+def ber_exact(mod: ModulationSpec, scn: ScenarioConfig) -> float:
     """Average BER of the served user for one Gray-coded modulation."""
     _check_detection(mod, scn)
     r = scn.detection_r
@@ -300,7 +301,7 @@ def ber_exact(mod: ModulationSpec, scn: ScenarioConfig, rel_tol: float = 1e-9) -
     pref = (mod.delta / (2.0 * sp.gamma(mod.p))) * _prefactor(scn)
     acc = []
     for q_u in mod.q_values:
-        total, _ = _family_total(scn, t_block, q_u * x2b, rel_tol,
+        total, _ = _family_total(scn, t_block, q_u * x2b, _REL_TOL,
                                  out_scale=pref)
         acc.append(total)
     value = mod.ber_ceiling - pref * math.fsum(acc)
@@ -309,7 +310,7 @@ def ber_exact(mod: ModulationSpec, scn: ScenarioConfig, rel_tol: float = 1e-9) -
     return min(max(value, 0.0), mod.ber_ceiling)
 
 
-def capacity_exact(scn: ScenarioConfig, rel_tol: float = 1e-9) -> float:
+def capacity_exact(scn: ScenarioConfig) -> float:
     """Ergodic capacity in bits per channel use.
 
     Exact under heterodyne detection; a lower bound under IM/DD (the
@@ -321,7 +322,7 @@ def capacity_exact(scn: ScenarioConfig, rel_tol: float = 1e-9) -> float:
         a=(1.0,) + _t_upper(scn), b=(1.0,) + _t_lower_base(scn, 0.0),
         m=1, n=3 * r + 1)
     pref = _prefactor(scn) / math.log(2.0)
-    total, _ = _family_total(scn, t_block, tau * _x2_base(scn), rel_tol,
+    total, _ = _family_total(scn, t_block, tau * _x2_base(scn), _REL_TOL,
                              out_scale=pref)
     value = pref * total
     if value < -1e-9:
@@ -342,14 +343,14 @@ def _check_detection(mod: ModulationSpec, scn: ScenarioConfig):
 
 def _safe_gamma(x: float) -> float:
     """Gamma with a deterministic nudge off nonpositive-integer poles."""
-    if x <= 0 and abs(x - round(x)) < _NEAR_POLE:
-        x = x + _PERTURB
+    if x <= 0 and abs(x - round(x)) < COLLIDE_TOL:
+        x = x + EPS_PERTURB
     return float(sp.gamma(x))
 
 
 def _safe_inv(x: float) -> float:
-    if abs(x) < _NEAR_POLE:
-        x = x + _PERTURB
+    if abs(x) < COLLIDE_TOL:
+        x = x + EPS_PERTURB
     return 1.0 / x
 
 
@@ -361,12 +362,11 @@ def _collides(xi2, al, be, r, m) -> bool:
         for j in range(m):
             risky.append(v - r * j)
             risky.append(j - v / r - round(j - v / r))
-    return any(abs(v - round(v)) < _NEAR_POLE or abs(v) < _NEAR_POLE
+    return any(abs(v - round(v)) < COLLIDE_TOL or abs(v) < COLLIDE_TOL
                for v in risky)
 
 
-def _asymptotic_sum(scn: ScenarioConfig, exponent_weight,
-                    simplified: bool) -> float:
+def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
     """Common core of the high-SNR expansions.
 
     ``exponent_weight(theta)`` supplies the factor multiplying each term
@@ -386,9 +386,9 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight,
     m = scn.shadowing.m_int
     if _collides(xi2, al, be, r, m):
         for k in range(1, 4):
-            xi2 = scn.feeder.pointing.xi ** 2 + k * _PERTURB
-            al = scn.turbulence.alpha + 2 * k * _PERTURB
-            be = scn.turbulence.beta + 3 * k * _PERTURB
+            xi2 = scn.feeder.pointing.xi ** 2 + k * EPS_PERTURB
+            al = scn.turbulence.alpha + 2 * k * EPS_PERTURB
+            be = scn.turbulence.beta + 3 * k * EPS_PERTURB
             if not _collides(xi2, al, be, r, m):
                 break
         else:
@@ -401,7 +401,6 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight,
             "oracle paths remain valid)", RuntimeWarning, stacklevel=3)
     x1 = _x1(scn)
     a_const = scn.kappa * scn.b_row_norm_sq * (al * be * xi2) ** r / (xi2 + 1.0) ** r
-    z = scn.shadowing.omega / (2.0 * scn.shadowing.b * scn.shadowing.m)
 
     theta_tail = {"xi": xi2 / r, "al": al / r, "be": be / r}
     lead = {
@@ -411,8 +410,7 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight,
     }
 
     total = []
-    for k in range(m):
-        coef_k = math.comb(m - 1, k) * z ** k
+    for k, coef_k in enumerate(rf_link.series_coeffs(scn.shadowing).tolist()):
         for j in range(k + 1):
             c_kj = coef_k / math.factorial(j)
             # J1: exponent j
@@ -421,12 +419,9 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight,
             total.append(c_kj * j1 * exponent_weight(float(j)) / scn.mu_r ** j)
             # J2..J4: exponents xi^2/r, al/r, be/r
             for key, theta in theta_tail.items():
-                if simplified:
-                    bracket = 2.0 * _safe_gamma(j - theta) * x1 ** theta
-                else:
-                    g212 = specfun.meijer_g_2_1_1_2(x1, 1.0 + theta, float(j), 1.0)
-                    bracket = (_safe_gamma(j - theta) * x1 ** theta
-                               + g212 / _safe_gamma(1.0 - theta))
+                g212 = specfun.meijer_g_2_1_1_2(x1, 1.0 + theta, float(j), 1.0)
+                bracket = (_safe_gamma(j - theta) * x1 ** theta
+                           + g212 / _safe_gamma(1.0 - theta))
                 term = lead[key] * a_const ** theta * bracket
                 total.append(c_kj * term * exponent_weight(theta)
                              / scn.mu_r ** theta)
@@ -434,8 +429,7 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight,
     return pref * math.fsum(total)
 
 
-def outage_asymptotic(gamma_th: float, scn: ScenarioConfig,
-                      simplified: bool = False) -> float:
+def outage_asymptotic(gamma_th: float, scn: ScenarioConfig) -> float:
     """Four-exponent high-SNR expansion of the outage probability.
 
     Accurate only at large mu_r; values are reported unclamped so the
@@ -443,11 +437,10 @@ def outage_asymptotic(gamma_th: float, scn: ScenarioConfig,
     """
     if gamma_th <= 0:
         raise ValueError("threshold must be positive")
-    return 1.0 - _asymptotic_sum(scn, lambda th: gamma_th ** th, simplified)
+    return 1.0 - _asymptotic_sum(scn, lambda th: gamma_th ** th)
 
 
-def ber_asymptotic(mod: ModulationSpec, scn: ScenarioConfig,
-                   simplified: bool = False) -> float:
+def ber_asymptotic(mod: ModulationSpec, scn: ScenarioConfig) -> float:
     """High-SNR expansion of the average BER (unclamped, like outage)."""
     _check_detection(mod, scn)
 
@@ -455,7 +448,7 @@ def ber_asymptotic(mod: ModulationSpec, scn: ScenarioConfig,
         qsum = math.fsum(q ** (-theta) for q in mod.q_values)
         return sp.gamma(mod.p + theta) * qsum * mod.delta / (2.0 * sp.gamma(mod.p))
 
-    return mod.ber_ceiling - _asymptotic_sum(scn, weight, simplified)
+    return mod.ber_ceiling - _asymptotic_sum(scn, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +456,7 @@ def ber_asymptotic(mod: ModulationSpec, scn: ScenarioConfig,
 # ---------------------------------------------------------------------------
 
 def fit_gamma_bar2(scn: ScenarioConfig, target_outage: float, gamma_th: float,
-                   lo: float = 1e-2, hi: float = 1e14, iters: int = 48) -> float:
+                   lo: float = 1e-2, hi: float = 1e14) -> float:
     """One-scalar fit of the user-link SNR scale to a reference outage value.
 
     The outage is monotone decreasing in gamma_bar2 at fixed everything
@@ -477,7 +470,7 @@ def fit_gamma_bar2(scn: ScenarioConfig, target_outage: float, gamma_th: float,
     if not (f_hi <= target_outage <= f_lo):
         raise ValueError(
             f"target {target_outage} outside attainable range [{f_hi}, {f_lo}]")
-    for _ in range(iters):
+    for _ in range(_FIT_ITERS):
         mid = math.sqrt(lo * hi)
         if outage_exact(gamma_th, scn.with_gamma_bar2(mid)) > target_outage:
             lo = mid

@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,27 +29,6 @@ SWEEPABLE = ("mu_r_db", "ibo_db", "gamma_th_db", "cn2", "xi")
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep request: variable, grid, metric, methods, output path."""
-    variable: str
-    grid: tuple[float, ...]
-    metric: str
-    methods: tuple[str, ...]
-    out_dir: str
-
-    def __post_init__(self):
-        if self.variable not in SWEEPABLE:
-            raise ConfigError(f"sweep variable must be one of {SWEEPABLE}")
-        if not self.grid:
-            raise ConfigError("sweep grid is empty")
-        if self.metric not in METRICS:
-            raise ConfigError(f"unknown metric {self.metric!r}")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +80,15 @@ def load_config(path: str | None) -> tuple[configparser.ConfigParser, dict]:
     used_defaults = {f"{sec}.{key}": val for sec, kv in DEFAULTS.items()
                      for key, val in kv.items()}
     if path is not None:
-        read = cp.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path!r}")
-        user = configparser.ConfigParser()
-        user.read(path)
+        # raw values: the merged parser interpolates them as if read directly
+        user = configparser.ConfigParser(interpolation=None)
+        try:
+            with open(path) as fh:
+                user.read_file(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path!r}") from exc
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
         for sec in user.sections():
             if sec not in DEFAULTS:
                 raise ConfigError(f"unknown config section [{sec}]")
@@ -114,6 +96,7 @@ def load_config(path: str | None) -> tuple[configparser.ConfigParser, dict]:
                 if key not in DEFAULTS[sec]:
                     raise ConfigError(f"unknown key {key!r} in section [{sec}]")
                 used_defaults.pop(f"{sec}.{key}", None)
+        cp.read_dict(user)
     return cp, used_defaults
 
 
@@ -181,6 +164,8 @@ def _sweep_grid(cp, args) -> tuple[str, list[float]]:
         grid = [float(tok) for tok in raw.replace(",", " ").split()]
     else:
         start, stop, step = (sw.getfloat(k) for k in ("start", "stop", "step"))
+        if step == 0:
+            raise ConfigError("sweep step must be nonzero")
         n = int(round((stop - start) / step)) + 1
         grid = [start + i * step for i in range(n)]
     if not grid:
@@ -192,71 +177,65 @@ def _sweep_grid(cp, args) -> tuple[str, list[float]]:
 # metric evaluation
 # ---------------------------------------------------------------------------
 
-def _evaluate(metric, method, scn, args) -> analytics.MetricResult:
-    gamma_th = 10.0 ** (args.gamma_th_db / 10.0)
-    fp = scn.fingerprint()
-    mu_db = 10.0 * math.log10(scn.mu_r)
-    if metric == "outage":
-        if method == "exact":
-            val, err, n = analytics.outage_exact(gamma_th, scn), 1e-9, 0
-        elif method == "asymptotic":
-            val, err, n = analytics.outage_asymptotic(gamma_th, scn), math.nan, 0
-        elif method == "oracle":
-            val, err, n = analytics.sndr_cdf_oracle(gamma_th, scn), 1e-8, 0
-        else:
-            est = montecarlo.empirical_outage(
-                montecarlo.SimPlan(scn, args.samples, args.seed), gamma_th)
-            val, err, n = est.value, est.half_width, est.n_samples
-    elif metric == "ber":
-        mod = _modulation(args, scn)
-        if method == "exact":
-            val, err, n = analytics.ber_exact(mod, scn), 1e-9, 0
-        elif method == "asymptotic":
-            val, err, n = analytics.ber_asymptotic(mod, scn), math.nan, 0
-        elif method == "monte-carlo":
-            est = montecarlo.empirical_ber(
-                montecarlo.SimPlan(scn, args.samples, args.seed), mod)
-            val, err, n = est.value, est.half_width, est.n_samples
-        else:
-            raise ConfigError("ber supports exact, asymptotic, monte-carlo")
-    elif metric == "capacity":
-        if method == "exact":
-            val, err, n = analytics.capacity_exact(scn), 1e-9, 0
-        elif method == "monte-carlo":
-            est = montecarlo.empirical_capacity(
-                montecarlo.SimPlan(scn, args.samples, args.seed))
-            val, err, n = est.value, est.half_width, est.n_samples
-        else:
-            raise ConfigError("capacity supports exact, monte-carlo")
-    elif metric == "moments":
-        if method == "exact":
-            val, err, n = analytics.sndr_moments(args.order, scn), 1e-9, 0
-        elif method == "monte-carlo":
-            est = montecarlo.empirical_moment(
-                montecarlo.SimPlan(scn, args.samples, args.seed), args.order)
-            val, err, n = est.value, est.half_width, est.n_samples
-        else:
-            raise ConfigError("moments supports exact, monte-carlo")
-    else:
-        raise ConfigError(f"unknown metric {metric!r}")
-    return analytics.MetricResult(fp, metric, mu_db, float(val), method,
-                                  float(err) if err == err else math.nan, n)
+def _gamma_th(args) -> float:
+    return 10.0 ** (args.gamma_th_db / 10.0)
 
 
-def _modulation(args, scn) -> analytics.ModulationSpec:
+def _sim(scn, args) -> montecarlo.SimPlan:
+    return montecarlo.SimPlan(scn, args.samples, args.seed)
+
+
+def _modulation(args) -> analytics.ModulationSpec:
     name = args.modulation.lower()
     if name in ("mpsk", "mqam"):
         return analytics.modulation(name, args.mod_order)
     return analytics.modulation(name)
 
 
+# (metric, method) -> f(scenario, args): a value, or a Monte Carlo estimate
+# carrying its own half width and sample count.  The lambdas look the
+# functions up at call time, so wrappers installed on the modules apply.
+EVALUATORS = {
+    ("outage", "exact"): lambda scn, a: analytics.outage_exact(_gamma_th(a), scn),
+    ("outage", "asymptotic"):
+        lambda scn, a: analytics.outage_asymptotic(_gamma_th(a), scn),
+    ("outage", "oracle"): lambda scn, a: analytics.sndr_cdf_oracle(_gamma_th(a), scn),
+    ("outage", "monte-carlo"):
+        lambda scn, a: montecarlo.empirical_outage(_sim(scn, a), _gamma_th(a)),
+    ("ber", "exact"): lambda scn, a: analytics.ber_exact(_modulation(a), scn),
+    ("ber", "asymptotic"): lambda scn, a: analytics.ber_asymptotic(_modulation(a), scn),
+    ("ber", "monte-carlo"):
+        lambda scn, a: montecarlo.empirical_ber(_sim(scn, a), _modulation(a)),
+    ("capacity", "exact"): lambda scn, a: analytics.capacity_exact(scn),
+    ("capacity", "monte-carlo"):
+        lambda scn, a: montecarlo.empirical_capacity(_sim(scn, a)),
+    ("moments", "exact"): lambda scn, a: analytics.sndr_moments(a.order, scn),
+    ("moments", "monte-carlo"):
+        lambda scn, a: montecarlo.empirical_moment(_sim(scn, a), a.order),
+}
+# error_estimate column of the deterministic methods
+FIXED_ERROR = {"exact": 1e-9, "oracle": 1e-8, "asymptotic": math.nan}
+
+
+def _evaluate(metric, method, scn, args, sweep_value) -> analytics.MetricResult:
+    out = EVALUATORS[(metric, method)](scn, args)
+    if isinstance(out, montecarlo.MonteCarloEstimate):
+        val, err, n = out.value, out.half_width, out.n_samples
+    else:
+        val, err, n = out, FIXED_ERROR[method], 0
+    return analytics.MetricResult(scn.fingerprint(), metric, float(sweep_value),
+                                  float(val), method, float(err), n)
+
+
 def run(args) -> int:
     cp, used_defaults = load_config(args.config)
     variable, grid = _sweep_grid(cp, args)
-    spec = SweepSpec(variable, tuple(grid), args.metric,
-                     tuple(m.strip() for m in args.method.split(",")), args.out)
-    methods = list(spec.methods)
-    out_dir = Path(spec.out_dir)
+    methods = [m.strip() for m in args.method.split(",")]
+    for m in methods:
+        if (args.metric, m) not in EVALUATORS:
+            supported = ", ".join(k[1] for k in EVALUATORS if k[0] == args.metric)
+            raise ConfigError(f"{args.metric} supports {supported}, not {m!r}")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     overrides = {}
@@ -286,11 +265,8 @@ def run(args) -> int:
         if variable == "gamma_th_db":
             point_args = argparse.Namespace(**{**vars(args), "gamma_th_db": point})
         for m in methods:
-            res = _evaluate(args.metric, m, scn, point_args)
-            res = analytics.MetricResult(
-                res.scenario_fingerprint, res.metric, float(point), res.value,
-                res.method, res.error_estimate, res.n_samples)
-            rows[(args.metric, m)].append(res)
+            rows[(args.metric, m)].append(
+                _evaluate(args.metric, m, scn, point_args, point))
 
     files = []
     for (metric, method), results in rows.items():
@@ -344,15 +320,15 @@ def selftest() -> int:
         checks.append((name, bool(ok)))
         print(f"  [{'ok' if ok else 'FAIL'}] {name}")
 
-    r = specfun.meijer_g(specfun.GParams((), (0.0,), 1, 0, 3.0))
-    check("meijer G exponential identity", abs(r.value - math.exp(-3.0)) < 1e-10)
+    vals, _, _ = specfun.meijer_g_many((), (0.0,), 1, 0, [3.0])
+    check("meijer G exponential identity", abs(vals[0] - math.exp(-3.0)) < 1e-10)
     rng = np.random.Generator(np.random.Philox(key=1))
     ok = True
     for _ in range(20):
         b1 = rng.uniform(-1.0, 1.5)
         b2 = b1 - rng.uniform(-2.5, 2.5)
         z = rng.uniform(0.05, 8.0)
-        got = specfun.meijer_g(specfun.GParams((), (b1, b2), 2, 0, z)).value
+        got = specfun.meijer_g_many((), (b1, b2), 2, 0, [z])[0][0]
         ref = 2.0 * z ** (0.5 * (b1 + b2)) * sp.kv(b1 - b2, 2.0 * math.sqrt(z))
         ok &= abs(got - ref) <= 1e-7 * abs(ref)
     check("meijer G Bessel reduction (20 draws)", ok)

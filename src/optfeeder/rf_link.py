@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from . import specfun
-
 SPEED_OF_LIGHT = 299792458.0   # m/s
 PATTERN_PEAK_CONST = 2.07123   # u = const * sin(theta)/sin(theta_3dB)
 
@@ -157,15 +155,11 @@ def shadowed_rician_pdf(y, p: ShadowedRicianParams):
     return out if np.ndim(y) else float(out[0])
 
 
-def _series_coeffs(p: ShadowedRicianParams):
-    """(-1)^k (1-m)_k / k! * (Omega/(2 b m))^k, the k-th finite-sum weight."""
-    m = p.m_int
-    z = p.omega / (2.0 * p.b * p.m) if p.omega > 0 else 0.0
-    out = np.empty(m)
-    for k in range(m):
-        out[k] = ((-1.0) ** k * specfun.pochhammer(1.0 - m, k)
-                  / math.factorial(k) * z ** k)
-    return out  # equals comb(m-1, k) z^k, all nonnegative
+def series_coeffs(p: ShadowedRicianParams) -> np.ndarray:
+    """C(m-1, k) (Omega/(2 b m))^k, k < m: the finite-sum weights
+    (-1)^k (1-m)_k / k! z^k of integer severity, all nonnegative."""
+    z = p.omega / (2.0 * p.b * p.m)
+    return np.array([math.comb(p.m_int - 1, k) * z ** k for k in range(p.m_int)])
 
 
 def gamma2_pdf(gamma2, p: ShadowedRicianParams, gbar2: float):
@@ -176,7 +170,7 @@ def gamma2_pdf(gamma2, p: ShadowedRicianParams, gbar2: float):
     g = np.atleast_1d(np.asarray(gamma2, dtype=float))
     if np.any(g < 0):
         raise ValueError("gamma2 must be nonnegative")
-    coeffs = _series_coeffs(p)
+    coeffs = series_coeffs(p)
     ratio = m * g / gbar2
     acc = np.zeros_like(g)
     for k in range(m):
@@ -193,7 +187,7 @@ def gamma2_ccdf(x, p: ShadowedRicianParams, gbar2: float):
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xx < 0):
         raise ValueError("x must be nonnegative")
-    coeffs = _series_coeffs(p)
+    coeffs = series_coeffs(p)
     ratio = m * xx / gbar2
     acc = np.zeros_like(xx)
     partial = np.zeros_like(xx)   # sum_{j<=k} ratio^j / j!

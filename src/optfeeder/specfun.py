@@ -41,55 +41,13 @@ class PoleCollisionError(RuntimeError):
     """Raised when no vertical contour separates the two pole families."""
 
 
-_EPS_PERTURB = 1e-6     # parameter shift applied near pole collisions
-_COLLIDE_TOL = 1e-8     # distance at which two poles count as colliding
+EPS_PERTURB = 1e-6     # parameter shift applied near pole collisions
+COLLIDE_TOL = 1e-8     # distance at which two poles count as colliding
 
 
 # ---------------------------------------------------------------------------
 # scalar special functions
 # ---------------------------------------------------------------------------
-
-def ln_gamma(x: float) -> tuple[float, float]:
-    """log|Gamma(x)| and the sign of Gamma(x).
-
-    Raises ValueError at the poles (nonpositive integers).
-    """
-    if x <= 0 and x == math.floor(x):
-        raise ValueError(f"gamma pole at x={x}")
-    return float(sp.gammaln(x)), float(sp.gammasgn(x))
-
-
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1.
-
-    Uses a direct product so that nonpositive-integer ``a`` yields an exact
-    zero when the product crosses the origin (the truncation that turns the
-    confluent series into a finite sum for integer fading severity).
-    """
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
-    out = 1.0
-    for i in range(k):
-        out *= a + i
-    return out
-
-
-def hyp1f1(a: float, b: float, x: float) -> float:
-    """Kummer confluent hypergeometric function 1F1(a; b; x)."""
-    if b <= 0 and b == math.floor(b):
-        raise ValueError(f"1F1 undefined at nonpositive integer b={b}")
-    val = float(sp.hyp1f1(a, b, x))
-    if not math.isfinite(val):
-        raise OverflowError(f"1F1({a},{b},{x}) is not representable")
-    return val
-
-
-def exp_integral_ei(x: float) -> float:
-    """Exponential integral Ei(x) on the negative real axis."""
-    if x >= 0:
-        raise ValueError("only the x < 0 branch of Ei is supported")
-    return float(sp.expi(x))
-
 
 def exp_scaled_e1(x: float) -> float:
     """e^x * E1(x) = -e^x * Ei(-x) for x > 0, stable at large x.
@@ -126,28 +84,6 @@ def exp_scaled_e1(x: float) -> float:
     else:
         raise ConvergenceError(f"continued fraction for e^x E1(x) stalled at x={x}")
     return float(h)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function."""
-    return float(sp.erfc(x))
-
-
-def erfcx_scaled(x: float) -> float:
-    """Scaled complement e^(x^2) erfc(x); avoids overflow pairs at large x."""
-    return float(sp.erfcx(x))
-
-
-def bessel_j(order: int, x: float) -> float:
-    """Bessel function of the first kind, integer order."""
-    return float(sp.jv(order, x))
-
-
-def bessel_k(order: float, x: float) -> float:
-    """Modified Bessel function of the second kind K_nu(x), x > 0."""
-    if x <= 0:
-        raise ValueError("bessel_k requires x > 0")
-    return float(sp.kv(order, x))
 
 
 def tricomi_u(a: float, b: float, z: float) -> float:
@@ -210,38 +146,19 @@ def meijer_g_2_1_1_2(z: float, a1: float, b1: float, b2: float) -> float:
     for _ in range(3):
         g1 = 1.0 - a1 + b1
         g2 = 1.0 - a1 + b2
-        if all(g > 0 or abs(g - round(g)) > _COLLIDE_TOL for g in (g1, g2)):
+        if all(g > 0 or abs(g - round(g)) > COLLIDE_TOL for g in (g1, g2)):
             break
-        a1 = a1 + _EPS_PERTURB
+        a1 = a1 + EPS_PERTURB
     else:
         raise PoleCollisionError("G^21_12 prefactor stuck on a gamma pole")
-    lg, sg = ln_gamma(g1)
-    lg2, sg2 = ln_gamma(g2)
     u = tricomi_u(g1, 1.0 + b1 - b2, z)
-    return sg * sg2 * math.exp(lg + lg2 + b1 * math.log(z)) * u
+    return float(sp.gammasgn(g1) * sp.gammasgn(g2)
+                 * math.exp(sp.gammaln(g1) + sp.gammaln(g2) + b1 * math.log(z)) * u)
 
 
 # ---------------------------------------------------------------------------
 # univariate Meijer G
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GParams:
-    """Parameter set for G^{m,n}_{p,q}(argument | a_top; b_bottom)."""
-    a_top: tuple[float, ...]
-    b_bottom: tuple[float, ...]
-    m: int
-    n: int
-    argument: float
-
-    def __post_init__(self):
-        if not (0 <= self.m <= len(self.b_bottom)):
-            raise ValueError("need 0 <= m <= q")
-        if not (0 <= self.n <= len(self.a_top)):
-            raise ValueError("need 0 <= n <= p")
-        if self.argument <= 0:
-            raise ValueError("argument must be positive")
-
 
 @dataclass
 class ContourPlan:
@@ -253,13 +170,6 @@ class ContourPlan:
     abscissa_t: float | None = None
     half_height_t: float | None = None
     nodes_t: int | None = None
-
-
-@dataclass
-class GResult:
-    value: float
-    error: float
-    plan: ContourPlan
 
 
 def _line_log_block(a, b, m, n, s):
@@ -290,14 +200,14 @@ def _plan_abscissa(a, b, m, n, lnz=0.0):
     right_min = min(b[:m]) if m else math.inf
     left_max = max(a[:n]) - 1.0 if n else -math.inf
     perturb = 0.0
-    if left_max >= right_min - _COLLIDE_TOL:
+    if left_max >= right_min - COLLIDE_TOL:
         if left_max > right_min + 0.5:
             raise PoleCollisionError(
                 f"pole families overlap (left {left_max}, right {right_min})")
-        b = tuple(bj + _EPS_PERTURB for bj in b)
+        b = tuple(bj + EPS_PERTURB for bj in b)
         right_min = min(b[:m])
-        perturb = _EPS_PERTURB
-        if left_max >= right_min - _COLLIDE_TOL:
+        perturb = EPS_PERTURB
+        if left_max >= right_min - COLLIDE_TOL:
             raise PoleCollisionError("perturbation failed to separate pole families")
 
     # the saddle of an all-right-pole integrand sits near -z^(1/m_eff) with
@@ -313,20 +223,10 @@ def _plan_abscissa(a, b, m, n, lnz=0.0):
         return sigma, b, perturb
 
     def log_mod(sig):
-        s = complex(sig, 0.0)
-        v = 0.0
-        for bj in b[:m]:
-            v += sp.loggamma(bj - s).real
-        for aj in a[:n]:
-            v += sp.loggamma(1.0 - aj + s).real
-        for bj in b[m:]:
-            v -= sp.loggamma(1.0 - bj + s).real
-        for aj in a[n:]:
-            v -= sp.loggamma(aj - s).real
-        return v + sig * lnz
+        return _line_log_block(a, b, m, n, sig + 0j).real + sig * lnz
 
     grid = np.linspace(lo, hi, 121)
-    vals = np.array([log_mod(g) for g in grid])
+    vals = log_mod(grid)
     k = int(np.argmin(vals))
     span = grid[1] - grid[0]
     a_br, b_br = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
@@ -346,6 +246,22 @@ def _plan_abscissa(a, b, m, n, lnz=0.0):
 def _decay_rate(p, q, m, n):
     # |Gamma(sigma+iy)| ~ |y|^(sigma-1/2) exp(-pi |y| / 2)
     return 0.5 * math.pi * (2.0 * (m + n) - p - q)
+
+
+def _edge_tail(mags, blk):
+    """Edge magnitude and tail divisor of a contour cut along the last axis.
+
+    The block-averaged edge magnitude ``outer`` is continued as a geometric
+    series in the per-node decay ratio, so the cut tail sums to at most
+    ``outer / divisor`` node weights; block averages keep oscillation beats
+    from faking the decay rate.  The ratio is the worst over the leading
+    axes, capped at 0.97.
+    """
+    outer = 0.5 * (mags[..., :blk].mean(axis=-1) + mags[..., -blk:].mean(axis=-1))
+    inner = 0.5 * (mags[..., blk:2 * blk].mean(axis=-1)
+                   + mags[..., -2 * blk:-blk].mean(axis=-1))
+    ratio = float(np.max(outer / np.maximum(inner, 1e-300))) ** (1.0 / blk)
+    return outer, max(1.0 - min(ratio, 0.97), 0.03)
 
 
 def meijer_g_many(a_top, b_bottom, m, n, arguments, rel_tol: float = 1e-8):
@@ -394,16 +310,8 @@ def meijer_g_many(a_top, b_bottom, m, n, arguments, rel_tol: float = 1e-8):
         vals = np.real(np.sum(kern, axis=1) - 0.5 * (kern[:, 0] + kern[:, -1])) * h / (2.0 * math.pi)
         scale = float(np.max(np.abs(vals))) + 1e-300
 
-        # continue the edge magnitude geometrically to bound the cut tail;
-        # block averages keep oscillation beats from faking the decay rate
-        blk = min(8, (nodes - 1) // 4)
-        mags = np.abs(kern)
-        outer = 0.5 * (mags[:, :blk].mean(axis=1) + mags[:, -blk:].mean(axis=1))
-        inner = 0.5 * (mags[:, blk:2 * blk].mean(axis=1)
-                       + mags[:, -2 * blk:-blk].mean(axis=1))
-        ratio = float(np.max(np.minimum(outer / np.maximum(inner, 1e-300), 0.97)))
-        ratio = min(ratio ** (1.0 / blk), 0.97)
-        tail = float(np.max(outer)) * h / (2.0 * math.pi) / max(1.0 - ratio, 0.03)
+        outer, divisor = _edge_tail(np.abs(kern), min(8, (nodes - 1) // 4))
+        tail = float(np.max(outer)) * h / (2.0 * math.pi) / divisor
         round_floor = 1e-15 * float(np.max(np.sum(np.abs(kern), axis=1))) \
             * h / (2.0 * math.pi)
         budget = max(rel_tol * scale, 4.0 * round_floor)
@@ -424,14 +332,6 @@ def meijer_g_many(a_top, b_bottom, m, n, arguments, rel_tol: float = 1e-8):
     raise ConvergenceError("univariate Mellin-Barnes integral did not converge")
 
 
-def meijer_g(params: GParams, rel_tol: float = 1e-8) -> GResult:
-    """Single Mellin-Barnes contour integral for G^{m,n}_{p,q}(z)."""
-    vals, err, plan = meijer_g_many(
-        params.a_top, params.b_bottom, params.m, params.n,
-        [params.argument], rel_tol=rel_tol)
-    return GResult(float(vals[0]), float(err), plan)
-
-
 # ---------------------------------------------------------------------------
 # bivariate Meijer G
 # ---------------------------------------------------------------------------
@@ -445,25 +345,6 @@ class GBlock:
     n: int
 
 
-@dataclass(frozen=True)
-class BivariateGParams:
-    """Three-block parameter set G[ outer | s-block | t-block | x1, x2 ].
-
-    ``outer`` holds the coupling parameters u_j contributing
-    Gamma(u_j + s + t); the formulas supported here all use the single
-    coupling parameter 0.
-    """
-    outer: tuple[float, ...]
-    s_block: GBlock
-    t_block: GBlock
-    x1: float
-    x2: float
-
-    def __post_init__(self):
-        if self.x1 <= 0 or self.x2 <= 0:
-            raise ValueError("both arguments must be positive")
-
-
 def _plan_bivariate(outer, s_blocks, t_block):
     """Contour abscissae for the coupled double integral.
 
@@ -473,8 +354,8 @@ def _plan_bivariate(outer, s_blocks, t_block):
     """
     t_left = max(t_block.a[:t_block.n]) - 1.0 if t_block.n else -math.inf
     t_right = min(t_block.b[:t_block.m]) if t_block.m else math.inf
-    lo = t_left + _COLLIDE_TOL
-    hi = t_right - _COLLIDE_TOL
+    lo = t_left + COLLIDE_TOL
+    hi = t_right - COLLIDE_TOL
     if hi <= lo:
         raise PoleCollisionError(
             f"no t-contour between pole families ({t_left}, {t_right})")
@@ -491,8 +372,8 @@ def _plan_bivariate(outer, s_blocks, t_block):
     for blk in s_blocks:
         s_right = min(blk.b[:blk.m]) if blk.m else math.inf
         s_left = max(blk.a[:blk.n]) - 1.0 if blk.n else -math.inf
-        lo_s = max(s_left, coupling_floor) + _COLLIDE_TOL
-        if s_right - lo_s <= _COLLIDE_TOL:
+        lo_s = max(s_left, coupling_floor) + COLLIDE_TOL
+        if s_right - lo_s <= COLLIDE_TOL:
             raise PoleCollisionError("no s-contour clears the coupling poles")
         sigma_s = s_right - 0.5 * min(1.0, s_right - lo_s)
         sigmas.append(sigma_s)
@@ -569,11 +450,8 @@ def meijer_g_bivariate_family(outer, s_blocks, t_block, x1, x2,
         blk_t = min(8, nt // 2)
         mag_t = np.abs(kernel)
         t_edge = mag_t[:, :blk_t].mean(axis=1) + mag_t[:, -blk_t:].mean(axis=1)
-        prof = mag_t.sum(axis=0)
-        outer_t = 0.5 * (prof[:blk_t].mean() + prof[-blk_t:].mean())
-        inner_t = 0.5 * (prof[blk_t:2 * blk_t].mean() + prof[-2 * blk_t:-blk_t].mean())
-        t_ratio = min((outer_t / max(inner_t, 1e-300)) ** (1.0 / blk_t), 0.97)
-        t_cont = 1.0 / max(1.0 - t_ratio, 0.03)
+        _, t_divisor = _edge_tail(mag_t.sum(axis=0), blk_t)
+        t_cont = 1.0 / t_divisor
         tvec = kernel.sum(axis=1)
 
         # blocks differ in magnitude by many orders; every truncation-tail
@@ -593,11 +471,8 @@ def meijer_g_bivariate_family(outer, s_blocks, t_block, x1, x2,
             aw = abs(w[i])
             mag_row = np.abs(row)
             abs_mass += aw * float(mag_row.sum()) * quadw
-            outer_s = 0.5 * (mag_row[:blk_s].mean() + mag_row[-blk_s:].mean())
-            inner_s = 0.5 * (mag_row[blk_s:2 * blk_s].mean()
-                             + mag_row[-2 * blk_s:-blk_s].mean())
-            s_ratio = min((outer_s / max(inner_s, 1e-300)) ** (1.0 / blk_s), 0.97)
-            tail += aw * outer_s / max(1.0 - s_ratio, 0.03) * quadw
+            outer_s, s_divisor = _edge_tail(mag_row, blk_s)
+            tail += aw * outer_s / s_divisor * quadw
             tail += aw * float(np.abs(fs) @ t_edge) * t_cont * quadw
         total = float(np.dot(w, vals))
         scale = abs(total) + float(np.max(np.abs(w * vals))) + 1e-300
@@ -624,14 +499,6 @@ def meijer_g_bivariate_family(outer, s_blocks, t_block, x1, x2,
         prev_total = (total, vals)
         h *= 0.5
     raise ConvergenceError("bivariate Mellin-Barnes integral did not converge")
-
-
-def meijer_g_bivariate(params: BivariateGParams, rel_tol: float = 1e-6):
-    """Iterated double Mellin-Barnes integral; returns GResult."""
-    vals, _, err, plan = meijer_g_bivariate_family(
-        params.outer, [params.s_block], params.t_block,
-        params.x1, params.x2, rel_tol=rel_tol)
-    return GResult(float(vals[0]), float(err), plan)
 
 
 def duplication_split(r: int, u: float) -> tuple[float, ...]:

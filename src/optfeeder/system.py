@@ -28,33 +28,37 @@ class RankDeficientError(ValueError):
     """Gain matrix too ill-conditioned for zero-forcing inversion."""
 
 
-def zf_precoder(gain_matrix: np.ndarray, p_g: float) -> tuple[np.ndarray, float]:
-    """Zero-forcing precoder T = sqrt(c_zf) B^H (B B^H)^(-1), tr(T T^H) = P_g.
+def trace_bbh_inv(gain_matrix: np.ndarray) -> float:
+    """tr[(B B^H)^(-1)], the noise-amplification constant of the precoder.
 
     Solve-based (no explicit inverse) with a condition-number guard.
     """
     b = np.asarray(gain_matrix, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("gain matrix must be square")
-    if p_g <= 0:
-        raise ValueError("power budget must be positive")
     svals = np.linalg.svd(b, compute_uv=False)
     if svals[-1] <= 0 or svals[0] / svals[-1] > CONDITION_LIMIT:
         raise RankDeficientError(
             f"smallest singular value {svals[-1]:.3e} fails the conditioning guard")
     bbh = b @ b.T
-    # rows of solve(BBH, B) are (BBH)^-1 B; transpose gives B^H (BBH)^-1
-    t_unscaled = linalg.solve(bbh, b, assume_a="pos").T
-    trace_inv = float(np.trace(linalg.solve(bbh, np.eye(b.shape[0]), assume_a="pos")))
-    c_zf = p_g / trace_inv
-    return math.sqrt(c_zf) * t_unscaled, c_zf
-
-
-def trace_bbh_inv(gain_matrix: np.ndarray) -> float:
-    """tr[(B B^H)^(-1)], the noise-amplification constant of the precoder."""
-    b = np.asarray(gain_matrix, dtype=float)
-    bbh = b @ b.T
     return float(np.trace(linalg.solve(bbh, np.eye(b.shape[0]), assume_a="pos")))
+
+
+def _zf_scale(gain_matrix: np.ndarray, p_g: float) -> tuple[float, float]:
+    """(tr[(B B^H)^(-1)], c_zf): the precoder power scale c_zf = P_g / tr."""
+    if p_g <= 0:
+        raise ValueError("power budget must be positive")
+    trace_inv = trace_bbh_inv(gain_matrix)
+    return trace_inv, p_g / trace_inv
+
+
+def zf_precoder(gain_matrix: np.ndarray, p_g: float) -> tuple[np.ndarray, float]:
+    """Zero-forcing precoder T = sqrt(c_zf) B^H (B B^H)^(-1), tr(T T^H) = P_g."""
+    _, c_zf = _zf_scale(gain_matrix, p_g)
+    b = np.asarray(gain_matrix, dtype=float)
+    # rows of solve(BBH, B) are (BBH)^-1 B; transpose gives B^H (BBH)^-1
+    t_unscaled = linalg.solve(b @ b.T, b, assume_a="pos").T
+    return math.sqrt(c_zf) * t_unscaled, c_zf
 
 
 def sndr(gamma1, gamma2, scenario: "ScenarioConfig"):
@@ -111,8 +115,8 @@ class ScenarioConfig:
         """Same system at another feeder operating point."""
         gbar1 = fso_link.gbar1_from_mu_r(mu_r, self.detection_r,
                                          self.turbulence, self.feeder.pointing)
-        relay_g, kap = _gain_and_kappa(
-            self, gbar1, self.gain_mode, self.fixed_gain)
+        relay_g, kap = _gain_and_kappa(self.feeder, self.hpa, self.trace_term,
+                                       gbar1, self.gain_mode, self.fixed_gain)
         return replace(self, mu_r=mu_r, gbar1=gbar1, relay_g=relay_g, kappa=kap)
 
     def at_mu_r_db(self, mu_r_db: float) -> "ScenarioConfig":
@@ -185,9 +189,7 @@ class ScenarioConfig:
         }
 
 
-def _gain_and_kappa(scn_like, gbar1, gain_mode, fixed_gain):
-    feeder = scn_like.feeder
-    hpa = scn_like.hpa
+def _gain_and_kappa(feeder, hpa, trace_term, gbar1, gain_mode, fixed_gain):
     if hpa.family == "linear":
         g = fixed_gain if gain_mode == "fixed" else 1.0
         return g, 1.0
@@ -198,16 +200,9 @@ def _gain_and_kappa(scn_like, gbar1, gain_mode, fixed_gain):
         # definition of the average feeder SNR, so the power-constrained
         # gain follows without touching eta or P_g explicitly
         g = math.sqrt(hpa.p_r / (feeder.sigma1_sq
-                                 * (scn_like.trace_term * gbar1 + 1.0)))
+                                 * (trace_term * gbar1 + 1.0)))
     kap = hpa.kappa_for_gain(g, feeder.sigma1_sq)
     return g, kap
-
-
-@dataclass(frozen=True)
-class _ScenarioSeed:
-    feeder: fso_link.FeederConfig
-    hpa: transponder.HpaState
-    trace_term: float
 
 
 def build_scenario(feeder: fso_link.FeederConfig,
@@ -236,16 +231,15 @@ def build_scenario(feeder: fso_link.FeederConfig,
     if turbulence is None:
         turbulence = fso_link.scintillation_params(feeder.atmosphere)
     b = rf_link.beam_gain_matrix(layout, rf)
-    _, c_zf = zf_precoder(b, p_g)   # also runs the conditioning guard
-    trace_term = trace_bbh_inv(b)
+    trace_term, c_zf = _zf_scale(b, p_g)
     row = b[user_index]
     b_row_norm_sq = float(row @ row)
 
     mu_r = 10.0 ** (mu_r_db / 10.0)
     gbar1 = fso_link.gbar1_from_mu_r(mu_r, feeder.detection_r,
                                      turbulence, feeder.pointing)
-    seed = _ScenarioSeed(feeder=feeder, hpa=hpa, trace_term=trace_term)
-    relay_g, kap = _gain_and_kappa(seed, gbar1, gain_mode, fixed_gain)
+    relay_g, kap = _gain_and_kappa(feeder, hpa, trace_term, gbar1,
+                                   gain_mode, fixed_gain)
 
     if gamma_bar2 is None:
         two_bm = 2.0 * shadowing.b * shadowing.m

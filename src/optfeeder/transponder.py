@@ -31,8 +31,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special as sp
 
-from .specfun import erfcx_scaled, exp_scaled_e1
+from .specfun import exp_scaled_e1
 
 HPA_FAMILIES = ("twta", "sspa", "linear")
 # Crossover balancing the closed forms (whose distortion power loses
@@ -42,19 +43,13 @@ _SERIES_CUTOFF = 1e3
 
 
 # ---------------------------------------------------------------------------
-# waveform-level AM/AM / AM/PM characteristics
+# waveform-level AM/AM characteristics
 # ---------------------------------------------------------------------------
 
 def saleh_amam(x, a_sat: float):
     """Saleh amplitude response A_sat^2 x / (x^2 + A_sat^2)."""
     x = np.asarray(x, dtype=float)
     return a_sat ** 2 * x / (x ** 2 + a_sat ** 2)
-
-
-def saleh_ampm(x, a_sat: float, phi0: float):
-    """Saleh phase shift Phi_0 x / (x^2 + A_sat^2)."""
-    x = np.asarray(x, dtype=float)
-    return phi0 * x / (x ** 2 + a_sat ** 2)
 
 
 def rapp_amam(x, a_sat: float, smoothness: float = 1.0):
@@ -98,7 +93,7 @@ def bussgang_sspa(ibo_linear: float, p_r: float = 1.0) -> tuple[float, float]:
         snl = (0.5 * x * x - 4.5 * x ** 3) * p_r
         return k, max(snl, 0.0)
     z = math.sqrt(q)
-    scaled = np.longdouble(erfcx_scaled(z))
+    scaled = np.longdouble(sp.erfcx(z))
     zl = np.longdouble(z)
     k = zl / 2.0 * (2.0 * zl - np.longdouble(math.sqrt(math.pi)) * scaled * (2.0 * q - 1.0))
     e = np.longdouble(exp_scaled_e1(q))
@@ -125,22 +120,6 @@ def kappa(k_gain: float, sigma_nl_sq: float, relay_g: float, sigma1_sq: float) -
     return 1.0 + sigma_nl_sq / (k_gain ** 2 * relay_g ** 2 * sigma1_sq)
 
 
-def relay_gain(p_r: float, p_g: float, mean_input_power: float,
-               sigma1_sq: float) -> float:
-    """Fixed gain G = sqrt(P_r / (P_g E[(eta I)^r] + sigma_1^2)).
-
-    Meets the transponder output-power constraint; as the optical transmit
-    power grows, G shrinks and the distortion-to-noise ratio kappa grows
-    without bound, which is what creates the nonlinear performance floors.
-    """
-    for name, v in (("p_r", p_r), ("p_g", p_g), ("sigma1_sq", sigma1_sq)):
-        if v <= 0:
-            raise ValueError(f"{name} must be positive")
-    if mean_input_power < 0:
-        raise ValueError("mean input power must be nonnegative")
-    return math.sqrt(p_r / (p_g * mean_input_power + sigma1_sq))
-
-
 @dataclass(frozen=True)
 class HpaState:
     """Amplifier family, back-off, and the derived linearization pair."""
@@ -149,8 +128,6 @@ class HpaState:
     p_r: float
     k_gain: float
     sigma_nl_sq: float
-    smoothness_v: float = 1.0    # waveform-path Rapp factor (SSPA only)
-    phi0: float = 0.0            # waveform-path Saleh phase constant
 
     def __post_init__(self):
         if self.family not in HPA_FAMILIES:
@@ -178,14 +155,13 @@ class HpaState:
         return kappa(self.k_gain, self.sigma_nl_sq, relay_g, sigma1_sq)
 
 
-def hpa_state(family: str, ibo_db: float | None = None, p_r: float = 1.0,
-              smoothness_v: float = 1.0, phi0: float = 0.0) -> HpaState:
+def hpa_state(family: str, ibo_db: float | None = None, p_r: float = 1.0) -> HpaState:
     """Build an HpaState from a back-off in dB ('linear' needs no back-off)."""
     if family == "linear":
         ibo = math.inf if ibo_db is None else 10.0 ** (ibo_db / 10.0)
-        return HpaState("linear", ibo, p_r, 1.0, 0.0, smoothness_v, phi0)
+        return HpaState("linear", ibo, p_r, 1.0, 0.0)
     if ibo_db is None:
         raise ValueError("nonlinear families need a back-off")
     ibo = 10.0 ** (ibo_db / 10.0)
     k_gain, snl = bussgang_pair(family, ibo, p_r)
-    return HpaState(family, ibo, p_r, k_gain, snl, smoothness_v, phi0)
+    return HpaState(family, ibo, p_r, k_gain, snl)

@@ -55,14 +55,16 @@ def test_modulation_table():
 def test_sum_weight_regrouping():
     # the per-j weights must reproduce the raw (k, j) double sum with the
     # alternating-Pochhammer coefficients, for arbitrary inner values
-    from optfeeder import rf_link, specfun
+    from optfeeder import rf_link
     p = rf_link.ShadowedRicianParams(m=19, b=0.158, omega=1.29)
     m = p.m_int
     z = p.omega / (2 * p.b * p.m)
     rng = np.random.default_rng(5)
     g = rng.uniform(0.1, 3.0, m)     # stand-in per-j term values
+    # rising factorial (1-m)_k as a direct product, independent of the library
+    poch = [math.prod(1.0 - m + i for i in range(k)) for k in range(m)]
     raw = math.fsum(
-        (-1) ** k * specfun.pochhammer(1.0 - m, k)
+        (-1) ** k * poch[k]
         / (math.factorial(k) * math.factorial(j)) * z ** k * g[j]
         for k in range(m) for j in range(k + 1))
     weights = analytics._sum_weights(p)

@@ -3,6 +3,7 @@ exit codes."""
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -109,6 +110,59 @@ def test_bad_config_exit_code(tmp_path):
     bad.write_text("[nosuchsection]\nfoo = 1\n")
     rc = _run(["--config", str(bad), "--out", str(tmp_path / "x")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("text", [
+    "[sweep]\nstep = 0\n",
+    "p_g = 2\n[system]\n",
+    "[hpa]\nibo_db = 20\n[hpa]\nibo_db = 21\n",
+], ids=["zero_step", "no_section_header", "duplicate_section"])
+def test_malformed_config_exit_code(tmp_path, text):
+    bad = tmp_path / "malformed.ini"
+    bad.write_text(text)
+    rc = _run(["--config", str(bad), "--out", str(tmp_path / "x")])
+    assert rc == 1
+
+
+_SUPPORTED = {
+    ("outage", "exact"): "1.000000e-09",
+    ("outage", "asymptotic"): "nan",
+    ("outage", "oracle"): "1.000000e-08",
+    ("outage", "monte-carlo"): None,
+    ("ber", "exact"): "1.000000e-09",
+    ("ber", "asymptotic"): "nan",
+    ("ber", "monte-carlo"): None,
+    ("capacity", "exact"): "1.000000e-09",
+    ("capacity", "monte-carlo"): None,
+    ("moments", "exact"): "1.000000e-09",
+    ("moments", "monte-carlo"): None,
+}
+_UNSUPPORTED = [("ber", "oracle"), ("capacity", "asymptotic"),
+                ("capacity", "oracle"), ("moments", "asymptotic"),
+                ("moments", "oracle"), ("outage", "fastest")]
+
+
+@pytest.mark.parametrize("metric,method", list(_SUPPORTED) + _UNSUPPORTED)
+def test_method_dispatch(tmp_path, metric, method):
+    one_point = tmp_path / "one_point.ini"
+    one_point.write_text(CONFIG + "grid = 30\n")
+    out = tmp_path / "d"
+    rc = _run(["--config", str(one_point), "--metric", metric,
+               "--method", method, "--samples", "2000", "--out", str(out)])
+    if (metric, method) not in _SUPPORTED:
+        assert rc == 1
+        assert not out.exists()     # rejected before any work
+        return
+    assert rc == 0
+    with open(out / f"{metric}_{method.replace('-', '_')}.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["sweep_value_dB"] for r in rows] == ["30.000000"]
+    assert math.isfinite(float(rows[0]["value"]))
+    if _SUPPORTED[(metric, method)] is None:
+        assert rows[0]["n_samples"] == "2000"
+    else:
+        assert rows[0]["error_estimate"] == _SUPPORTED[(metric, method)]
+        assert rows[0]["n_samples"] == "0"
 
 
 def test_unknown_key_exit_code(tmp_path):
