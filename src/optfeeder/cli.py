@@ -231,10 +231,12 @@ def run(args) -> int:
     cp, used_defaults = load_config(args.config)
     variable, grid = _sweep_grid(cp, args)
     methods = [m.strip() for m in args.method.split(",")]
-    for m in methods:
+    for i, m in enumerate(methods):
         if (args.metric, m) not in EVALUATORS:
             supported = ", ".join(k[1] for k in EVALUATORS if k[0] == args.metric)
             raise ConfigError(f"{args.metric} supports {supported}, not {m!r}")
+        if m in methods[:i]:
+            raise ConfigError(f"method {m!r} is listed twice")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -89,13 +89,7 @@ def empirical_outage(plan: SimPlan, gamma_th: float) -> MonteCarloEstimate:
     """Fraction of SNDR samples below the threshold, with binomial 3-sigma."""
     if gamma_th < 0:
         raise ValueError("threshold must be nonnegative")
-    hits, count = [], 0
-    for batch in simulate_sndr(plan):
-        hits.append(int(np.count_nonzero(batch < gamma_th)))
-        count += batch.size
-    p = math.fsum(hits) / count
-    half = 3.0 * math.sqrt(max(p * (1.0 - p), 1.0 / count) / count)
-    return MonteCarloEstimate(p, half, count)
+    return empirical_cdf(plan, [gamma_th])[0]
 
 
 def empirical_cdf(plan: SimPlan, points) -> list[MonteCarloEstimate]:

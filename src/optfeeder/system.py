@@ -2,11 +2,13 @@
 and the signal-to-noise-plus-distortion law of the relayed forward link.
 
 A ``ScenarioConfig`` freezes one operating point (one average electrical SNR
-of the feeder link).  Sweeps clone it through :meth:`ScenarioConfig.at_mu_r`,
-which re-derives the gain-dependent quantities: the relay gain shrinks as
-the optical transmit power grows, so the distortion ratio kappa and the
-noise-amplification constant C both climb with mu_r.  That coupling is what
-separates the nonlinear amplifier floors from the linear-amplifier decay.
+of the feeder link) and derives every other quantity from its inputs in
+``__post_init__``, so each clone made with ``dataclasses.replace`` (sweeps
+use :meth:`ScenarioConfig.at_mu_r`) re-derives what its changed input
+affects: the relay gain shrinks as the optical transmit power grows, so the
+distortion ratio kappa and the noise-amplification constant C both climb
+with mu_r.  That coupling is what separates the nonlinear amplifier floors
+from the linear-amplifier decay.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import linalg
@@ -44,17 +46,11 @@ def trace_bbh_inv(gain_matrix: np.ndarray) -> float:
     return float(np.trace(linalg.solve(bbh, np.eye(b.shape[0]), assume_a="pos")))
 
 
-def _zf_scale(gain_matrix: np.ndarray, p_g: float) -> tuple[float, float]:
-    """(tr[(B B^H)^(-1)], c_zf): the precoder power scale c_zf = P_g / tr."""
-    if p_g <= 0:
-        raise ValueError("power budget must be positive")
-    trace_inv = trace_bbh_inv(gain_matrix)
-    return trace_inv, p_g / trace_inv
-
-
 def zf_precoder(gain_matrix: np.ndarray, p_g: float) -> tuple[np.ndarray, float]:
     """Zero-forcing precoder T = sqrt(c_zf) B^H (B B^H)^(-1), tr(T T^H) = P_g."""
-    _, c_zf = _zf_scale(gain_matrix, p_g)
+    if p_g <= 0:
+        raise ValueError("power budget must be positive")
+    c_zf = p_g / trace_bbh_inv(gain_matrix)
     b = np.asarray(gain_matrix, dtype=float)
     # rows of solve(BBH, B) are (BBH)^-1 B; transpose gives B^H (BBH)^-1
     t_unscaled = linalg.solve(b @ b.T, b, assume_a="pos").T
@@ -73,7 +69,11 @@ def sndr(gamma1, gamma2, scenario: "ScenarioConfig"):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One fully derived operating point of the forward link."""
+    """One fully derived operating point of the forward link.
+
+    The init fields are the inputs; the rest are derived from them in
+    ``__post_init__`` and cannot be passed in.
+    """
     feeder: fso_link.FeederConfig
     turbulence: fso_link.TurbulenceParams
     layout: rf_link.BeamLayout
@@ -81,7 +81,7 @@ class ScenarioConfig:
     shadowing: rf_link.ShadowedRicianParams
     hpa: transponder.HpaState
     mu_r: float                   # average electrical SNR of the feeder link
-    gamma_bar2: float             # average SNR scale of the served user link
+    gamma_bar2: float | None      # average SNR scale of the served user link
     p_g: float
     sigma2_sq: float
     user_index: int
@@ -89,13 +89,51 @@ class ScenarioConfig:
     fixed_gain: float
     gamma2_source: str            # 'explicit' (e.g. calibrated) or 'physical'
     # derived
-    gain_matrix: np.ndarray
-    trace_term: float
-    b_row_norm_sq: float
-    c_zf: float
-    gbar1: float
-    relay_g: float
-    kappa: float
+    gain_matrix: np.ndarray = field(init=False)
+    trace_term: float = field(init=False)
+    b_row_norm_sq: float = field(init=False)
+    c_zf: float = field(init=False)
+    gbar1: float = field(init=False)
+    relay_g: float = field(init=False)
+    kappa: float = field(init=False)
+
+    def __post_init__(self):
+        if self.gain_mode not in ("power_constrained", "fixed"):
+            raise ValueError("gain_mode must be 'power_constrained' or 'fixed'")
+        if self.p_g <= 0:
+            raise ValueError("power budget must be positive")
+        b = rf_link.beam_gain_matrix(self.layout, self.rf)
+        if not 0 <= self.user_index < b.shape[0]:
+            raise ValueError(f"user_index must lie in [0, {b.shape[0]}), "
+                             f"not {self.user_index}")
+        trace_term = trace_bbh_inv(b)
+        row = b[self.user_index]
+        b_row_norm_sq = float(row @ row)
+        gbar1 = fso_link.gbar1_from_mu_r(self.mu_r, self.detection_r,
+                                         self.turbulence, self.feeder.pointing)
+        if self.gain_mode == "fixed":
+            relay_g = self.fixed_gain
+        elif self.hpa.family == "linear":
+            relay_g = 1.0
+        else:
+            # P_g E[(eta I)^r] / sigma1^2 equals trace_term * gbar1 by the
+            # definition of the average feeder SNR, so the power-constrained
+            # gain follows without touching eta or P_g explicitly
+            relay_g = math.sqrt(self.hpa.p_r / (self.feeder.sigma1_sq
+                                                * (trace_term * gbar1 + 1.0)))
+        derived = {
+            "gain_matrix": b, "trace_term": trace_term,
+            "b_row_norm_sq": b_row_norm_sq, "c_zf": self.p_g / trace_term,
+            "gbar1": gbar1, "relay_g": relay_g,
+            "kappa": 1.0 if self.hpa.family == "linear"
+                     else self.hpa.kappa_for_gain(relay_g, self.feeder.sigma1_sq)}
+        if self.gamma2_source == "physical":
+            two_bm = 2.0 * self.shadowing.b * self.shadowing.m
+            derived["gamma_bar2"] = (self.hpa.sat_power_tx * b_row_norm_sq
+                                     * (two_bm + self.shadowing.omega)
+                                     / self.sigma2_sq)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def noise_amp_c(self) -> float:
@@ -113,21 +151,13 @@ class ScenarioConfig:
 
     def at_mu_r(self, mu_r: float) -> "ScenarioConfig":
         """Same system at another feeder operating point."""
-        gbar1 = fso_link.gbar1_from_mu_r(mu_r, self.detection_r,
-                                         self.turbulence, self.feeder.pointing)
-        relay_g, kap = _gain_and_kappa(self.feeder, self.hpa, self.trace_term,
-                                       gbar1, self.gain_mode, self.fixed_gain)
-        return replace(self, mu_r=mu_r, gbar1=gbar1, relay_g=relay_g, kappa=kap)
+        return replace(self, mu_r=mu_r)
 
     def at_mu_r_db(self, mu_r_db: float) -> "ScenarioConfig":
         return self.at_mu_r(10.0 ** (mu_r_db / 10.0))
 
     def with_gamma_bar2(self, gamma_bar2: float) -> "ScenarioConfig":
         return replace(self, gamma_bar2=gamma_bar2, gamma2_source="explicit")
-
-    def with_hpa(self, hpa: transponder.HpaState) -> "ScenarioConfig":
-        out = replace(self, hpa=hpa)
-        return out.at_mu_r(self.mu_r)
 
     def fingerprint(self) -> str:
         """Short stable hash of every input and derived scalar."""
@@ -189,22 +219,6 @@ class ScenarioConfig:
         }
 
 
-def _gain_and_kappa(feeder, hpa, trace_term, gbar1, gain_mode, fixed_gain):
-    if hpa.family == "linear":
-        g = fixed_gain if gain_mode == "fixed" else 1.0
-        return g, 1.0
-    if gain_mode == "fixed":
-        g = fixed_gain
-    else:
-        # P_g E[(eta I)^r] / sigma1^2 equals trace_term * gbar1 by the
-        # definition of the average feeder SNR, so the power-constrained
-        # gain follows without touching eta or P_g explicitly
-        g = math.sqrt(hpa.p_r / (feeder.sigma1_sq
-                                 * (trace_term * gbar1 + 1.0)))
-    kap = hpa.kappa_for_gain(g, feeder.sigma1_sq)
-    return g, kap
-
-
 def build_scenario(feeder: fso_link.FeederConfig,
                    layout: rf_link.BeamLayout,
                    rf: rf_link.RfLinkParams,
@@ -218,7 +232,7 @@ def build_scenario(feeder: fso_link.FeederConfig,
                    gain_mode: str = "power_constrained",
                    fixed_gain: float = 1.0,
                    turbulence: fso_link.TurbulenceParams | None = None) -> ScenarioConfig:
-    """Derive every scenario quantity from raw configuration.
+    """Scenario from raw configuration, feeder SNR in dB.
 
     ``gamma_bar2`` left unset selects the physical value from the satellite
     power budget; passing it explicitly (the calibrated mode) is recorded in
@@ -226,33 +240,11 @@ def build_scenario(feeder: fso_link.FeederConfig,
     override the pipeline-derived shapes when matching externally reported
     parameter triples.
     """
-    if gain_mode not in ("power_constrained", "fixed"):
-        raise ValueError("gain_mode must be 'power_constrained' or 'fixed'")
     if turbulence is None:
         turbulence = fso_link.scintillation_params(feeder.atmosphere)
-    b = rf_link.beam_gain_matrix(layout, rf)
-    trace_term, c_zf = _zf_scale(b, p_g)
-    row = b[user_index]
-    b_row_norm_sq = float(row @ row)
-
-    mu_r = 10.0 ** (mu_r_db / 10.0)
-    gbar1 = fso_link.gbar1_from_mu_r(mu_r, feeder.detection_r,
-                                     turbulence, feeder.pointing)
-    relay_g, kap = _gain_and_kappa(feeder, hpa, trace_term, gbar1,
-                                   gain_mode, fixed_gain)
-
-    if gamma_bar2 is None:
-        two_bm = 2.0 * shadowing.b * shadowing.m
-        gamma_bar2 = (hpa.sat_power_tx * b_row_norm_sq
-                      * (two_bm + shadowing.omega) / sigma2_sq)
-        gamma2_source = "physical"
-    else:
-        gamma2_source = "explicit"
-
     return ScenarioConfig(
         feeder=feeder, turbulence=turbulence, layout=layout, rf=rf,
-        shadowing=shadowing, hpa=hpa, mu_r=mu_r, gamma_bar2=gamma_bar2,
-        p_g=p_g, sigma2_sq=sigma2_sq, user_index=user_index,
-        gain_mode=gain_mode, fixed_gain=fixed_gain, gamma2_source=gamma2_source,
-        gain_matrix=b, trace_term=trace_term, b_row_norm_sq=b_row_norm_sq,
-        c_zf=c_zf, gbar1=gbar1, relay_g=relay_g, kappa=kap)
+        shadowing=shadowing, hpa=hpa, mu_r=10.0 ** (mu_r_db / 10.0),
+        gamma_bar2=gamma_bar2, p_g=p_g, sigma2_sq=sigma2_sq,
+        user_index=user_index, gain_mode=gain_mode, fixed_gain=fixed_gain,
+        gamma2_source="physical" if gamma_bar2 is None else "explicit")

@@ -113,13 +113,6 @@ def bussgang_pair(family: str, ibo_linear: float, p_r: float = 1.0) -> tuple[flo
     raise ValueError(f"unknown amplifier family {family!r}")
 
 
-def kappa(k_gain: float, sigma_nl_sq: float, relay_g: float, sigma1_sq: float) -> float:
-    """Distortion ratio 1 + sigma_NL^2 / (K^2 G^2 sigma_1^2); 1 means linear."""
-    if k_gain <= 0 or relay_g <= 0 or sigma1_sq <= 0:
-        raise ValueError("gains and noise variance must be positive")
-    return 1.0 + sigma_nl_sq / (k_gain ** 2 * relay_g ** 2 * sigma1_sq)
-
-
 @dataclass(frozen=True)
 class HpaState:
     """Amplifier family, back-off, and the derived linearization pair."""
@@ -152,7 +145,10 @@ class HpaState:
         return self.k_gain ** 2 * self.p_r + self.sigma_nl_sq
 
     def kappa_for_gain(self, relay_g: float, sigma1_sq: float) -> float:
-        return kappa(self.k_gain, self.sigma_nl_sq, relay_g, sigma1_sq)
+        """Distortion ratio 1 + sigma_NL^2 / (K^2 G^2 sigma_1^2); 1 means linear."""
+        if relay_g <= 0 or sigma1_sq <= 0:
+            raise ValueError("gain and noise variance must be positive")
+        return 1.0 + self.sigma_nl_sq / (self.k_gain ** 2 * relay_g ** 2 * sigma1_sq)
 
 
 def hpa_state(family: str, ibo_db: float | None = None, p_r: float = 1.0) -> HpaState:

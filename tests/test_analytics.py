@@ -217,8 +217,8 @@ def test_linear_equals_kappa_one_substitution(scenario_factory):
     # family 'linear' must reproduce the nonlinear formulas at kappa = 1
     lin = scenario_factory(hpa_family="linear", ibo_db=None, mu_r_db=45.0)
     twta = scenario_factory(mu_r_db=45.0)
-    forced = dataclasses.replace(
-        twta, hpa=lin.hpa, kappa=1.0, relay_g=1.0)
+    forced = dataclasses.replace(twta, hpa=lin.hpa)
+    assert forced.kappa == 1.0 and forced.relay_g == 1.0
     for x in (0.5, 3.0, 20.0):
         assert analytics.sndr_cdf_exact(x, lin) == pytest.approx(
             analytics.sndr_cdf_exact(x, forced), rel=1e-9)

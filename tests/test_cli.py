@@ -116,7 +116,10 @@ def test_bad_config_exit_code(tmp_path):
     "[sweep]\nstep = 0\n",
     "p_g = 2\n[system]\n",
     "[hpa]\nibo_db = 20\n[hpa]\nibo_db = 21\n",
-], ids=["zero_step", "no_section_header", "duplicate_section"])
+    "[system]\nuser_index = 7\n",
+    "[system]\nuser_index = -1\n",
+], ids=["zero_step", "no_section_header", "duplicate_section",
+        "user_index_past_last_beam", "negative_user_index"])
 def test_malformed_config_exit_code(tmp_path, text):
     bad = tmp_path / "malformed.ini"
     bad.write_text(text)
@@ -139,7 +142,8 @@ _SUPPORTED = {
 }
 _UNSUPPORTED = [("ber", "oracle"), ("capacity", "asymptotic"),
                 ("capacity", "oracle"), ("moments", "asymptotic"),
-                ("moments", "oracle"), ("outage", "fastest")]
+                ("moments", "oracle"), ("outage", "fastest"),
+                ("outage", "exact,exact")]
 
 
 @pytest.mark.parametrize("metric,method", list(_SUPPORTED) + _UNSUPPORTED)

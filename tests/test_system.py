@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -54,11 +55,9 @@ def test_zf_rank_deficiency_error():
 # SNDR law
 # ---------------------------------------------------------------------------
 
-def test_sndr_hand_value(scenario_factory):
-    scn = scenario_factory()
-    # craft the exact algebra check by overriding the derived fields
-    scn_h = dataclasses.replace(scn, b_row_norm_sq=1.0, trace_term=1.0,
-                                gbar1=10.0, kappa=1.0)
+def test_sndr_hand_value():
+    # the exact algebra check on hand-set scenario quantities: C = 1 * 10 + 1
+    scn_h = types.SimpleNamespace(b_row_norm_sq=1.0, kappa=1.0, noise_amp_c=11.0)
     assert system.sndr(20.0, 22.0, scn_h) == pytest.approx(440.0 / 33.0)
     assert system.sndr(0.0, 22.0, scn_h) == 0.0
     assert system.sndr(20.0, 0.0, scn_h) == 0.0
@@ -141,9 +140,36 @@ def test_scenario_describe_records_defaults(scenario_factory):
 
 def test_with_gamma_bar2_and_hpa_swap(scenario_factory):
     scn = scenario_factory()
-    swapped = scn.with_hpa(transponder.hpa_state("sspa", 25.0))
+    swapped = dataclasses.replace(scn, hpa=transponder.hpa_state("sspa", 25.0))
     assert swapped.hpa.family == "sspa"
     assert swapped.kappa < scn.kappa      # limiter distorts less
     relabeled = scn.with_gamma_bar2(123.0)
     assert relabeled.gamma_bar2 == 123.0
     assert relabeled.gamma2_source == "explicit"
+
+
+@pytest.mark.parametrize("gamma_bar2", [None, CALIBRATED_GAMMA_BAR2],
+                         ids=["physical", "explicit"])
+@pytest.mark.parametrize("family", ["twta", "sspa", "linear"])
+def test_clone_equals_build(scenario_factory, family, gamma_bar2):
+    # every clone re-derives what its changed input affects, so it matches a
+    # scenario built directly from the same inputs
+    other = {"twta": "sspa", "sspa": "linear", "linear": "twta"}[family]
+    scn = scenario_factory(hpa_family=family, ibo_db=3.0, mu_r_db=30.0,
+                           gamma_bar2=gamma_bar2)
+    direct = scenario_factory(hpa_family=family, ibo_db=3.0, mu_r_db=60.0,
+                              gamma_bar2=gamma_bar2)
+    assert scn.at_mu_r_db(60.0).fingerprint() == direct.fingerprint()
+    swapped = dataclasses.replace(scn, hpa=transponder.hpa_state(other, 3.0))
+    direct = scenario_factory(hpa_family=other, ibo_db=3.0, mu_r_db=30.0,
+                              gamma_bar2=gamma_bar2)
+    assert swapped.fingerprint() == direct.fingerprint()
+    direct = scenario_factory(hpa_family=family, ibo_db=3.0, mu_r_db=30.0,
+                              gamma_bar2=123.0)
+    assert scn.with_gamma_bar2(123.0).fingerprint() == direct.fingerprint()
+
+
+@pytest.mark.parametrize("user_index", [7, -1])
+def test_user_index_out_of_range(scenario_factory, user_index):
+    with pytest.raises(ValueError, match=r"\[0, 7\)"):
+        scenario_factory(user_index=user_index)

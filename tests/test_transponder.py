@@ -6,6 +6,7 @@ smoothness-1 Rapp limiter for the SSPA), which settles the family-to-
 formula assignment independently of any published tabulation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -159,15 +160,18 @@ def test_bussgang_residual_uncorrelated():
 # ---------------------------------------------------------------------------
 
 def test_kappa_values():
-    assert transponder.kappa(1.0, 0.0, 1.0, 1.0) == 1.0
+    def kappa(k, snl, g, s1):
+        return transponder.HpaState("twta", 1.0, 1.0, k, snl).kappa_for_gain(g, s1)
+
+    assert kappa(1.0, 0.0, 1.0, 1.0) == 1.0
     # doubling the gain cuts the excess by four
-    k1 = transponder.kappa(0.9, 0.02, 1.0, 1.0) - 1.0
-    k2 = transponder.kappa(0.9, 0.02, 2.0, 1.0) - 1.0
+    k1 = kappa(0.9, 0.02, 1.0, 1.0) - 1.0
+    k2 = kappa(0.9, 0.02, 2.0, 1.0) - 1.0
     assert k1 == pytest.approx(4 * k2, rel=1e-12)
     # composition golden from the audited pair
     k, snl = transponder.bussgang_twta(10 ** 2.5)
     expect = 1.0 + snl / k ** 2
-    assert transponder.kappa(k, snl, 1.0, 1.0) == pytest.approx(expect, rel=1e-12)
+    assert kappa(k, snl, 1.0, 1.0) == pytest.approx(expect, rel=1e-12)
 
 
 def test_relay_gain(scenario_factory):
@@ -177,7 +181,8 @@ def test_relay_gain(scenario_factory):
     budget = scn.feeder.sigma1_sq * (scn.trace_term * scn.gbar1 + 1.0)
     assert scn.relay_g ** 2 * budget == pytest.approx(scn.hpa.p_r, rel=1e-12)
     # G grows as sqrt(P_r) at a fixed operating point
-    g4 = scn.with_hpa(transponder.hpa_state("twta", 25.0, p_r=4.0)).relay_g
+    g4 = dataclasses.replace(
+        scn, hpa=transponder.hpa_state("twta", 25.0, p_r=4.0)).relay_g
     assert g4 == pytest.approx(2 * scn.relay_g, rel=1e-12)
     # a fixed gain is taken as given
     assert scenario_factory(gain_mode="fixed", fixed_gain=0.7).relay_g == 0.7
