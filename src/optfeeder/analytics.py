@@ -409,8 +409,17 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
         "be": _safe_gamma(al - be) / r * _safe_inv(xi2 - be),
     }
 
+    coefs = rf_link.series_coeffs(scn.shadowing).tolist()
+    # the J2..J4 brackets depend on (j, theta) only, not on k
+    brackets = {}
+    for j in range(len(coefs)):
+        for key, theta in theta_tail.items():
+            g212 = specfun.meijer_g_2_1_1_2(x1, 1.0 + theta, float(j), 1.0)
+            brackets[(j, key)] = (_safe_gamma(j - theta) * x1 ** theta
+                                  + g212 / _safe_gamma(1.0 - theta))
+
     total = []
-    for k, coef_k in enumerate(rf_link.series_coeffs(scn.shadowing).tolist()):
+    for k, coef_k in enumerate(coefs):
         for j in range(k + 1):
             c_kj = coef_k / math.factorial(j)
             # J1: exponent j
@@ -419,10 +428,7 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
             total.append(c_kj * j1 * exponent_weight(float(j)) / scn.mu_r ** j)
             # J2..J4: exponents xi^2/r, al/r, be/r
             for key, theta in theta_tail.items():
-                g212 = specfun.meijer_g_2_1_1_2(x1, 1.0 + theta, float(j), 1.0)
-                bracket = (_safe_gamma(j - theta) * x1 ** theta
-                           + g212 / _safe_gamma(1.0 - theta))
-                term = lead[key] * a_const ** theta * bracket
+                term = lead[key] * a_const ** theta * brackets[(j, key)]
                 total.append(c_kj * term * exponent_weight(theta)
                              / scn.mu_r ** theta)
     pref = xi2 / (sp.gamma(al) * sp.gamma(be)) * scn.shadowing.power_ratio ** (m - 1)

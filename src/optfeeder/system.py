@@ -88,8 +88,9 @@ class ScenarioConfig:
     gain_mode: str                # 'power_constrained' or 'fixed'
     fixed_gain: float
     gamma2_source: str            # 'explicit' (e.g. calibrated) or 'physical'
-    # derived
-    gain_matrix: np.ndarray = field(init=False)
+    # derived; the array is left out of == and hash (an array has no truth
+    # value), and layout and rf, which fix it, are compared instead
+    gain_matrix: np.ndarray = field(init=False, compare=False)
     trace_term: float = field(init=False)
     b_row_norm_sq: float = field(init=False)
     c_zf: float = field(init=False)

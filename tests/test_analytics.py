@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from optfeeder import analytics, montecarlo
+from optfeeder import analytics, montecarlo, specfun
 
 
 
@@ -159,6 +159,21 @@ def test_outage_floor_matches_asymptotic_constant(scenario_factory):
     asym = analytics.outage_asymptotic(gth, scn)
     assert exact > 0.05          # strictly positive floor
     assert asym == pytest.approx(exact, rel=0.01)
+
+
+def test_expansion_brackets_once_per_exponent(scenario_factory, monkeypatch):
+    # the J2..J4 brackets depend on (j, theta) only: three per j < m
+    scn = scenario_factory(mu_r_db=70.0, gamma_bar2=1e12)
+    calls = []
+    g212 = specfun.meijer_g_2_1_1_2
+
+    def counted(*args):
+        calls.append(args)
+        return g212(*args)
+
+    monkeypatch.setattr(specfun, "meijer_g_2_1_1_2", counted)
+    analytics.outage_asymptotic(10 ** 0.5, scn)
+    assert len(calls) == 3 * scn.shadowing.m_int == 57
 
 
 def test_outage_slope_before_floor(scenario_factory):

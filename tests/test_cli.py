@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from optfeeder import analytics, cli
+from optfeeder import analytics, cli, fso_link
 
 
 CONFIG = """
@@ -125,6 +125,7 @@ def test_malformed_config_exit_code(tmp_path, text):
     bad.write_text(text)
     rc = _run(["--config", str(bad), "--out", str(tmp_path / "x")])
     assert rc == 1
+    assert not (tmp_path / "x").exists()    # rejected before any output
 
 
 _SUPPORTED = {
@@ -190,3 +191,49 @@ def test_gamma_th_sweep(tmp_path, config_file):
         rows = list(csv.DictReader(fh))
     vals = [float(r["value"]) for r in rows]
     assert vals == sorted(vals)   # outage grows with the threshold
+
+
+# sweep grid and the number of distinct atmospheres it sees, the base
+# scenario's included (its cn2 is the default 1e-12)
+_SWEEPS = {
+    "mu_r_db": ("20 30 40", 1),
+    "gamma_th_db": ("0 5 10", 1),
+    "ibo_db": ("20 25 30", 1),
+    "xi": ("0.9 1.1 1.5", 1),
+    "cn2": ("2e-12 1e-12 2e-12 5e-13", 3),
+}
+
+
+@pytest.mark.parametrize("variable", list(_SWEEPS))
+def test_sweep_builds_turbulence_once_per_atmosphere(tmp_path, monkeypatch,
+                                                     variable):
+    grid, n_atmospheres = _SWEEPS[variable]
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(CONFIG + f"grid = {grid}\n")
+    built = []
+    pipeline = fso_link.scintillation_params
+
+    def counted(atmo):
+        built.append(atmo)
+        return pipeline(atmo)
+
+    monkeypatch.setattr(fso_link, "scintillation_params", counted)
+    out = tmp_path / "s"
+    rc = _run(["--config", str(cfg), "--sweep", variable, "--metric", "moments",
+               "--method", "exact", "--mu-r-db", "35", "--out", str(out)])
+    assert rc == 0
+    assert len(built) == len(set(built)) == n_atmospheres
+
+    # every point is the scenario a fresh build from the config gives
+    cp, _ = cli.load_config(str(cfg))
+    with open(out / "moments_exact.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(grid.split())
+    for point, row in zip(map(float, grid.split()), rows):
+        mu_r_db, overrides = 35.0, {}
+        if variable == "mu_r_db":
+            mu_r_db = point
+        elif variable != "gamma_th_db":
+            overrides = {variable: point}
+        fresh = cli._scenario_from_config(cp, mu_r_db, overrides)
+        assert row["scenario_fingerprint"] == fresh.fingerprint()

@@ -169,6 +169,21 @@ def test_clone_equals_build(scenario_factory, family, gamma_bar2):
     assert scn.with_gamma_bar2(123.0).fingerprint() == direct.fingerprint()
 
 
+def test_scenario_equality_and_hash(scenario_factory):
+    # the derived gain matrix stays out of == and hash; a clone and a direct
+    # build at the same operating point compare and hash alike
+    scn = scenario_factory(mu_r_db=30.0)
+    direct = scenario_factory(mu_r_db=40.0)
+    clone = scn.at_mu_r_db(40.0)
+    assert clone == direct
+    assert hash(clone) == hash(direct)
+    assert len({clone, direct}) == 1
+    assert clone != scn
+    assert scn.at_mu_r_db(40.0) != scn.at_mu_r_db(41.0)
+    assert clone.fingerprint() == direct.fingerprint()
+    assert clone.describe() == direct.describe()
+
+
 @pytest.mark.parametrize("user_index", [7, -1])
 def test_user_index_out_of_range(scenario_factory, user_index):
     with pytest.raises(ValueError, match=r"\[0, 7\)"):
