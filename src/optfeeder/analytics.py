@@ -8,10 +8,10 @@ CDF against the feeder density) serves as the numerical oracle for the
 closed forms, and simple four-term expansions cover the high-SNR regime.
 
 Sum handling: for integer severity m the k-sum weights are binomial and
-positive, so the (k, j) double sum is regrouped as one weight per j; each j
-keeps its own s-side block while every term shares the t-side kernel, which
-the evaluator exploits.  Accumulation uses compensated summation because the
-term magnitudes span many orders.
+positive, so the (k, j) double sum is regrouped as one weight per j; only
+the s-side gamma Gamma(j - s) changes with j while every term shares the
+t-side kernel, which the evaluator exploits.  Accumulation uses compensated
+summation because the term magnitudes span many orders.
 """
 
 from __future__ import annotations
@@ -134,39 +134,34 @@ def _x2_base(scn: ScenarioConfig) -> float:
             / ((al * be * xi2) ** r * scn.kappa * scn.b_row_norm_sq))
 
 
-def _t_upper(scn: ScenarioConfig) -> tuple[float, ...]:
-    al, be = scn.turbulence.alpha, scn.turbulence.beta
-    xi2 = scn.feeder.pointing.xi ** 2
-    r = scn.detection_r
-    return (specfun.duplication_split(r, 1.0 - xi2)
-            + specfun.duplication_split(r, 1.0 - al)
-            + specfun.duplication_split(r, 1.0 - be))
+def _family_total(scn: ScenarioConfig, x2: float, rel_tol: float,
+                  out_scale: float, top: tuple[float, ...] = (),
+                  bottom: tuple[float, ...] = (),
+                  last: float = 0.0) -> tuple[float, float]:
+    """Weighted sum of the shared-kernel G terms of one metric.
 
-
-def _t_lower_base(scn: ScenarioConfig, last: float) -> tuple[float, ...]:
-    xi2 = scn.feeder.pointing.xi ** 2
-    return specfun.duplication_split(scn.detection_r, -xi2) + (last,)
-
-
-def _s_blocks(scn: ScenarioConfig) -> list[specfun.GBlock]:
-    m = scn.shadowing.m_int
-    return [specfun.GBlock(a=(), b=(float(j), 1.0), m=2, n=0) for j in range(m)]
-
-
-def _family_total(scn: ScenarioConfig, t_block: specfun.GBlock, x2: float,
-                  rel_tol: float, out_scale: float) -> tuple[float, float]:
-    """Weighted sum of the shared-kernel G terms.
-
+    The t-block is the metric's own upper parameters ``top`` (numerator
+    gammas), lower parameters ``bottom`` (right poles) and final reciprocal
+    parameter ``last``, around the duplication-split feeder gammas.
     ``out_scale`` is the prefactor the caller will multiply the total by;
     the absolute convergence floor is set so the assembled metric carries
     roughly ``rel_tol`` absolute error even when the total underflows.
     """
+    al, be = scn.turbulence.alpha, scn.turbulence.beta
+    xi2 = scn.feeder.pointing.xi ** 2
+    r = scn.detection_r
+    t_block = specfun.GBlock(
+        a=(top + specfun.duplication_split(r, 1.0 - xi2)
+           + specfun.duplication_split(r, 1.0 - al)
+           + specfun.duplication_split(r, 1.0 - be)),
+        b=bottom + specfun.duplication_split(r, -xi2) + (last,),
+        m=len(bottom), n=len(top) + 3 * r)
     weights = _sum_weights(scn.shadowing)
     abs_tol = 0.5 * rel_tol / max(out_scale, 1e-300)
     x1 = _x1(scn)
     try:
         _, total, err, _ = specfun.meijer_g_bivariate_family(
-            (0.0,), _s_blocks(scn), t_block, x1, x2,
+            range(scn.shadowing.m_int), t_block, x1, x2,
             weights=weights, rel_tol=rel_tol, abs_tol=abs_tol)
     except (specfun.ConvergenceError, specfun.PoleCollisionError) as exc:
         raise type(exc)(
@@ -183,11 +178,8 @@ def sndr_cdf_exact(x: float, scn: ScenarioConfig) -> float:
     """CDF of the end-to-end SNDR from the bivariate closed form."""
     if x <= 0:
         raise ValueError("x must be positive")
-    t_block = specfun.GBlock(a=_t_upper(scn), b=_t_lower_base(scn, 0.0),
-                             m=0, n=3 * scn.detection_r)
     pref = _prefactor(scn)
-    total, err = _family_total(scn, t_block, _x2_base(scn) / x, _REL_TOL,
-                               out_scale=pref)
+    total, err = _family_total(scn, _x2_base(scn) / x, _REL_TOL, out_scale=pref)
     raw = 1.0 - pref * total
     clamped = min(max(raw, 0.0), 1.0)
     if abs(raw - clamped) > 1e-6:
@@ -200,11 +192,9 @@ def sndr_pdf_exact(x: float, scn: ScenarioConfig) -> float:
     """Density of the end-to-end SNDR (derivative of the closed-form CDF)."""
     if x <= 0:
         raise ValueError("x must be positive")
-    t_block = specfun.GBlock(a=_t_upper(scn), b=_t_lower_base(scn, 1.0),
-                             m=0, n=3 * scn.detection_r)
     pref = _prefactor(scn) / x
-    total, _ = _family_total(scn, t_block, _x2_base(scn) / x, _PDF_REL_TOL,
-                             out_scale=pref)
+    total, _ = _family_total(scn, _x2_base(scn) / x, _PDF_REL_TOL,
+                             out_scale=pref, last=1.0)
     return max(pref * total, 0.0)
 
 
@@ -218,8 +208,8 @@ def sndr_moments(order: int, scn: ScenarioConfig) -> float:
     r = scn.detection_r
     m = scn.shadowing.m_int
     x1 = _x1(scn)
-    scale = ((xi2 + 1.0) ** r * scn.mu_r
-             / ((al * be * xi2) ** r * scn.kappa * scn.b_row_norm_sq))
+    # r^(2r) is 1 or 16, so the division is exact
+    scale = _x2_base(scn) / r ** (2 * r)
     pref = (xi2 * sp.gamma(al + r * n) * sp.gamma(be + r * n)
             / ((xi2 + r * n) * sp.gamma(al) * sp.gamma(be) * sp.gamma(n))
             * scale ** n * scn.shadowing.power_ratio ** (m - 1))
@@ -294,15 +284,12 @@ def outage_exact(gamma_th: float, scn: ScenarioConfig) -> float:
 def ber_exact(mod: ModulationSpec, scn: ScenarioConfig) -> float:
     """Average BER of the served user for one Gray-coded modulation."""
     _check_detection(mod, scn)
-    r = scn.detection_r
-    t_block = specfun.GBlock(
-        a=_t_upper(scn), b=(mod.p,) + _t_lower_base(scn, 0.0), m=1, n=3 * r)
     x2b = _x2_base(scn)
     pref = (mod.delta / (2.0 * sp.gamma(mod.p))) * _prefactor(scn)
     acc = []
     for q_u in mod.q_values:
-        total, _ = _family_total(scn, t_block, q_u * x2b, _REL_TOL,
-                                 out_scale=pref)
+        total, _ = _family_total(scn, q_u * x2b, _REL_TOL, out_scale=pref,
+                                 bottom=(mod.p,))
         acc.append(total)
     value = mod.ber_ceiling - pref * math.fsum(acc)
     if not (-1e-6 <= value <= mod.ber_ceiling + 1e-6):
@@ -316,14 +303,10 @@ def capacity_exact(scn: ScenarioConfig) -> float:
     Exact under heterodyne detection; a lower bound under IM/DD (the
     expectation E[log2(1 + tau gamma)] with tau = e/(2 pi)).
     """
-    r = scn.detection_r
-    tau = math.e / (2.0 * math.pi) if r == 2 else 1.0
-    t_block = specfun.GBlock(
-        a=(1.0,) + _t_upper(scn), b=(1.0,) + _t_lower_base(scn, 0.0),
-        m=1, n=3 * r + 1)
+    tau = math.e / (2.0 * math.pi) if scn.detection_r == 2 else 1.0
     pref = _prefactor(scn) / math.log(2.0)
-    total, _ = _family_total(scn, t_block, tau * _x2_base(scn), _REL_TOL,
-                             out_scale=pref)
+    total, _ = _family_total(scn, tau * _x2_base(scn), _REL_TOL, out_scale=pref,
+                             top=(1.0,), bottom=(1.0,))
     value = pref * total
     if value < -1e-9:
         raise specfun.ConvergenceError(f"negative capacity {value}")

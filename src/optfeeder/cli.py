@@ -196,13 +196,6 @@ def _sim(scn, args) -> montecarlo.SimPlan:
     return montecarlo.SimPlan(scn, args.samples, args.seed)
 
 
-def _modulation(args) -> analytics.ModulationSpec:
-    name = args.modulation.lower()
-    if name in ("mpsk", "mqam"):
-        return analytics.modulation(name, args.mod_order)
-    return analytics.modulation(name)
-
-
 # (metric, method) -> f(scenario, args): a value, or a Monte Carlo estimate
 # carrying its own half width and sample count.  The lambdas look the
 # functions up at call time, so wrappers installed on the modules apply.
@@ -213,10 +206,12 @@ EVALUATORS = {
     ("outage", "oracle"): lambda scn, a: analytics.sndr_cdf_oracle(_gamma_th(a), scn),
     ("outage", "monte-carlo"):
         lambda scn, a: montecarlo.empirical_outage(_sim(scn, a), _gamma_th(a)),
-    ("ber", "exact"): lambda scn, a: analytics.ber_exact(_modulation(a), scn),
-    ("ber", "asymptotic"): lambda scn, a: analytics.ber_asymptotic(_modulation(a), scn),
-    ("ber", "monte-carlo"):
-        lambda scn, a: montecarlo.empirical_ber(_sim(scn, a), _modulation(a)),
+    ("ber", "exact"): lambda scn, a: analytics.ber_exact(
+        analytics.modulation(a.modulation, a.mod_order), scn),
+    ("ber", "asymptotic"): lambda scn, a: analytics.ber_asymptotic(
+        analytics.modulation(a.modulation, a.mod_order), scn),
+    ("ber", "monte-carlo"): lambda scn, a: montecarlo.empirical_ber(
+        _sim(scn, a), analytics.modulation(a.modulation, a.mod_order)),
     ("capacity", "exact"): lambda scn, a: analytics.capacity_exact(scn),
     ("capacity", "monte-carlo"):
         lambda scn, a: montecarlo.empirical_capacity(_sim(scn, a)),
@@ -357,20 +352,14 @@ def selftest() -> int:
         ok &= abs(np.trace(t @ t.T) - 2.0) < 1e-10
     check("zero-forcing identities (10 draws)", ok)
 
-    atmo = fso_link.AtmosphereConfig(35786e3, 0.0, math.radians(30), 1550e-9,
-                                     21.0, 1e-12, 0.02)
-    turb = fso_link.scintillation_params(atmo)
+    # the reference scenario: the documented defaults at mu_r = 30 dB
+    cp, _ = load_config(None)
+    cp["system"]["gamma_bar2"] = "2.76e6"
+    scn = _scenario_from_config(cp, 30.0, {})
+    turb = scn.turbulence
     check("scintillation shapes in band",
           abs(turb.alpha - 1.52) < 0.05 and abs(turb.beta - 3.29) < 0.11)
 
-    feeder = fso_link.FeederConfig(2, atmo, fso_link.PointingConfig(1.1))
-    layout = rf_link.BeamLayout(beam_radius=250e3, slant_range=35786e3)
-    rf = rf_link.RfLinkParams(20e9, 10 ** 5.2, 10 ** 3.816, 50e6, 207.0,
-                              math.radians(0.4))
-    shadow = rf_link.ShadowedRicianParams(19, 0.158, 1.29)
-    scn = system.build_scenario(feeder, layout, rf, shadow,
-                                transponder.hpa_state("twta", 25.0),
-                                mu_r_db=30.0, gamma_bar2=2.76e6)
     e = analytics.sndr_cdf_exact(2.0, scn)
     o = analytics.sndr_cdf_oracle(2.0, scn)
     check("closed form vs oracle CDF", abs(e - o) < 1e-6)

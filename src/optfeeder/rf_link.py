@@ -61,11 +61,14 @@ class BeamLayout:
     """Beam geometry; users default to one terminal at each beam center."""
     beam_radius: float
     slant_range: float                     # common UT-satellite distance D
-    user_positions: np.ndarray | None = None
+    user_positions: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         if self.beam_radius <= 0 or self.slant_range <= 0:
             raise ValueError("radius and slant range must be positive")
+        if self.user_positions is not None:   # (x, y) pairs: == and hash by value
+            object.__setattr__(self, "user_positions", tuple(
+                (float(x), float(y)) for x, y in self.user_positions))
 
     @property
     def centers(self) -> np.ndarray:

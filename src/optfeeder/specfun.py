@@ -2,17 +2,17 @@
 
 The univariate evaluator handles the parameter shapes that show up in
 Gamma-Gamma / pointing-error channel statistics (G_{1,3}^{3,0}, G_{0,2}^{2,0},
-G_{1,2}^{2,1}, ...).  The bivariate evaluator computes the double
-Mellin-Barnes integral
+G_{1,2}^{2,1}, ...).  The bivariate evaluator computes the family of double
+Mellin-Barnes integrals behind the channel statistics,
 
-    (1/(2*pi*i))^2  *  integral integral  Gamma(u + s + t)
-        * Phi_2(s) * Phi_3(t) * x1^s * x2^t  ds dt
+    (1/(2*pi*i))^2  *  integral integral  Gamma(s + t) Gamma(j - s) Gamma(1 - s)
+        * Phi_t(t) * x1^s * x2^t  ds dt,    j = 0, 1, 2, ...
 
-over vertical contours, where each inner block Phi follows the classical
-single-variable orientation (numerator factors Gamma(b_j - s) for the first
-``m`` lower parameters and Gamma(1 - a_j + s) for the first ``n`` upper
-parameters, the remaining parameters contributing reciprocal gammas).  This
-is the two-variable G function family of Agarwal as it appears in cascaded
+over vertical contours, all terms sharing one t-block Phi_t in the classical
+single-variable orientation (numerator factors Gamma(b_j - t) for the first
+``m`` lower parameters and Gamma(1 - a_j + t) for the first ``n`` upper
+parameters, the remaining parameters contributing reciprocal gammas).  These
+are two-variable G functions of Agarwal's family as they appear in cascaded
 fading analyses; only real parameters and positive arguments are supported.
 
 Quadrature is a uniform trapezoidal rule on the truncated contour.  The
@@ -345,12 +345,12 @@ class GBlock:
     n: int
 
 
-def _plan_bivariate(outer, s_blocks, t_block):
+def _plan_bivariate(js, t_block):
     """Contour abscissae for the coupled double integral.
 
     Constraints: sigma_t must sit right of every t-plane left pole and left
-    of every t-plane right pole; each sigma_s right of -(sigma_t + u) for
-    the coupling gammas and left of the s-plane right poles.
+    of every t-plane right pole; sigma_s right of the coupling poles at
+    -sigma_t and left of min(j, 1), which the smallest j sets for all terms.
     """
     t_left = max(t_block.a[:t_block.n]) - 1.0 if t_block.n else -math.inf
     t_right = min(t_block.b[:t_block.m]) if t_block.m else math.inf
@@ -367,28 +367,22 @@ def _plan_bivariate(outer, s_blocks, t_block):
     if sigma_t <= 0:
         raise PoleCollisionError("t-contour forced nonpositive; cannot clear coupling")
 
-    coupling_floor = -min(outer) - sigma_t   # sigma_s must exceed this
-    sigmas = []
-    for blk in s_blocks:
-        s_right = min(blk.b[:blk.m]) if blk.m else math.inf
-        s_left = max(blk.a[:blk.n]) - 1.0 if blk.n else -math.inf
-        lo_s = max(s_left, coupling_floor) + COLLIDE_TOL
-        if s_right - lo_s <= COLLIDE_TOL:
-            raise PoleCollisionError("no s-contour clears the coupling poles")
-        sigma_s = s_right - 0.5 * min(1.0, s_right - lo_s)
-        sigmas.append(sigma_s)
-    return sigmas, sigma_t
+    s_right = min(min(js), 1.0)
+    lo_s = -sigma_t + COLLIDE_TOL
+    if s_right - lo_s <= COLLIDE_TOL:
+        raise PoleCollisionError("no s-contour clears the coupling poles")
+    return s_right - 0.5 * min(1.0, s_right - lo_s), sigma_t
 
 
-def meijer_g_bivariate_family(outer, s_blocks, t_block, x1, x2,
-                              weights=None, rel_tol: float = 1e-8,
-                              abs_tol: float = 0.0):
-    """Evaluate a family of bivariate G terms sharing the t-block.
+def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
+                              rel_tol: float = 1e-8, abs_tol: float = 0.0):
+    """Evaluate the bivariate G terms of the channel statistics.
 
-    The double sums behind the channel statistics keep the t-side gammas
-    and both arguments fixed while the s-block varies with the summation
-    index, so the expensive 2-D kernel is built once: after collapsing the
-    t-axis the per-variant cost is a single dot product along s.
+    Term j is the double Mellin-Barnes integral of
+    Gamma(s + t) Gamma(j - s) Gamma(1 - s) Phi_t(t) x1^s x2^t, with Phi_t
+    the t-block in classical orientation.  Only the s-side varies with j,
+    so the expensive 2-D kernel is built once: after collapsing the t-axis
+    the per-term cost is a single dot product along s.
 
     Returns (values, weighted_total, error_estimate, plan).  ``weights``
     default to 1; convergence is judged on the weighted total, which is the
@@ -397,19 +391,15 @@ def meijer_g_bivariate_family(outer, s_blocks, t_block, x1, x2,
     """
     if x1 <= 0 or x2 <= 0:
         raise ValueError("arguments must be positive")
-    w = np.ones(len(s_blocks)) if weights is None else np.asarray(weights, float)
-    sigmas, sigma_t = _plan_bivariate(outer, s_blocks, t_block)
-    # one shared s abscissa keeps the kernel two-dimensional in (s, t)
-    sigma_s = min(sigmas)
+    w = np.ones(len(js)) if weights is None else np.asarray(weights, float)
+    sigma_s, sigma_t = _plan_bivariate(js, t_block)
 
-    dec_s = _decay_rate(len(s_blocks[0].a), len(s_blocks[0].b),
-                        s_blocks[0].m, s_blocks[0].n)
-    dec_t = _decay_rate(len(t_block.a), len(t_block.b), t_block.m, t_block.n)
-    # the coupling gamma contributes exp(-pi |u+v| / 2); count half of it
-    # toward each axis when sizing truncation heights
-    dec_s += 0.25 * math.pi * len(outer)
-    dec_t += 0.25 * math.pi * len(outer)
-    if dec_s <= 0 or dec_t <= 0:
+    # Gamma(j - s) Gamma(1 - s) decays like exp(-pi |u|); the coupling gamma
+    # contributes exp(-pi |u+v| / 2), counted half toward each axis when
+    # sizing truncation heights
+    dec_s = math.pi + 0.25 * math.pi
+    dec_t = _decay_rate(len(t_block.a), len(t_block.b), t_block.m, t_block.n) + 0.25 * math.pi
+    if dec_t <= 0:
         raise ConvergenceError("bivariate integrand does not decay")
     budget = -math.log(rel_tol * 1e-3) + 6.0
     half_s = budget / dec_s
@@ -437,11 +427,9 @@ def meijer_g_bivariate_family(outer, s_blocks, t_block, x1, x2,
 
         log_t = _line_log_block(t_block.a, t_block.b, t_block.m, t_block.n, t)
         log_t += t * math.log(x2)
-        # coupling gammas on the antidiagonal sums s + t
+        # coupling gamma on the antidiagonal sums s + t
         w_sum = (sigma_s + sigma_t) + 1j * h * np.arange(-(ns + nt), ns + nt + 1)
-        log_c = np.zeros_like(w_sum, dtype=complex)
-        for uj in outer:
-            log_c += sp.loggamma(uj + w_sum)
+        log_c = sp.loggamma(w_sum)
         idx = np.arange(2 * ns + 1)[:, None] + np.arange(2 * nt + 1)[None, :]
         kernel = np.exp(log_c[idx] + log_t[None, :])
         # trapezoid weights on the t edges, then collapse the t axis
@@ -454,16 +442,17 @@ def meijer_g_bivariate_family(outer, s_blocks, t_block, x1, x2,
         t_cont = 1.0 / t_divisor
         tvec = kernel.sum(axis=1)
 
-        # blocks differ in magnitude by many orders; every truncation-tail
+        # terms differ in magnitude by many orders; every truncation-tail
         # estimate is therefore weighted by the coefficient of its term
-        vals = np.empty(len(s_blocks))
+        vals = np.empty(len(js))
         quadw = h * h / (4.0 * math.pi ** 2)
         tail = 0.0
         abs_mass = 0.0
         blk_s = min(8, ns // 2)
-        for i, blok in enumerate(s_blocks):
-            log_s = _line_log_block(blok.a, blok.b, blok.m, blok.n, s) + s * math.log(x1)
-            fs = np.exp(log_s)
+        log_1s = sp.loggamma(1.0 - s)
+        s_log_x1 = s * math.log(x1)
+        for i, j in enumerate(js):
+            fs = np.exp(sp.loggamma(j - s) + log_1s + s_log_x1)
             row = fs * tvec
             row[0] *= 0.5
             row[-1] *= 0.5

@@ -105,6 +105,23 @@ def test_cli_override_flags(tmp_path, config_file):
     assert manifest["cli_overrides"]["detection"] == "heterodyne"
 
 
+def test_mpsk_point_matches_direct_ber(tmp_path):
+    one_point = tmp_path / "one_point.ini"
+    one_point.write_text(CONFIG + "grid = 30\n")
+    out = tmp_path / "p"
+    rc = _run(["--config", str(one_point), "--metric", "ber", "--method", "exact",
+               "--detection", "het", "--modulation", "mpsk", "--mod-order", "8",
+               "--out", str(out)])
+    assert rc == 0
+    with open(out / "ber_exact.csv") as fh:
+        (row,) = list(csv.DictReader(fh))
+    cp, _ = cli.load_config(str(one_point))
+    scn = cli._scenario_from_config(cp, 30.0, {"detection": "heterodyne"})
+    direct = analytics.ber_exact(analytics.modulation("mpsk", 8), scn)
+    assert row["value"] == f"{direct:.12e}"
+    assert row["scenario_fingerprint"] == scn.fingerprint()
+
+
 def test_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[nosuchsection]\nfoo = 1\n")

@@ -1,5 +1,6 @@
 """Multibeam geometry, gain matrix, and shadowed-Rician statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -49,6 +50,21 @@ def test_gain_matrix_deterministic_and_row_dominant(layout, rf_params):
     for i in range(7):
         off = np.delete(np.abs(b1[i]), i)
         assert b1[i, i] > np.max(off)
+
+
+def test_explicit_user_layout_compares_and_hashes(scenario_factory):
+    def placed():
+        return rf_link.BeamLayout(250e3, 35786e3,
+                                  user_positions=rf_link.beam_centers(250e3))
+
+    a, b = placed(), placed()
+    assert a == b and hash(a) == hash(b)
+    np.testing.assert_array_equal(a.users, rf_link.beam_centers(250e3))
+    scn = dataclasses.replace(scenario_factory(), layout=a)
+    assert hash(scn) == hash(dataclasses.replace(scenario_factory(), layout=b))
+    moved = rf_link.beam_centers(250e3)
+    moved[3, 0] += 1.0
+    assert rf_link.BeamLayout(250e3, 35786e3, user_positions=moved) != a
 
 
 # ---------------------------------------------------------------------------

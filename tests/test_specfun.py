@@ -238,22 +238,20 @@ def test_tricomi_u_negative_first_parameter():
 # bivariate Meijer G
 # ---------------------------------------------------------------------------
 
-def _cdf_blocks(r, alpha, beta, xi2, j):
+def _cdf_t_block(r, alpha, beta, xi2):
     upper = (specfun.duplication_split(r, 1 - xi2)
              + specfun.duplication_split(r, 1 - alpha)
              + specfun.duplication_split(r, 1 - beta))
     lower = specfun.duplication_split(r, -xi2) + (0.0,)
-    s_block = specfun.GBlock(a=(), b=(float(j), 1.0), m=2, n=0)
-    t_block = specfun.GBlock(a=upper, b=lower, m=0, n=3 * r)
-    return s_block, t_block
+    return specfun.GBlock(a=upper, b=lower, m=0, n=3 * r)
 
 
 def test_bivariate_against_double_quadrature():
     # fixed parameter set: r=1, alpha=2.57, beta=5.36, xi=1.1, j=0, args 1
     alpha, beta, xi2, j = 2.57, 5.36, 1.21, 0
-    s_block, t_block = _cdf_blocks(1, alpha, beta, xi2, j)
+    t_block = _cdf_t_block(1, alpha, beta, xi2)
     vals, _, err, plan = specfun.meijer_g_bivariate_family(
-        (0.0,), [s_block], t_block, 1.0, 1.0, rel_tol=1e-9)
+        [j], t_block, 1.0, 1.0, rel_tol=1e-9)
 
     ss, st = plan.abscissa, plan.abscissa_t
 
@@ -273,31 +271,28 @@ def test_bivariate_against_double_quadrature():
 
 def test_bivariate_step_halving_within_error():
     alpha, beta, xi2 = 1.52, 3.29, 1.21
-    s_block, t_block = _cdf_blocks(2, alpha, beta, xi2, 1)
-    args = ((0.0,), [s_block], t_block, 0.4, 25.0)
+    args = ([1], _cdf_t_block(2, alpha, beta, xi2), 0.4, 25.0)
     coarse, _, coarse_err, _ = specfun.meijer_g_bivariate_family(*args, rel_tol=1e-7)
     fine, _, fine_err, _ = specfun.meijer_g_bivariate_family(*args, rel_tol=1e-10)
     assert abs(coarse[0] - fine[0]) <= coarse_err + fine_err
 
 
 def test_bivariate_family_matches_single_calls():
-    alpha, beta, xi2 = 2.57, 5.36, 1.21
-    blocks = []
-    for j in range(4):
-        s_block, t_block = _cdf_blocks(1, alpha, beta, xi2, j)
-        blocks.append(s_block)
-    vals, total, _, _ = specfun.meijer_g_bivariate_family(
-        (0.0,), blocks, t_block, 0.7, 3.0, rel_tol=1e-9)
-    singles = [specfun.meijer_g_bivariate_family(
-        (0.0,), [blk], t_block, 0.7, 3.0, rel_tol=1e-9)[0][0] for blk in blocks]
-    np.testing.assert_allclose(vals, singles, rtol=1e-7)
-    assert total == pytest.approx(sum(singles), rel=1e-7)
+    t_block = _cdf_t_block(1, 2.57, 5.36, 1.21)
+    # without j = 0 the whole family's s-line is planned at min(j, 1) = 1
+    for js in ([0, 1, 2, 3], [1, 2, 3]):
+        vals, total, _, _ = specfun.meijer_g_bivariate_family(
+            js, t_block, 0.7, 3.0, rel_tol=1e-9)
+        singles = [specfun.meijer_g_bivariate_family(
+            [j], t_block, 0.7, 3.0, rel_tol=1e-9)[0][0] for j in js]
+        np.testing.assert_allclose(vals, singles, rtol=1e-7)
+        assert total == pytest.approx(sum(singles), rel=1e-7)
 
 
 def test_bivariate_rejects_bad_arguments():
-    s_block, t_block = _cdf_blocks(1, 2.57, 5.36, 1.21, 0)
+    t_block = _cdf_t_block(1, 2.57, 5.36, 1.21)
     with pytest.raises(ValueError):
-        specfun.meijer_g_bivariate_family((0.0,), [s_block], t_block, -1.0, 1.0)
+        specfun.meijer_g_bivariate_family([0], t_block, -1.0, 1.0)
 
 
 def test_duplication_split():
