@@ -25,13 +25,13 @@ import numpy as np
 import scipy.special as sp
 
 from . import fso_link, rf_link, specfun
-from .specfun import COLLIDE_TOL, EPS_PERTURB
 from .system import ScenarioConfig
 
 _REL_TOL = 1e-9         # closed-form CDF, BER and capacity families
 _PDF_REL_TOL = 1e-7     # closed-form density
 _ORACLE_ABS_TOL = 1e-8  # oracle integral, absolute
 _FIT_ITERS = 48         # log-domain bisection steps of the calibration fit
+EPS_PERTURB = 1e-6      # joint parameter shift of the expansion at a coincidence
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,19 @@ def modulation(name: str, order: int | None = None) -> ModulationSpec:
         q = tuple(3.0 * (2 * u - 1) ** 2 / (2.0 * (m_ord - 1)) for u in range(1, n + 1))
         return ModulationSpec(f"{m_ord}-QAM", delta, 0.5, q, "heterodyne")
     raise ValueError(f"unknown modulation {name!r}")
+
+
+def check_detection(mod: ModulationSpec, scn: ScenarioConfig):
+    """ValueError unless the modulation suits the scenario's detection type."""
+    if mod.detection_r != scn.detection_r:
+        raise ValueError(
+            f"{mod.name} requires detection r={mod.detection_r}, "
+            f"scenario uses r={scn.detection_r}")
+
+
+def capacity_tau(scn: ScenarioConfig) -> float:
+    """tau of log2(1 + tau gamma): e/(2 pi) under IM/DD, 1 under heterodyne."""
+    return math.e / (2.0 * math.pi) if scn.detection_r == 2 else 1.0
 
 
 @dataclass(frozen=True)
@@ -283,7 +296,7 @@ def outage_exact(gamma_th: float, scn: ScenarioConfig) -> float:
 
 def ber_exact(mod: ModulationSpec, scn: ScenarioConfig) -> float:
     """Average BER of the served user for one Gray-coded modulation."""
-    _check_detection(mod, scn)
+    check_detection(mod, scn)
     x2b = _x2_base(scn)
     pref = (mod.delta / (2.0 * sp.gamma(mod.p))) * _prefactor(scn)
     acc = []
@@ -303,50 +316,24 @@ def capacity_exact(scn: ScenarioConfig) -> float:
     Exact under heterodyne detection; a lower bound under IM/DD (the
     expectation E[log2(1 + tau gamma)] with tau = e/(2 pi)).
     """
-    tau = math.e / (2.0 * math.pi) if scn.detection_r == 2 else 1.0
     pref = _prefactor(scn) / math.log(2.0)
-    total, _ = _family_total(scn, tau * _x2_base(scn), _REL_TOL, out_scale=pref,
-                             top=(1.0,), bottom=(1.0,))
+    total, _ = _family_total(scn, capacity_tau(scn) * _x2_base(scn), _REL_TOL,
+                             out_scale=pref, top=(1.0,), bottom=(1.0,))
     value = pref * total
     if value < -1e-9:
         raise specfun.ConvergenceError(f"negative capacity {value}")
     return max(value, 0.0)
 
 
-def _check_detection(mod: ModulationSpec, scn: ScenarioConfig):
-    if mod.detection_r != scn.detection_r:
-        raise ValueError(
-            f"{mod.name} requires detection r={mod.detection_r}, "
-            f"scenario uses r={scn.detection_r}")
-
-
 # ---------------------------------------------------------------------------
 # high-SNR expansions
 # ---------------------------------------------------------------------------
 
-def _safe_gamma(x: float) -> float:
-    """Gamma with a deterministic nudge off nonpositive-integer poles."""
-    if x <= 0 and abs(x - round(x)) < COLLIDE_TOL:
-        x = x + EPS_PERTURB
-    return float(sp.gamma(x))
-
-
-def _safe_inv(x: float) -> float:
-    if abs(x) < COLLIDE_TOL:
-        x = x + EPS_PERTURB
-    return 1.0 / x
-
-
-def _collides(xi2, al, be, r, m) -> bool:
-    """True when some expansion gamma or denominator sits on a pole."""
-    risky = [al - be, be - al, xi2 - al, xi2 - be]
-    for v in (xi2, al, be):
-        risky.append(v / r - math.floor(v / r))     # theta near an integer
-        for j in range(m):
-            risky.append(v - r * j)
-            risky.append(j - v / r - round(j - v / r))
-    return any(abs(v - round(v)) < COLLIDE_TOL or abs(v) < COLLIDE_TOL
-               for v in risky)
+def _collides(xi2, al, be, r) -> bool:
+    """True when some expansion gamma or denominator sits on a pole: each of
+    them is an integer plus one of these nine values."""
+    risky = (al - be, xi2 - al, xi2 - be, xi2, al, be, xi2 / r, al / r, be / r)
+    return any(abs(v - round(v)) < specfun.COLLIDE_TOL for v in risky)
 
 
 def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
@@ -367,12 +354,12 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
     xi2 = scn.feeder.pointing.xi ** 2
     r = scn.detection_r
     m = scn.shadowing.m_int
-    if _collides(xi2, al, be, r, m):
+    if _collides(xi2, al, be, r):
         for k in range(1, 4):
             xi2 = scn.feeder.pointing.xi ** 2 + k * EPS_PERTURB
             al = scn.turbulence.alpha + 2 * k * EPS_PERTURB
             be = scn.turbulence.beta + 3 * k * EPS_PERTURB
-            if not _collides(xi2, al, be, r, m):
+            if not _collides(xi2, al, be, r):
                 break
         else:
             raise specfun.PoleCollisionError(
@@ -387,9 +374,9 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
 
     theta_tail = {"xi": xi2 / r, "al": al / r, "be": be / r}
     lead = {
-        "xi": _safe_gamma(al - xi2) * _safe_gamma(be - xi2) / r,
-        "al": _safe_gamma(be - al) / r * _safe_inv(xi2 - al),
-        "be": _safe_gamma(al - be) / r * _safe_inv(xi2 - be),
+        "xi": sp.gamma(al - xi2) * sp.gamma(be - xi2) / r,
+        "al": sp.gamma(be - al) / r * (1.0 / (xi2 - al)),
+        "be": sp.gamma(al - be) / r * (1.0 / (xi2 - be)),
     }
 
     coefs = rf_link.series_coeffs(scn.shadowing).tolist()
@@ -398,16 +385,16 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
     for j in range(len(coefs)):
         for key, theta in theta_tail.items():
             g212 = specfun.meijer_g_2_1_1_2(x1, 1.0 + theta, float(j), 1.0)
-            brackets[(j, key)] = (_safe_gamma(j - theta) * x1 ** theta
-                                  + g212 / _safe_gamma(1.0 - theta))
+            brackets[(j, key)] = (sp.gamma(j - theta) * x1 ** theta
+                                  + g212 / sp.gamma(1.0 - theta))
 
     total = []
     for k, coef_k in enumerate(coefs):
         for j in range(k + 1):
             c_kj = coef_k / math.factorial(j)
             # J1: exponent j
-            j1 = (_safe_gamma(al - r * j) * _safe_gamma(be - r * j)
-                  * _safe_inv(xi2 - r * j) * (x1 * a_const) ** j)
+            j1 = (sp.gamma(al - r * j) * sp.gamma(be - r * j)
+                  * (1.0 / (xi2 - r * j)) * (x1 * a_const) ** j)
             total.append(c_kj * j1 * exponent_weight(float(j)) / scn.mu_r ** j)
             # J2..J4: exponents xi^2/r, al/r, be/r
             for key, theta in theta_tail.items():
@@ -431,7 +418,7 @@ def outage_asymptotic(gamma_th: float, scn: ScenarioConfig) -> float:
 
 def ber_asymptotic(mod: ModulationSpec, scn: ScenarioConfig) -> float:
     """High-SNR expansion of the average BER (unclamped, like outage)."""
-    _check_detection(mod, scn)
+    check_detection(mod, scn)
 
     def weight(theta):
         qsum = math.fsum(q ** (-theta) for q in mod.q_values)

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fso_link, rf_link, system
-from .analytics import ModulationSpec
+from . import analytics, fso_link, rf_link, system
 from .system import ScenarioConfig
 
 DEFAULT_BATCH = 1 << 19
@@ -108,14 +107,13 @@ def empirical_cdf(plan: SimPlan, points) -> list[MonteCarloEstimate]:
     return out
 
 
-def empirical_ber(plan: SimPlan, mod: ModulationSpec) -> MonteCarloEstimate:
+def empirical_ber(plan: SimPlan, mod: analytics.ModulationSpec) -> MonteCarloEstimate:
     """Average of the exact conditional BER over the SNDR stream.
 
     For the p = 1/2 family the conditional BER is a finite erfc sum,
     delta/2 sum_u erfc(sqrt(q_u gamma)), so averaging it is unbiased.
     """
-    if mod.detection_r != plan.scenario.detection_r:
-        raise ValueError(f"{mod.name} does not match the scenario detection type")
+    analytics.check_detection(mod, plan.scenario)
     from scipy.special import erfc as _erfc
 
     def conditional(g):
@@ -129,7 +127,7 @@ def empirical_ber(plan: SimPlan, mod: ModulationSpec) -> MonteCarloEstimate:
 
 def empirical_capacity(plan: SimPlan) -> MonteCarloEstimate:
     """Sample mean of log2(1 + tau gamma), tau set by the detection type."""
-    tau = math.e / (2.0 * math.pi) if plan.scenario.detection_r == 2 else 1.0
+    tau = analytics.capacity_tau(plan.scenario)
     return _mean_ci(plan, lambda g: np.log2(1.0 + tau * g))
 
 

@@ -41,7 +41,6 @@ class PoleCollisionError(RuntimeError):
     """Raised when no vertical contour separates the two pole families."""
 
 
-EPS_PERTURB = 1e-6     # parameter shift applied near pole collisions
 COLLIDE_TOL = 1e-8     # distance at which two poles count as colliding
 
 
@@ -137,20 +136,18 @@ def meijer_g_2_1_1_2(z: float, a1: float, b1: float, b2: float) -> float:
         = Gamma(1-a+b1) Gamma(1-a+b2) z^b1 U(1-a+b1, 1+b1-b2, z),
     symmetric in (b1, b2).  Either ordering is valid; the one with the
     larger U first parameter is preferred so the integral branch applies.
+    A prefactor gamma on a nonpositive integer (a1 - b_j a positive
+    integer) means G is undefined, and PoleCollisionError is raised.
     """
     if z <= 0:
         raise ValueError("argument must be positive")
     if 1.0 - a1 + b2 > 1.0 - a1 + b1:
         b1, b2 = b2, b1
-    # deterministic nudge off prefactor poles (integer parameter collisions)
-    for _ in range(3):
-        g1 = 1.0 - a1 + b1
-        g2 = 1.0 - a1 + b2
-        if all(g > 0 or abs(g - round(g)) > COLLIDE_TOL for g in (g1, g2)):
-            break
-        a1 = a1 + EPS_PERTURB
-    else:
-        raise PoleCollisionError("G^21_12 prefactor stuck on a gamma pole")
+    g1 = 1.0 - a1 + b1
+    g2 = 1.0 - a1 + b2
+    if any(g <= 0 and abs(g - round(g)) <= COLLIDE_TOL for g in (g1, g2)):
+        raise PoleCollisionError(
+            f"G^21_12(z | {a1}; {b1}, {b2}) prefactor sits on a gamma pole")
     u = tricomi_u(g1, 1.0 + b1 - b2, z)
     return float(sp.gammasgn(g1) * sp.gammasgn(g2)
                  * math.exp(sp.gammaln(g1) + sp.gammaln(g2) + b1 * math.log(z)) * u)
@@ -166,7 +163,6 @@ class ContourPlan:
     abscissa: float
     half_height: float
     nodes: int
-    perturbation: float = 0.0
     abscissa_t: float | None = None
     half_height_t: float | None = None
     nodes_t: int | None = None
@@ -190,25 +186,18 @@ def _plan_abscissa(a, b, m, n, lnz=0.0):
     """Vertical-line abscissa separating the two pole families.
 
     Right-family poles come from Gamma(b_j - s) at b_j + l, the left family
-    from Gamma(1 - a_j + s) at a_j - 1 - l.  Perturbs the lower parameters
-    by a fixed epsilon when the families (nearly) touch.  Within the legal
-    strip the line is placed near the saddle of the integrand (the minimum
-    of its modulus on the real axis); anchoring the quadrature at the scale
-    of the result keeps cancellation from destroying tiny values such as
-    far tails of the transformed densities.
+    from Gamma(1 - a_j + s) at a_j - 1 - l.  Families that touch raise
+    PoleCollisionError; no parameter is perturbed.  Within the legal strip
+    the line is placed near the saddle of the integrand (the minimum of its
+    modulus on the real axis); anchoring the quadrature at the scale of the
+    result keeps cancellation from destroying tiny values such as far tails
+    of the transformed densities.  Requires m + n > 0.
     """
     right_min = min(b[:m]) if m else math.inf
     left_max = max(a[:n]) - 1.0 if n else -math.inf
-    perturb = 0.0
     if left_max >= right_min - COLLIDE_TOL:
-        if left_max > right_min + 0.5:
-            raise PoleCollisionError(
-                f"pole families overlap (left {left_max}, right {right_min})")
-        b = tuple(bj + EPS_PERTURB for bj in b)
-        right_min = min(b[:m])
-        perturb = EPS_PERTURB
-        if left_max >= right_min - COLLIDE_TOL:
-            raise PoleCollisionError("perturbation failed to separate pole families")
+        raise PoleCollisionError(
+            f"pole families touch (left {left_max}, right {right_min})")
 
     # the saddle of an all-right-pole integrand sits near -z^(1/m_eff) with
     # m_eff the net gamma count, so the search bracket must scale with it
@@ -216,11 +205,8 @@ def _plan_abscissa(a, b, m, n, lnz=0.0):
     reach = max(200.0, 4.0 * math.exp(max(lnz, 0.0) / m_eff))
     lo = left_max + 0.05 if math.isfinite(left_max) else right_min - reach
     hi = right_min - 0.05 if math.isfinite(right_min) else left_max + reach
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return 0.0, b, perturb
     if hi <= lo:
-        sigma = 0.5 * (left_max + right_min)
-        return sigma, b, perturb
+        return 0.5 * (left_max + right_min)
 
     def log_mod(sig):
         return _line_log_block(a, b, m, n, sig + 0j).real + sig * lnz
@@ -239,8 +225,7 @@ def _plan_abscissa(a, b, m, n, lnz=0.0):
             b_br = m2
         else:
             a_br = m1
-    sigma = 0.5 * (a_br + b_br)
-    return sigma, b, perturb
+    return 0.5 * (a_br + b_br)
 
 
 def _decay_rate(p, q, m, n):
@@ -293,7 +278,7 @@ def meijer_g_many(a_top, b_bottom, m, n, arguments, rel_tol: float = 1e-8):
     decay = _decay_rate(p, q, m, n)
     if decay <= 0:
         raise ConvergenceError("integrand does not decay along the contour")
-    sigma, b, perturb = _plan_abscissa(a, b, m, n, lnz=float(np.mean(lnz)))
+    sigma = _plan_abscissa(a, b, m, n, lnz=float(np.mean(lnz)))
     # the algebraic |y|^powers factor delays the exponential decay; start
     # from the exponential estimate and let the tail monitor widen further
     half_h = (-math.log(rel_tol * 1e-3) + 8.0) / decay + 0.6 * abs(sigma)
@@ -323,7 +308,7 @@ def meijer_g_many(a_top, b_bottom, m, n, arguments, rel_tol: float = 1e-8):
         if prev is not None:
             step = float(np.max(np.abs(vals - prev)))
             if step <= budget:
-                plan = ContourPlan(sigma, half_h, nodes, perturb)
+                plan = ContourPlan(sigma, half_h, nodes)
                 return vals, step + tail + round_floor, plan
         prev = vals
         nodes = 1 + 2 * (nodes - 1)
@@ -477,7 +462,7 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
         if prev_total is not None:
             step = abs(total - prev_total[0]) + float(
                 np.max(np.abs(w * (vals - prev_total[1]))))
-            plan = ContourPlan(sigma_s, half_s, 2 * ns + 1, 0.0,
+            plan = ContourPlan(sigma_s, half_s, 2 * ns + 1,
                                abscissa_t=sigma_t, half_height_t=half_t,
                                nodes_t=2 * nt + 1)
             err = step + tail + round_floor

@@ -3,12 +3,14 @@ moment consistency, asymptotic behavior, and the modulation table."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from optfeeder import analytics, montecarlo, specfun
+from conftest import rng_for
 
 
 
@@ -215,7 +217,9 @@ def test_parameter_collision_handling(layout, rf_params):
     gth = 10 ** 0.5
     near = scenario(2.0 + 1e-4)    # alpha close to r*j but still generic
     exact = analytics.outage_exact(gth, near)
-    asym = analytics.outage_asymptotic(gth, near)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)   # no perturbation
+        asym = analytics.outage_asymptotic(gth, near)
     assert asym == pytest.approx(exact, rel=0.05)
 
     on = scenario(2.0)             # exactly on alpha = r*j
@@ -226,6 +230,53 @@ def test_parameter_collision_handling(layout, rf_params):
         asym_on = analytics.outage_asymptotic(gth, on)
     assert math.isfinite(asym_on)
     assert math.isfinite(analytics.sndr_moments(1, on))
+
+
+def _collides_per_term(xi2, al, be, r, m):
+    # every expansion gamma argument and denominator, listed term by term
+    risky = [al - be, be - al, xi2 - al, xi2 - be]
+    for v in (xi2, al, be):
+        risky.append(v / r - math.floor(v / r))
+        for j in range(m):
+            risky.append(v - r * j)
+            risky.append(j - v / r - round(j - v / r))
+    return any(abs(v - round(v)) < specfun.COLLIDE_TOL
+               or abs(v) < specfun.COLLIDE_TOL for v in risky)
+
+
+def test_collides_matches_per_term_predicate():
+    # seeded draws, most placed on or near one of the nine coincidences
+    rng = rng_for(21)
+    offsets = (0.0, 1e-9, -1e-9, 3e-8, -3e-8)
+    hits = 0
+    for _ in range(20000):
+        r = int(rng.integers(1, 3))
+        m = int(rng.integers(1, 20))
+        xi2, al, be = rng.uniform(0.2, 12.0, size=3)
+        v = float(rng.integers(1, 6)) + offsets[int(rng.integers(0, len(offsets)))]
+        kind = int(rng.integers(0, 10))
+        if kind == 0:
+            be = al - v if al > v else al + v
+        elif kind == 1:
+            xi2 = al + v
+        elif kind == 2:
+            xi2 = be + v
+        elif kind == 3:
+            xi2 = v
+        elif kind == 4:
+            al = v
+        elif kind == 5:
+            be = v
+        elif kind == 6:
+            xi2 = r * v
+        elif kind == 7:
+            al = r * v
+        elif kind == 8:
+            be = r * v
+        got = analytics._collides(xi2, al, be, r)
+        assert got == _collides_per_term(xi2, al, be, r, m), (xi2, al, be, r, m)
+        hits += got
+    assert 5000 < hits < 15000      # both outcomes well represented
 
 
 def test_linear_equals_kappa_one_substitution(scenario_factory):

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from optfeeder import analytics, cli, fso_link
+from optfeeder import analytics, cli, fso_link, specfun
 
 
 CONFIG = """
@@ -103,6 +103,43 @@ def test_cli_override_flags(tmp_path, config_file):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["scenario"]["detection_r"] == 1
     assert manifest["cli_overrides"]["detection"] == "heterodyne"
+
+
+def test_ibo_db_override(tmp_path):
+    one_point = tmp_path / "one_point.ini"
+    one_point.write_text(CONFIG + "grid = 30\n")
+    out = tmp_path / "ibo"
+    rc = _run(["--config", str(one_point), "--metric", "moments",
+               "--method", "exact", "--hpa", "sspa", "--ibo-db", "10",
+               "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["cli_overrides"]["ibo_db"] == 10.0
+    assert manifest["scenario"]["ibo_linear"] == 10.0
+    with open(out / "moments_exact.csv") as fh:
+        (row,) = list(csv.DictReader(fh))
+    cp, _ = cli.load_config(str(one_point))
+    fresh = cli._scenario_from_config(cp, 30.0, {"hpa": "sspa", "ibo_db": 10.0})
+    assert row["scenario_fingerprint"] == fresh.fingerprint()
+
+
+@pytest.mark.parametrize("error", [specfun.ConvergenceError,
+                                   specfun.PoleCollisionError])
+def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys, error):
+    def failing(*args, **kwargs):
+        raise error("forced failure")
+
+    monkeypatch.setattr(specfun, "meijer_g_bivariate_family", failing)
+    one_point = tmp_path / "one_point.ini"
+    one_point.write_text(CONFIG + "grid = 30\n")
+    rc = _run(["--config", str(one_point), "--metric", "outage",
+               "--method", "exact", "--out", str(tmp_path / "n")])
+    assert rc == 2
+    cp, _ = cli.load_config(str(one_point))
+    fingerprint = cli._scenario_from_config(cp, 30.0, {}).fingerprint()
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert f"scenario {fingerprint}" in err
 
 
 def test_mpsk_point_matches_direct_ber(tmp_path):

@@ -215,6 +215,21 @@ def test_meijer_g_2_1_1_2_moment_limit():
         assert val == pytest.approx(math.gamma(n), rel=1e-6)
 
 
+@pytest.mark.parametrize("a1", [1.0, 2.0])
+def test_meijer_g_2_1_1_2_pole_raises(a1):
+    # a1 - b1 a positive integer: a prefactor gamma sits on a pole and
+    # G^{2,1}_{1,2}(z | a1; 0, 1) is undefined
+    with pytest.raises(specfun.PoleCollisionError):
+        specfun.meijer_g_2_1_1_2(0.5, a1, 0.0, 1.0)
+
+
+def test_meijer_g_many_touching_families_raise():
+    # left family of Gamma(1 - a + s) ends at a - 1 = 0, right family of
+    # Gamma(b - s) starts at b = 0: no vertical contour separates them
+    with pytest.raises(specfun.PoleCollisionError):
+        specfun.meijer_g_many((1.0,), (0.0,), 1, 1, [0.5])
+
+
 def test_tricomi_u_matches_mpmath():
     mp = pytest.importorskip("mpmath")
     rng = rng_for(9)
