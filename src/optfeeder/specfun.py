@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import IntegrationWarning, quad
 
 
@@ -234,19 +235,32 @@ def _decay_rate(p, q, m, n):
 
 
 def _edge_tail(mags, blk):
-    """Edge magnitude and tail divisor of a contour cut along the last axis.
+    """Edge magnitude and tail divisor of a contour cut at both ends.
 
     The block-averaged edge magnitude ``outer`` is continued as a geometric
     series in the per-node decay ratio, so the cut tail sums to at most
     ``outer / divisor`` node weights; block averages keep oscillation beats
-    from faking the decay rate.  The ratio is the worst over the leading
-    axes, capped at 0.97.
+    from faking the decay rate.  The ratio is capped at 0.97.
     """
-    outer = 0.5 * (mags[..., :blk].mean(axis=-1) + mags[..., -blk:].mean(axis=-1))
-    inner = 0.5 * (mags[..., blk:2 * blk].mean(axis=-1)
-                   + mags[..., -2 * blk:-blk].mean(axis=-1))
-    ratio = float(np.max(outer / np.maximum(inner, 1e-300))) ** (1.0 / blk)
-    return outer, max(1.0 - min(ratio, 0.97), 0.03)
+    outer = 0.5 * (mags[:blk].sum() + mags[-blk:].sum()) / blk
+    inner = 0.5 * (mags[blk:2 * blk].sum() + mags[-2 * blk:-blk].sum()) / blk
+    ratio = float(outer / max(inner, 1e-300)) ** (1.0 / blk)
+    return float(outer), max(1.0 - min(ratio, 0.97), 0.03)
+
+
+def _window_sums(x, width):
+    """Sums of every run of ``width`` consecutive entries of ``x`` >= 0.
+
+    Runs starting in the left half are differences of a forward cumulative
+    sum, the others of a backward one: with the peak of ``x`` in the middle,
+    a run far out in a decaying tail is then never the small difference of
+    two large sums that both hold the peak.
+    """
+    fwd = np.concatenate(([0.0], np.cumsum(x)))
+    bwd = np.concatenate((np.cumsum(x[::-1])[::-1], [0.0]))
+    n = len(x) - width + 1
+    return np.where(np.arange(n) <= n // 2, fwd[width:] - fwd[:n],
+                    bwd[:n] - bwd[width:])
 
 
 def meijer_g_many(a_top, b_bottom, m, n, arguments, rel_tol: float = 1e-8):
@@ -254,7 +268,10 @@ def meijer_g_many(a_top, b_bottom, m, n, arguments, rel_tol: float = 1e-8):
 
     Returns (values, error_estimate, plan).  The contour and node count are
     chosen for the worst argument, so all values share one quadrature grid;
-    this is the fast path for densities evaluated inside quadratures.
+    this is the fast path for densities evaluated inside quadratures.  The
+    integrand at conjugate nodes is conjugate, so the trapezoid runs over
+    the half contour, and the kernel modulus |z^sigma| |F(y)| is rank one,
+    so the tail and roundoff monitors need no arguments x nodes array.
     """
     a = tuple(float(v) for v in a_top)
     b = tuple(float(v) for v in b_bottom)
@@ -287,18 +304,30 @@ def meijer_g_many(a_top, b_bottom, m, n, arguments, rel_tol: float = 1e-8):
 
     prev = None
     for _ in range(24):
-        y = np.linspace(-half_h, half_h, nodes)
-        s = sigma + 1j * y
-        logf = _line_log_block(a, b, m, n, s)
-        kern = np.exp(logf[None, :] + np.outer(lnz, s))
-        h = y[1] - y[0]
-        vals = np.real(np.sum(kern, axis=1) - 0.5 * (kern[:, 0] + kern[:, -1])) * h / (2.0 * math.pi)
+        # the integrand at -y is the conjugate of the one at +y (real
+        # parameters, positive arguments), so only the upper half of the
+        # contour is summed, off-centre nodes twice, real parts only
+        k = nodes - 1
+        h = 2.0 * half_h / k
+        y = h * (np.arange((k + 1) // 2, k + 1) - 0.5 * k)
+        logf = _line_log_block(a, b, m, n, sigma + 1j * y)
+        lead = float(np.max(logf.real))
+        mag = np.exp(logf.real - lead)        # |F(y)| / max |F|
+        zpow = np.exp(sigma * lnz + lead)     # |z^sigma| max |F| per argument
+        wts = np.full(len(y), h / math.pi)
+        wts[-1] *= 0.5
+        if k % 2 == 0:
+            wts[0] *= 0.5
+        vals = zpow * (np.cos(np.outer(lnz, y) + logf.imag) @ (wts * mag))
         scale = float(np.max(np.abs(vals))) + 1e-300
 
-        outer, divisor = _edge_tail(np.abs(kern), min(8, (nodes - 1) // 4))
-        tail = float(np.max(outer)) * h / (2.0 * math.pi) / divisor
-        round_floor = 1e-15 * float(np.max(np.sum(np.abs(kern), axis=1))) \
-            * h / (2.0 * math.pi)
+        # |kernel| = |z^sigma| |F(y)| is rank one: the monitors need only
+        # |F| along the whole contour and the largest |z^sigma|
+        mags = np.concatenate((mag[::-1] if k % 2 else mag[:0:-1], mag))
+        outer, divisor = _edge_tail(mags, min(8, k // 4))
+        peak = float(np.max(zpow)) * h / (2.0 * math.pi)
+        tail = peak * outer / divisor
+        round_floor = 1e-15 * peak * float(mags.sum())
         budget = max(rel_tol * scale, 4.0 * round_floor)
         if tail > 0.25 * budget:
             half_h *= 1.5
@@ -366,8 +395,11 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
     Term j is the double Mellin-Barnes integral of
     Gamma(s + t) Gamma(j - s) Gamma(1 - s) Phi_t(t) x1^s x2^t, with Phi_t
     the t-block in classical orientation.  Only the s-side varies with j,
-    so the expensive 2-D kernel is built once: after collapsing the t-axis
-    the per-term cost is a single dot product along s.
+    so the t-axis is collapsed once per grid.  On the shared grid the
+    kernel is C[i + k] T[k], the coupling gamma on the antidiagonal sums
+    times the t-block, so the collapse is a Hankel product: memory and the
+    exponentials are O(ns + nt), never O(ns nt).  The per-term cost is then
+    a single dot product along s.
 
     Returns (values, weighted_total, error_estimate, plan).  ``weights``
     default to 1; convergence is judged on the weighted total, which is the
@@ -404,7 +436,8 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
             # as long as it is in the budget's neighbourhood
             if best is not None and best[0] <= 50.0 * best[4]:
                 return best[1], best[2], best[0], best[3]
-            raise ConvergenceError("bivariate quadrature grid exceeded memory budget")
+            raise ConvergenceError("bivariate quadrature grid exceeded its work budget "
+                                   "of 4e7 nodes")
         u = h * np.arange(-ns, ns + 1)
         v = h * np.arange(-nt, nt + 1)
         s = sigma_s + 1j * u
@@ -412,20 +445,27 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
 
         log_t = _line_log_block(t_block.a, t_block.b, t_block.m, t_block.n, t)
         log_t += t * math.log(x2)
-        # coupling gamma on the antidiagonal sums s + t
+        # coupling gamma on the antidiagonal sums s + t: the kernel
+        # C[i + k] T[k] is a Hankel matrix times a diagonal, never formed
         w_sum = (sigma_s + sigma_t) + 1j * h * np.arange(-(ns + nt), ns + nt + 1)
         log_c = sp.loggamma(w_sum)
-        idx = np.arange(2 * ns + 1)[:, None] + np.arange(2 * nt + 1)[None, :]
-        kernel = np.exp(log_c[idx] + log_t[None, :])
-        # trapezoid weights on the t edges, then collapse the t axis
-        kernel[:, 0] *= 0.5
-        kernel[:, -1] *= 0.5
+        # factor out both maxima so nothing overflows; restored in tvec
+        c_max, t_max = float(np.max(log_c.real)), float(np.max(log_t.real))
+        c_n = np.exp(log_c - c_max)
+        t_n = np.exp(log_t - t_max)
+        t_n[0] *= 0.5      # trapezoid weights on the t edges
+        t_n[-1] *= 0.5
+        lead = math.exp(c_max + t_max)
+        tvec = lead * (sliding_window_view(c_n, 2 * nt + 1) @ t_n)
+        # t-tail monitor: edge blocks of |kernel| per s node, and the
+        # column sums |T[k]| sum_i |C[i + k]| over the whole s-line
         blk_t = min(8, nt // 2)
-        mag_t = np.abs(kernel)
-        t_edge = mag_t[:, :blk_t].mean(axis=1) + mag_t[:, -blk_t:].mean(axis=1)
-        _, t_divisor = _edge_tail(mag_t.sum(axis=0), blk_t)
+        abs_c, abs_t = np.abs(c_n), np.abs(t_n)
+        t_edge = lead / blk_t * (
+            sliding_window_view(abs_c[:2 * ns + blk_t], blk_t) @ abs_t[:blk_t]
+            + sliding_window_view(abs_c[-(2 * ns + blk_t):], blk_t) @ abs_t[-blk_t:])
+        _, t_divisor = _edge_tail(abs_t * _window_sums(abs_c, 2 * ns + 1), blk_t)
         t_cont = 1.0 / t_divisor
-        tvec = kernel.sum(axis=1)
 
         # terms differ in magnitude by many orders; every truncation-tail
         # estimate is therefore weighted by the coefficient of its term

@@ -230,6 +230,103 @@ def test_meijer_g_many_touching_families_raise():
         specfun.meijer_g_many((1.0,), (0.0,), 1, 1, [0.5])
 
 
+def _meijer_g_many_full_contour(a, b, m, n, z, rel_tol):
+    # the univariate engine summed over the whole contour with an
+    # arguments x nodes kernel, its monitors read from that kernel; returns
+    # (values, error, plan, round-off floor)
+    a, b = tuple(map(float, a)), tuple(map(float, b))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    lnz = np.log(z)
+    if z.size > 1 and float(np.max(lnz) - np.min(lnz)) > 4.0:
+        order = np.argsort(lnz)
+        lo_i, hi_i = order[:z.size // 2], order[z.size // 2:]
+        v1, e1, plan, f1 = _meijer_g_many_full_contour(a, b, m, n, z[lo_i], rel_tol)
+        v2, e2, _, f2 = _meijer_g_many_full_contour(a, b, m, n, z[hi_i], rel_tol)
+        out = np.empty_like(z)
+        out[lo_i], out[hi_i] = v1, v2
+        return out, max(e1, e2), plan, max(f1, f2)
+    decay = specfun._decay_rate(len(a), len(b), m, n)
+    if decay <= 0:
+        raise specfun.ConvergenceError("integrand does not decay")
+    sigma = specfun._plan_abscissa(a, b, m, n, lnz=float(np.mean(lnz)))
+    half_h = (-math.log(rel_tol * 1e-3) + 8.0) / decay + 0.6 * abs(sigma)
+    osc = max(1.0, float(np.max(np.abs(lnz))))
+    nodes = 1 + 2 ** int(math.ceil(math.log2(max(256.0, 4.0 * half_h * osc / math.pi))))
+    prev = None
+    for _ in range(24):
+        y = np.linspace(-half_h, half_h, nodes)
+        s = sigma + 1j * y
+        kern = np.exp(specfun._line_log_block(a, b, m, n, s)[None, :]
+                      + np.outer(lnz, s))
+        h = y[1] - y[0]
+        vals = np.real(kern.sum(axis=1) - 0.5 * (kern[:, 0] + kern[:, -1])) \
+            * h / (2.0 * math.pi)
+        mags = np.abs(kern)
+        blk = min(8, (nodes - 1) // 4)
+        outer = 0.5 * (mags[:, :blk].mean(axis=1) + mags[:, -blk:].mean(axis=1))
+        inner = 0.5 * (mags[:, blk:2 * blk].mean(axis=1)
+                       + mags[:, -2 * blk:-blk].mean(axis=1))
+        ratio = float(np.max(outer / np.maximum(inner, 1e-300))) ** (1.0 / blk)
+        divisor = max(1.0 - min(ratio, 0.97), 0.03)
+        tail = float(np.max(outer)) * h / (2.0 * math.pi) / divisor
+        round_floor = 1e-15 * float(np.max(mags.sum(axis=1))) * h / (2.0 * math.pi)
+        budget = max(rel_tol * (float(np.max(np.abs(vals))) + 1e-300),
+                     4.0 * round_floor)
+        if tail > 0.25 * budget:
+            half_h *= 1.5
+            nodes = 1 + int(1.5 * (nodes - 1))
+            prev = None
+            continue
+        if prev is not None:
+            step = float(np.max(np.abs(vals - prev)))
+            if step <= budget:
+                return vals, step + tail + round_floor, \
+                    specfun.ContourPlan(sigma, half_h, nodes), round_floor
+        prev = vals
+        nodes = 1 + 2 * (nodes - 1)
+        if nodes > 2 ** 22:
+            break
+    raise specfun.ConvergenceError("did not converge")
+
+
+def test_meijer_g_many_matches_full_contour_sum():
+    # seeded shapes, some with batches wide enough to split: the half-contour
+    # sum with rank-one monitors picks the same contour as the full-contour
+    # kernel, and its values agree to 1e-12 of the batch maximum, or to the
+    # round-off floor where cancellation along the contour makes that larger
+    rng = rng_for(31)
+    compared = raised = 0
+    for _ in range(300):
+        while True:     # decay at least pi along the contour
+            q = int(rng.integers(1, 5))
+            p = int(rng.integers(0, q + 1))
+            m = int(rng.integers(1, q + 1))
+            n = int(rng.integers(0, p + 1))
+            if 2 * (m + n) >= p + q + 2:
+                break
+        a = tuple(np.round(rng.uniform(-1.0, 2.0, p), 2))
+        b = tuple(np.round(rng.uniform(-0.5, 3.0, q), 2))
+        z = np.exp(rng.uniform(-3.0, 2.0)
+                   + rng.uniform(-2.5, 2.5, int(rng.integers(1, 30))))
+        rel_tol = float(rng.choice([1e-7, 1e-8, 1e-10]))
+        try:
+            ref, ref_err, ref_plan, floor = _meijer_g_many_full_contour(
+                a, b, m, n, z, rel_tol)
+        except (specfun.ConvergenceError, specfun.PoleCollisionError) as exc:
+            with pytest.raises(type(exc)):
+                specfun.meijer_g_many(a, b, m, n, z, rel_tol)
+            raised += 1
+            continue
+        vals, err, plan = specfun.meijer_g_many(a, b, m, n, z, rel_tol)
+        assert plan == ref_plan, (a, b, m, n)
+        atol = max(1e-12 * float(np.max(np.abs(ref))), floor)
+        np.testing.assert_allclose(vals, ref, rtol=0.0, atol=atol)
+        # the error holds the last step, a difference of two such sums
+        assert err == pytest.approx(ref_err, rel=1e-6, abs=2.0 * atol)
+        compared += 1
+    assert compared >= 200 and raised >= 10
+
+
 def test_tricomi_u_matches_mpmath():
     mp = pytest.importorskip("mpmath")
     rng = rng_for(9)
@@ -302,6 +399,124 @@ def test_bivariate_family_matches_single_calls():
             [j], t_block, 0.7, 3.0, rel_tol=1e-9)[0][0] for j in js]
         np.testing.assert_allclose(vals, singles, rtol=1e-7)
         assert total == pytest.approx(sum(singles), rel=1e-7)
+
+
+def _bivariate_dense(js, t_block, x1, x2, w, rel_tol):
+    # the bivariate engine with its (2ns+1) x (2nt+1) kernel built in full;
+    # returns (values, total, plan, round-off floor)
+    sigma_s, sigma_t = specfun._plan_bivariate(js, t_block)
+    dec_s = 1.25 * math.pi
+    dec_t = specfun._decay_rate(len(t_block.a), len(t_block.b), t_block.m,
+                                t_block.n) + 0.25 * math.pi
+    half_s = half_t = -math.log(rel_tol * 1e-3) + 6.0
+    half_s, half_t = half_s / dec_s, half_t / dec_t
+    h = min(math.pi / (3.0 * max(1.0, abs(math.log(x1)), abs(math.log(x2)))), 0.125)
+
+    def edge_tail(mags, blk):
+        outer = 0.5 * (mags[:blk].mean() + mags[-blk:].mean())
+        inner = 0.5 * (mags[blk:2 * blk].mean() + mags[-2 * blk:-blk].mean())
+        ratio = float(outer / max(inner, 1e-300)) ** (1.0 / blk)
+        return outer, max(1.0 - min(ratio, 0.97), 0.03)
+
+    prev = None
+    for _ in range(20):
+        ns, nt = int(math.ceil(half_s / h)), int(math.ceil(half_t / h))
+        s = sigma_s + 1j * h * np.arange(-ns, ns + 1)
+        t = sigma_t + 1j * h * np.arange(-nt, nt + 1)
+        log_t = specfun._line_log_block(t_block.a, t_block.b, t_block.m,
+                                        t_block.n, t) + t * math.log(x2)
+        log_c = sp.loggamma((sigma_s + sigma_t)
+                            + 1j * h * np.arange(-(ns + nt), ns + nt + 1))
+        idx = np.arange(2 * ns + 1)[:, None] + np.arange(2 * nt + 1)[None, :]
+        kernel = np.exp(log_c[idx] + log_t[None, :])
+        kernel[:, 0] *= 0.5
+        kernel[:, -1] *= 0.5
+        blk_t = min(8, nt // 2)
+        mag_t = np.abs(kernel)
+        t_edge = mag_t[:, :blk_t].mean(axis=1) + mag_t[:, -blk_t:].mean(axis=1)
+        t_cont = 1.0 / edge_tail(mag_t.sum(axis=0), blk_t)[1]
+        tvec = kernel.sum(axis=1)
+        vals = np.empty(len(js))
+        quadw = h * h / (4.0 * math.pi ** 2)
+        tail = abs_mass = 0.0
+        for i, j in enumerate(js):
+            fs = np.exp(sp.loggamma(j - s) + sp.loggamma(1.0 - s) + s * math.log(x1))
+            row = fs * tvec
+            row[0] *= 0.5
+            row[-1] *= 0.5
+            vals[i] = float(np.real(np.sum(row))) * quadw
+            outer_s, s_div = edge_tail(np.abs(row), min(8, ns // 2))
+            abs_mass += abs(w[i]) * float(np.abs(row).sum()) * quadw
+            tail += abs(w[i]) * (outer_s / s_div
+                                 + float(np.abs(fs) @ t_edge) * t_cont) * quadw
+        total = float(np.dot(w, vals))
+        scale = abs(total) + float(np.max(np.abs(w * vals))) + 1e-300
+        budget = max(rel_tol * scale, 4e-15 * abs_mass)
+        if tail > 0.25 * budget:
+            half_s *= 1.4
+            half_t *= 1.4
+            prev = None
+            continue
+        if prev is not None:
+            step = abs(total - prev[0]) + float(np.max(np.abs(w * (vals - prev[1]))))
+            if step <= budget:
+                return vals, total, specfun.ContourPlan(
+                    sigma_s, half_s, 2 * ns + 1, abscissa_t=sigma_t,
+                    half_height_t=half_t, nodes_t=2 * nt + 1), 1e-15 * abs_mass
+        prev = (total, vals)
+        h *= 0.5
+    raise specfun.ConvergenceError("did not converge")
+
+
+def test_bivariate_hankel_matches_dense_kernel():
+    # seeded families of every metric's t-block under both detections: the
+    # Hankel t-collapse gives the plan of the dense 2-D kernel, and every
+    # weighted term and the total to 1e-11 of the engine's own scale, or to
+    # the round-off floor where cancellation across the grid makes that larger
+    from optfeeder import analytics
+    rng = rng_for(32)
+    blocks = {"cdf": ((), (), 0.0), "pdf": ((), (), 1.0),
+              "ber": ((), (0.5,), 0.0), "capacity": ((1.0,), (1.0,), 0.0)}
+    for case in range(40):
+        r = 1 + case % 2
+        top, bottom, last = blocks[("cdf", "pdf", "ber", "capacity")[(case // 2) % 4]]
+        alpha, beta = rng.uniform(1.2, 6.0), rng.uniform(0.8, 3.0)
+        xi2 = rng.uniform(0.5, 6.0)
+        t_block = specfun.GBlock(
+            a=(top + specfun.duplication_split(r, 1.0 - xi2)
+               + specfun.duplication_split(r, 1.0 - alpha)
+               + specfun.duplication_split(r, 1.0 - beta)),
+            b=bottom + specfun.duplication_split(r, -xi2) + (last,),
+            m=len(bottom), n=len(top) + 3 * r)
+        shadow = rf_link.ShadowedRicianParams(
+            m=int(rng.integers(1, 20)), b=rng.uniform(0.05, 0.3),
+            omega=rng.uniform(0.1, 2.0))
+        w = analytics._sum_weights(shadow)
+        js = range(len(w))
+        x1, x2 = np.exp(rng.uniform(-12.0, 1.0)), np.exp(rng.uniform(-4.0, 9.0))
+        rel_tol = float(rng.choice([1e-9, 1e-7]))
+        ref_vals, ref_total, ref_plan, floor = _bivariate_dense(
+            js, t_block, x1, x2, w, rel_tol)
+        vals, total, _, plan = specfun.meijer_g_bivariate_family(
+            js, t_block, x1, x2, weights=w, rel_tol=rel_tol)
+        assert plan == ref_plan, case
+        atol = max(1e-11 * (abs(ref_total) + float(np.max(np.abs(w * ref_vals)))),
+                   floor)
+        assert abs(total - ref_total) <= atol, case
+        np.testing.assert_allclose(w * vals, w * ref_vals, rtol=0.0, atol=atol)
+
+
+def test_window_sums_keep_relative_accuracy_in_both_tails():
+    # |Gamma(0.3 + iy)| on a line long enough that the edge runs sit ~1e-14
+    # below the peak, as the coupling gamma does after a few tail widenings:
+    # every run keeps its own relative accuracy, which the differences of
+    # one forward cumulative sum lose on the right
+    x = np.exp(sp.loggamma(0.3 + 0.05j * np.arange(-1200, 1201)).real)
+    width = 801
+    direct = np.array([x[k:k + width].sum() for k in range(len(x) - width + 1)])
+    np.testing.assert_allclose(specfun._window_sums(x, width), direct, rtol=1e-12)
+    cs = np.concatenate(([0.0], np.cumsum(x)))
+    assert np.max(np.abs((cs[width:] - cs[:-width]) / direct - 1.0)) > 1e-6
 
 
 def test_bivariate_rejects_bad_arguments():

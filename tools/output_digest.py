@@ -1,6 +1,7 @@
 """SHA-256 listing of the CLI outputs for the shipped configs.
 
     PYTHONPATH=src python3 tools/output_digest.py OUT_DIR
+    PYTHONPATH=src python3 tools/output_digest.py OUT_DIR --against LISTING
 
 Runs twelve sweeps over each config in ``configs/`` in-process through
 ``optfeeder.cli.main``, each into its own subdirectory of OUT_DIR, and
@@ -9,10 +10,15 @@ prints one line per output file: run name, exit code, file name, SHA-256.
 directory replaced by a fixed token; listings made from two source trees
 into different directories can then be compared with ``diff``.  The CLI's
 own messages go to standard error.
+
+With ``--against``, LISTING is a listing saved from an earlier run: only
+the entries whose line differs are printed, the old one prefixed ``-`` and
+the new one ``+``, and the exit status is 1 if any entry differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import json
@@ -45,7 +51,8 @@ RUNS = {
 }
 
 
-def main(out_root: str) -> None:
+def listing(out_root: str):
+    """Run every sweep into OUT_ROOT and yield one listing line per file."""
     for config in sorted(CONFIGS.glob("*.ini")):
         for name, argv in RUNS.items():
             run = f"{config.stem}/{name}"
@@ -54,18 +61,42 @@ def main(out_root: str) -> None:
                 code = cli.main(["--config", str(config), "--out", str(out)] + argv)
             files = sorted(out.glob("*")) if out.is_dir() else []
             if not files:
-                print(run, code, "-", "-", flush=True)
+                yield f"{run} {code} - -"
             for path in files:
                 data = path.read_bytes()
                 if path.name == "manifest.json":
                     # the path as json.dump wrote it, escapes included
                     data = data.replace(json.dumps(str(out))[1:-1].encode(),
                                         b"<OUT_DIR>")
-                print(run, code, path.name, hashlib.sha256(data).hexdigest(),
-                      flush=True)
+                yield f"{run} {code} {path.name} {hashlib.sha256(data).hexdigest()}"
+
+
+def _entries(lines) -> dict:
+    """Listing lines keyed by (run, file name)."""
+    return {(f[0], f[2]): line for line in lines if len(f := line.split()) == 4}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out_dir", metavar="OUT_DIR")
+    ap.add_argument("--against", type=Path, metavar="LISTING",
+                    help="print only the entries that differ from LISTING")
+    args = ap.parse_args(argv)
+    if args.against is None:
+        for line in listing(args.out_dir):
+            print(line, flush=True)
+        return 0
+    old = _entries(args.against.read_text().splitlines())
+    new = _entries(listing(args.out_dir))
+    changed = 0
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            changed += 1
+            for sign, side in (("-", old), ("+", new)):
+                if key in side:
+                    print(sign, side[key], flush=True)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    main(sys.argv[1])
+    sys.exit(main())
