@@ -8,10 +8,12 @@ CDF against the feeder density) serves as the numerical oracle for the
 closed forms, and simple four-term expansions cover the high-SNR regime.
 
 Sum handling: for integer severity m the k-sum weights are binomial and
-positive, so the (k, j) double sum is regrouped as one weight per j; only
-the s-side gamma Gamma(j - s) changes with j while every term shares the
-t-side kernel, which the evaluator exploits.  Accumulation uses compensated
-summation because the term magnitudes span many orders.
+positive, so the (k, j) double sum is regrouped as one weight per j.  Only
+the s-side gamma Gamma(j - s) changes with j, and Gamma(j - s) =
+Gamma(-s) (-s)_j, so the evaluator integrates the whole weighted sum at
+once, with the Pochhammer polynomial sum_j w_j (-s)_j on the s-side.  The
+moments and the expansions, which sum their terms one by one, use
+compensated summation because the term magnitudes span many orders.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def _family_total(scn: ScenarioConfig, x2: float, rel_tol: float,
     abs_tol = 0.5 * rel_tol / max(out_scale, 1e-300)
     x1 = _x1(scn)
     try:
-        _, total, err, _ = specfun.meijer_g_bivariate_family(
+        total, err, _ = specfun.meijer_g_bivariate_family(
             range(scn.shadowing.m_int), t_block, x1, x2,
             weights=weights, rel_tol=rel_tol, abs_tol=abs_tol)
     except (specfun.ConvergenceError, specfun.PoleCollisionError) as exc:

@@ -40,7 +40,6 @@ class AtmosphereConfig:
     wind_rms: float              # w, m/s
     cn2_ground: float            # Cn^2(0), m^(-2/3)
     beam_radius_tx: float        # W0, m
-    curvature_radius: float = math.inf   # F0; collimated beam by default
     beam_wander: bool = True
 
     def __post_init__(self):
@@ -193,9 +192,8 @@ def scintillation_params(cfg: AtmosphereConfig) -> TurbulenceParams:
     L = cfg.path_length
     k = cfg.wavenumber
     w0 = cfg.beam_radius_tx
-    theta0 = 1.0 - (0.0 if math.isinf(cfg.curvature_radius) else L / cfg.curvature_radius)
     lambda0 = 2.0 * L / (k * w0 * w0)
-    w_rx = w0 * math.hypot(theta0, lambda0)
+    w_rx = w0 * math.hypot(1.0, lambda0)   # collimated: curvature term 1
 
     dh = cfg.altitude_sat - cfg.altitude_ground
     sec = 1.0 / math.cos(cfg.zenith_rad)

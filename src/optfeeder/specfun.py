@@ -2,18 +2,19 @@
 
 The univariate evaluator handles the parameter shapes that show up in
 Gamma-Gamma / pointing-error channel statistics (G_{1,3}^{3,0}, G_{0,2}^{2,0},
-G_{1,2}^{2,1}, ...).  The bivariate evaluator computes the family of double
-Mellin-Barnes integrals behind the channel statistics,
+G_{1,2}^{2,1}, ...).  The bivariate evaluator computes the weighted sum of
+the double Mellin-Barnes integrals behind the channel statistics,
 
     (1/(2*pi*i))^2  *  integral integral  Gamma(s + t) Gamma(j - s) Gamma(1 - s)
         * Phi_t(t) * x1^s * x2^t  ds dt,    j = 0, 1, 2, ...
 
-over vertical contours, all terms sharing one t-block Phi_t in the classical
-single-variable orientation (numerator factors Gamma(b_j - t) for the first
-``m`` lower parameters and Gamma(1 - a_j + t) for the first ``n`` upper
-parameters, the remaining parameters contributing reciprocal gammas).  These
-are two-variable G functions of Agarwal's family as they appear in cascaded
-fading analyses; only real parameters and positive arguments are supported.
+as one integral over vertical contours, all terms sharing one t-block Phi_t
+in the classical single-variable orientation (numerator factors
+Gamma(b_j - t) for the first ``m`` lower parameters and Gamma(1 - a_j + t)
+for the first ``n`` upper parameters, the remaining parameters contributing
+reciprocal gammas).  These are two-variable G functions of Agarwal's family
+as they appear in cascaded fading analyses; only real parameters and
+positive arguments are supported.
 
 Quadrature is a uniform trapezoidal rule on the truncated contour.  The
 integrand decays exponentially along the imaginary direction for every shape
@@ -248,21 +249,6 @@ def _edge_tail(mags, blk):
     return float(outer), max(1.0 - min(ratio, 0.97), 0.03)
 
 
-def _window_sums(x, width):
-    """Sums of every run of ``width`` consecutive entries of ``x`` >= 0.
-
-    Runs starting in the left half are differences of a forward cumulative
-    sum, the others of a backward one: with the peak of ``x`` in the middle,
-    a run far out in a decaying tail is then never the small difference of
-    two large sums that both hold the peak.
-    """
-    fwd = np.concatenate(([0.0], np.cumsum(x)))
-    bwd = np.concatenate((np.cumsum(x[::-1])[::-1], [0.0]))
-    n = len(x) - width + 1
-    return np.where(np.arange(n) <= n // 2, fwd[width:] - fwd[:n],
-                    bwd[:n] - bwd[width:])
-
-
 def meijer_g_many(a_top, b_bottom, m, n, arguments, rel_tol: float = 1e-8):
     """Evaluate one G shape at many positive arguments on a shared contour.
 
@@ -390,26 +376,32 @@ def _plan_bivariate(js, t_block):
 
 def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
                               rel_tol: float = 1e-8, abs_tol: float = 0.0):
-    """Evaluate the bivariate G terms of the channel statistics.
+    """Weighted sum over integer j of the channel statistics' bivariate G terms.
 
     Term j is the double Mellin-Barnes integral of
     Gamma(s + t) Gamma(j - s) Gamma(1 - s) Phi_t(t) x1^s x2^t, with Phi_t
-    the t-block in classical orientation.  Only the s-side varies with j,
-    so the t-axis is collapsed once per grid.  On the shared grid the
-    kernel is C[i + k] T[k], the coupling gamma on the antidiagonal sums
-    times the t-block, so the collapse is a Hankel product: memory and the
-    exponentials are O(ns + nt), never O(ns nt).  The per-term cost is then
-    a single dot product along s.
+    the t-block in classical orientation.  As Gamma(j - s) =
+    Gamma(j0 - s) (j0 - s)_{j - j0} with j0 = min(js), the weighted sum is
+    one double integral whose s-side carries the Pochhammer polynomial
+    P(s) = sum_j w_j (j0 - s)_{j - j0}; the tail and roundoff monitors take
+    sum_j |w_j| |(j0 - s)_{j - j0}| instead, which sees every term before
+    the weights cancel.  On the shared grid the kernel is C[i + k] T[k],
+    the coupling gamma on the antidiagonal sums times the t-block, so the
+    t-collapse is a Hankel product: memory and the exponentials are
+    O(ns + nt), never O(ns nt).
 
-    Returns (values, weighted_total, error_estimate, plan).  ``weights``
-    default to 1; convergence is judged on the weighted total, which is the
-    quantity the callers consume.  ``abs_tol`` sets an absolute-error floor
-    so that totals which underflow toward zero still terminate.
+    Returns (total, error_estimate, plan).  ``weights`` default to 1.
+    ``abs_tol`` sets an absolute-error floor so that totals which underflow
+    toward zero still terminate.
     """
     if x1 <= 0 or x2 <= 0:
         raise ValueError("arguments must be positive")
+    js = np.asarray(js)
     w = np.ones(len(js)) if weights is None else np.asarray(weights, float)
     sigma_s, sigma_t = _plan_bivariate(js, t_block)
+    j0 = int(js.min())
+    coef = np.zeros(int(js.max()) - j0 + 1)
+    np.add.at(coef, js - j0, w)
 
     # Gamma(j - s) Gamma(1 - s) decays like exp(-pi |u|); the coupling gamma
     # contributes exp(-pi |u+v| / 2), counted half toward each axis when
@@ -426,7 +418,7 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
     h = min(math.pi / (3.0 * osc), 0.125)
 
     prev_total = None
-    best = None    # (step+tail, vals, total, plan) fallback at the grid cap
+    best = None    # (step+tail, total, plan, budget) fallback at the grid cap
     for _ in range(20):
         ns = int(math.ceil(half_s / h))
         nt = int(math.ceil(half_t / h))
@@ -434,8 +426,8 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
             # aliasing resonances can keep successive estimates bouncing just
             # above the budget; surface the best one with its honest error
             # as long as it is in the budget's neighbourhood
-            if best is not None and best[0] <= 50.0 * best[4]:
-                return best[1], best[2], best[0], best[3]
+            if best is not None and best[0] <= 50.0 * best[3]:
+                return best[1], best[0], best[2]
             raise ConvergenceError("bivariate quadrature grid exceeded its work budget "
                                    "of 4e7 nodes")
         u = h * np.arange(-ns, ns + 1)
@@ -457,42 +449,38 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
         t_n[-1] *= 0.5
         lead = math.exp(c_max + t_max)
         tvec = lead * (sliding_window_view(c_n, 2 * nt + 1) @ t_n)
-        # t-tail monitor: edge blocks of |kernel| per s node, and the
-        # column sums |T[k]| sum_i |C[i + k]| over the whole s-line
+        tvec[[0, -1]] *= 0.5   # and on the s edges
+        # t-tail monitor: edge blocks of |kernel| per s node, and the edge
+        # column sums |T[k]| sum_i |C[i + k]| over the whole s-line, summed
+        # directly so that tail columns keep their relative accuracy
         blk_t = min(8, nt // 2)
         abs_c, abs_t = np.abs(c_n), np.abs(t_n)
         t_edge = lead / blk_t * (
             sliding_window_view(abs_c[:2 * ns + blk_t], blk_t) @ abs_t[:blk_t]
             + sliding_window_view(abs_c[-(2 * ns + blk_t):], blk_t) @ abs_t[-blk_t:])
-        _, t_divisor = _edge_tail(abs_t * _window_sums(abs_c, 2 * ns + 1), blk_t)
-        t_cont = 1.0 / t_divisor
+        cols = np.r_[:2 * blk_t, 2 * nt + 1 - 2 * blk_t:2 * nt + 1]
+        col_sums = sliding_window_view(abs_c, 2 * ns + 1)[cols].sum(axis=1)
+        _, t_divisor = _edge_tail(abs_t[cols] * col_sums, blk_t)
 
-        # terms differ in magnitude by many orders; every truncation-tail
-        # estimate is therefore weighted by the coefficient of its term
-        vals = np.empty(len(js))
+        # s-side: Gamma(j0 - s) Gamma(1 - s) x1^s once, times the Pochhammer
+        # polynomial P and its termwise modulus bound, as running products
+        fs = np.exp(sp.loggamma(j0 - s) + sp.loggamma(1.0 - s) + s * math.log(x1))
+        poch = np.ones_like(s)
+        poly = np.full_like(s, coef[0])
+        bound = np.full(len(s), abs(coef[0]))
+        for k in range(1, len(coef)):
+            poch *= j0 + k - 1 - s
+            poly += coef[k] * poch
+            bound += abs(coef[k]) * np.abs(poch)
+        fs_mod = np.abs(fs) * bound
         quadw = h * h / (4.0 * math.pi ** 2)
-        tail = 0.0
-        abs_mass = 0.0
-        blk_s = min(8, ns // 2)
-        log_1s = sp.loggamma(1.0 - s)
-        s_log_x1 = s * math.log(x1)
-        for i, j in enumerate(js):
-            fs = np.exp(sp.loggamma(j - s) + log_1s + s_log_x1)
-            row = fs * tvec
-            row[0] *= 0.5
-            row[-1] *= 0.5
-            vals[i] = float(np.real(np.sum(row))) * quadw
-            aw = abs(w[i])
-            mag_row = np.abs(row)
-            abs_mass += aw * float(mag_row.sum()) * quadw
-            outer_s, s_divisor = _edge_tail(mag_row, blk_s)
-            tail += aw * outer_s / s_divisor * quadw
-            tail += aw * float(np.abs(fs) @ t_edge) * t_cont * quadw
-        total = float(np.dot(w, vals))
-        scale = abs(total) + float(np.max(np.abs(w * vals))) + 1e-300
+        total = float(np.real(np.sum(fs * poly * tvec))) * quadw
+        mag_row = fs_mod * np.abs(tvec)
+        outer_s, s_divisor = _edge_tail(mag_row, min(8, ns // 2))
+        tail = (outer_s / s_divisor + float(fs_mod @ t_edge) / t_divisor) * quadw
         # an oscillatory kernel cannot be summed below its roundoff floor
-        round_floor = 1e-15 * abs_mass
-        budget_here = max(rel_tol * scale, abs_tol, 4.0 * round_floor)
+        round_floor = 1e-15 * float(mag_row.sum()) * quadw
+        budget_here = max(rel_tol * abs(total), abs_tol, 4.0 * round_floor)
 
         if tail > 0.25 * budget_here:
             half_s *= 1.4
@@ -500,17 +488,16 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
             prev_total = None
             continue
         if prev_total is not None:
-            step = abs(total - prev_total[0]) + float(
-                np.max(np.abs(w * (vals - prev_total[1]))))
+            step = abs(total - prev_total)
             plan = ContourPlan(sigma_s, half_s, 2 * ns + 1,
                                abscissa_t=sigma_t, half_height_t=half_t,
                                nodes_t=2 * nt + 1)
             err = step + tail + round_floor
             if step <= budget_here:
-                return vals, total, err, plan
+                return total, err, plan
             if best is None or err < best[0]:
-                best = (err, vals, total, plan, budget_here)
-        prev_total = (total, vals)
+                best = (err, total, plan, budget_here)
+        prev_total = total
         h *= 0.5
     raise ConvergenceError("bivariate Mellin-Barnes integral did not converge")
 

@@ -1,4 +1,5 @@
-"""tools/output_digest.py --against: only changed entries, exit status 1."""
+"""tools/output_digest.py: --against prints only changed entries, --values
+bounds how far the values of changed CSVs moved."""
 
 import importlib.util
 from pathlib import Path
@@ -42,3 +43,56 @@ def test_against_prints_only_changed_entries(tmp_path, monkeypatch, capsys):
                    "- cfg/gone 0 gone.csv dd",
                    "- cfg/outage_exact 0 outage_exact.csv bb",
                    "+ cfg/outage_exact 0 outage_exact.csv b2"]
+
+
+HEADER = "sweep_value_dB,value,error_estimate,n_samples,scenario_fingerprint\n"
+
+
+def _write(root, name, rows):
+    path = root / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(HEADER + "".join(f"{r},0,abc\n" for r in rows))
+
+
+def _values(tmp_path, capsys, new_rows):
+    old, new = tmp_path / "old", tmp_path / "new"
+    same = ["0.0,1.0e-01,1.0e-09", "5.0,2.0e-01,1.0e-09"]
+    _write(old, "cfg/outage_exact/outage_exact.csv", same)
+    _write(new, "cfg/outage_exact/outage_exact.csv", same)
+    _write(old, "cfg/ber_exact/ber_exact.csv",
+           ["0.0,3.000000000000e-01,1.0e-09", "5.0,2.0e-01,1.0e-09",
+            "10.0,1.0e-01,nan"])
+    _write(new, "cfg/ber_exact/ber_exact.csv", new_rows)
+    code = digest.main(["--values", str(old), str(new)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_values_within_error_estimate(tmp_path, capsys):
+    code, out = _values(tmp_path, capsys, [
+        "0.0,3.000000000002e-01,1.0e-09", "5.0,2.0e-01,1.0e-09",
+        "10.0,1.0e-01,nan"])
+    assert code == 0
+    assert out == ["cfg/ber_exact/ber_exact.csv moved 1/3 rows, max |dvalue| "
+                   "2.000e-13, max |dvalue|/error_estimate 2.000e-04"]
+
+
+def test_values_beyond_error_estimate_or_nan_estimate(tmp_path, capsys):
+    code, out = _values(tmp_path, capsys, [
+        "0.0,3.000000020000e-01,1.0e-09", "5.0,2.0e-01,1.0e-09",
+        "10.0,1.0e-01,nan"])
+    assert code == 1
+    assert out[0].endswith(", 1 beyond their error_estimate")
+    code, out = _values(tmp_path, capsys, [
+        "0.0,3.000000000000e-01,1.0e-09", "5.0,2.0e-01,1.0e-09",
+        "10.0,1.000000000001e-01,nan"])
+    assert code == 1
+    assert out[0].endswith(", 1 beyond their error_estimate")
+
+
+def test_values_rows_must_line_up(tmp_path, capsys):
+    code, out = _values(tmp_path, capsys, ["0.0,3.0e-01,1.0e-09"])
+    assert (code, out) == (1, ["cfg/ber_exact/ber_exact.csv rows do not line up"])
+    (tmp_path / "new" / "cfg" / "ber_exact" / "ber_exact.csv").unlink()
+    code = digest.main(["--values", str(tmp_path / "old"), str(tmp_path / "new")])
+    assert code == 1
+    assert capsys.readouterr().out.startswith("cfg/ber_exact/ber_exact.csv only in ")

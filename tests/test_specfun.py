@@ -362,7 +362,7 @@ def test_bivariate_against_double_quadrature():
     # fixed parameter set: r=1, alpha=2.57, beta=5.36, xi=1.1, j=0, args 1
     alpha, beta, xi2, j = 2.57, 5.36, 1.21, 0
     t_block = _cdf_t_block(1, alpha, beta, xi2)
-    vals, _, err, plan = specfun.meijer_g_bivariate_family(
+    total, err, plan = specfun.meijer_g_bivariate_family(
         [j], t_block, 1.0, 1.0, rel_tol=1e-9)
 
     ss, st = plan.abscissa, plan.abscissa_t
@@ -377,33 +377,38 @@ def test_bivariate_against_double_quadrature():
         return float(np.real(np.exp(lg))) / (4.0 * math.pi ** 2)
 
     ref, _ = dblquad(integrand, -40, 40, -40, 40, epsabs=1e-11, epsrel=1e-9)
-    assert vals[0] == pytest.approx(ref, rel=1e-8)
-    assert err < 1e-6 * abs(vals[0])
+    assert total == pytest.approx(ref, rel=1e-8)
+    assert err < 1e-6 * abs(total)
 
 
 def test_bivariate_step_halving_within_error():
     alpha, beta, xi2 = 1.52, 3.29, 1.21
     args = ([1], _cdf_t_block(2, alpha, beta, xi2), 0.4, 25.0)
-    coarse, _, coarse_err, _ = specfun.meijer_g_bivariate_family(*args, rel_tol=1e-7)
-    fine, _, fine_err, _ = specfun.meijer_g_bivariate_family(*args, rel_tol=1e-10)
-    assert abs(coarse[0] - fine[0]) <= coarse_err + fine_err
+    coarse, coarse_err, _ = specfun.meijer_g_bivariate_family(*args, rel_tol=1e-7)
+    fine, fine_err, _ = specfun.meijer_g_bivariate_family(*args, rel_tol=1e-10)
+    assert abs(coarse - fine) <= coarse_err + fine_err
 
 
 def test_bivariate_family_matches_single_calls():
+    # a single term has the Pochhammer polynomial P = 1, so the family total
+    # checks P against the plain integrals; without j = 0 the whole family's
+    # s-line is planned at min(j, 1) = 1 and the polynomial starts at j0 = 1
+    from optfeeder import analytics
     t_block = _cdf_t_block(1, 2.57, 5.36, 1.21)
-    # without j = 0 the whole family's s-line is planned at min(j, 1) = 1
-    for js in ([0, 1, 2, 3], [1, 2, 3]):
-        vals, total, _, _ = specfun.meijer_g_bivariate_family(
-            js, t_block, 0.7, 3.0, rel_tol=1e-9)
+    w19 = analytics._sum_weights(
+        rf_link.ShadowedRicianParams(m=19, b=0.158, omega=1.29))
+    for js, w in ((range(19), w19), ([1, 2, 3], [0.5, 2.0, 0.25])):
+        total, _, _ = specfun.meijer_g_bivariate_family(
+            js, t_block, 0.7, 3.0, weights=w, rel_tol=1e-9)
         singles = [specfun.meijer_g_bivariate_family(
-            [j], t_block, 0.7, 3.0, rel_tol=1e-9)[0][0] for j in js]
-        np.testing.assert_allclose(vals, singles, rtol=1e-7)
-        assert total == pytest.approx(sum(singles), rel=1e-7)
+            [j], t_block, 0.7, 3.0, rel_tol=1e-9)[0] for j in js]
+        assert total == pytest.approx(float(np.dot(w, singles)), rel=1e-7)
 
 
 def _bivariate_dense(js, t_block, x1, x2, w, rel_tol):
-    # the bivariate engine with its (2ns+1) x (2nt+1) kernel built in full;
-    # returns (values, total, plan, round-off floor)
+    # the bivariate engine with its (2ns+1) x (2nt+1) kernel built in full
+    # and its weighted s-kernel summed from per-term Gamma(j - s), without
+    # the Pochhammer product; returns (total, plan, round-off floor)
     sigma_s, sigma_t = specfun._plan_bivariate(js, t_block)
     dec_s = 1.25 * math.pi
     dec_t = specfun._decay_rate(len(t_block.a), len(t_block.b), t_block.m,
@@ -436,43 +441,39 @@ def _bivariate_dense(js, t_block, x1, x2, w, rel_tol):
         t_edge = mag_t[:, :blk_t].mean(axis=1) + mag_t[:, -blk_t:].mean(axis=1)
         t_cont = 1.0 / edge_tail(mag_t.sum(axis=0), blk_t)[1]
         tvec = kernel.sum(axis=1)
-        vals = np.empty(len(js))
+        terms = [wj * np.exp(sp.loggamma(j - s) + sp.loggamma(1.0 - s)
+                             + s * math.log(x1)) for j, wj in zip(js, w)]
+        fs = np.sum(terms, axis=0)
+        fs_mod = np.sum(np.abs(terms), axis=0)
+        row, mag_row = fs * tvec, fs_mod * np.abs(tvec)
+        row[[0, -1]] *= 0.5
+        mag_row[[0, -1]] *= 0.5
         quadw = h * h / (4.0 * math.pi ** 2)
-        tail = abs_mass = 0.0
-        for i, j in enumerate(js):
-            fs = np.exp(sp.loggamma(j - s) + sp.loggamma(1.0 - s) + s * math.log(x1))
-            row = fs * tvec
-            row[0] *= 0.5
-            row[-1] *= 0.5
-            vals[i] = float(np.real(np.sum(row))) * quadw
-            outer_s, s_div = edge_tail(np.abs(row), min(8, ns // 2))
-            abs_mass += abs(w[i]) * float(np.abs(row).sum()) * quadw
-            tail += abs(w[i]) * (outer_s / s_div
-                                 + float(np.abs(fs) @ t_edge) * t_cont) * quadw
-        total = float(np.dot(w, vals))
-        scale = abs(total) + float(np.max(np.abs(w * vals))) + 1e-300
-        budget = max(rel_tol * scale, 4e-15 * abs_mass)
+        total = float(np.real(np.sum(row))) * quadw
+        outer_s, s_div = edge_tail(mag_row, min(8, ns // 2))
+        tail = (outer_s / s_div + float(fs_mod @ t_edge) * t_cont) * quadw
+        abs_mass = float(mag_row.sum()) * quadw
+        budget = max(rel_tol * abs(total), 4e-15 * abs_mass)
         if tail > 0.25 * budget:
             half_s *= 1.4
             half_t *= 1.4
             prev = None
             continue
-        if prev is not None:
-            step = abs(total - prev[0]) + float(np.max(np.abs(w * (vals - prev[1]))))
-            if step <= budget:
-                return vals, total, specfun.ContourPlan(
-                    sigma_s, half_s, 2 * ns + 1, abscissa_t=sigma_t,
-                    half_height_t=half_t, nodes_t=2 * nt + 1), 1e-15 * abs_mass
-        prev = (total, vals)
+        if prev is not None and abs(total - prev) <= budget:
+            return total, specfun.ContourPlan(
+                sigma_s, half_s, 2 * ns + 1, abscissa_t=sigma_t,
+                half_height_t=half_t, nodes_t=2 * nt + 1), 1e-15 * abs_mass
+        prev = total
         h *= 0.5
     raise specfun.ConvergenceError("did not converge")
 
 
 def test_bivariate_hankel_matches_dense_kernel():
     # seeded families of every metric's t-block under both detections: the
-    # Hankel t-collapse gives the plan of the dense 2-D kernel, and every
-    # weighted term and the total to 1e-11 of the engine's own scale, or to
-    # the round-off floor where cancellation across the grid makes that larger
+    # Hankel t-collapse and the Pochhammer polynomial give the plan of the
+    # dense 2-D kernel with per-term gammas, and the total to 1e-11 of its
+    # own size, or to the round-off floor where cancellation across the grid
+    # makes that larger
     from optfeeder import analytics
     rng = rng_for(32)
     blocks = {"cdf": ((), (), 0.0), "pdf": ((), (), 1.0),
@@ -495,28 +496,11 @@ def test_bivariate_hankel_matches_dense_kernel():
         js = range(len(w))
         x1, x2 = np.exp(rng.uniform(-12.0, 1.0)), np.exp(rng.uniform(-4.0, 9.0))
         rel_tol = float(rng.choice([1e-9, 1e-7]))
-        ref_vals, ref_total, ref_plan, floor = _bivariate_dense(
-            js, t_block, x1, x2, w, rel_tol)
-        vals, total, _, plan = specfun.meijer_g_bivariate_family(
+        ref_total, ref_plan, floor = _bivariate_dense(js, t_block, x1, x2, w, rel_tol)
+        total, _, plan = specfun.meijer_g_bivariate_family(
             js, t_block, x1, x2, weights=w, rel_tol=rel_tol)
         assert plan == ref_plan, case
-        atol = max(1e-11 * (abs(ref_total) + float(np.max(np.abs(w * ref_vals)))),
-                   floor)
-        assert abs(total - ref_total) <= atol, case
-        np.testing.assert_allclose(w * vals, w * ref_vals, rtol=0.0, atol=atol)
-
-
-def test_window_sums_keep_relative_accuracy_in_both_tails():
-    # |Gamma(0.3 + iy)| on a line long enough that the edge runs sit ~1e-14
-    # below the peak, as the coupling gamma does after a few tail widenings:
-    # every run keeps its own relative accuracy, which the differences of
-    # one forward cumulative sum lose on the right
-    x = np.exp(sp.loggamma(0.3 + 0.05j * np.arange(-1200, 1201)).real)
-    width = 801
-    direct = np.array([x[k:k + width].sum() for k in range(len(x) - width + 1)])
-    np.testing.assert_allclose(specfun._window_sums(x, width), direct, rtol=1e-12)
-    cs = np.concatenate(([0.0], np.cumsum(x)))
-    assert np.max(np.abs((cs[width:] - cs[:-width]) / direct - 1.0)) > 1e-6
+        assert abs(total - ref_total) <= max(1e-11 * abs(ref_total), floor), case
 
 
 def test_bivariate_rejects_bad_arguments():

@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python3 tools/output_digest.py OUT_DIR
     PYTHONPATH=src python3 tools/output_digest.py OUT_DIR --against LISTING
+    python3 tools/output_digest.py --values OLD_DIR NEW_DIR
 
 Runs twelve sweeps over each config in ``configs/`` in-process through
 ``optfeeder.cli.main``, each into its own subdirectory of OUT_DIR, and
@@ -14,18 +15,25 @@ own messages go to standard error.
 With ``--against``, LISTING is a listing saved from an earlier run: only
 the entries whose line differs are printed, the old one prefixed ``-`` and
 the new one ``+``, and the exit status is 1 if any entry differs.
+
+With ``--values``, OLD_DIR and NEW_DIR are two such output directories, and
+no sweep runs.  For every CSV whose bytes differ it prints the number of
+rows that moved, the largest |change of value| and the largest ratio of
+that change to the row's new ``error_estimate``.  The exit status is 1 if
+any moved value exceeds its ``error_estimate`` (a NaN estimate counts as
+exceeded), or if a CSV is missing on one side or its rows do not line up.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
-
-from optfeeder import cli
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MC = ["--method", "monte-carlo", "--samples", "200000"]
@@ -53,6 +61,7 @@ RUNS = {
 
 def listing(out_root: str):
     """Run every sweep into OUT_ROOT and yield one listing line per file."""
+    from optfeeder import cli   # --values needs only the standard library
     for config in sorted(CONFIGS.glob("*.ini")):
         for name, argv in RUNS.items():
             run = f"{config.stem}/{name}"
@@ -76,12 +85,59 @@ def _entries(lines) -> dict:
     return {(f[0], f[2]): line for line in lines if len(f := line.split()) == 4}
 
 
+def _rows(path: Path) -> list[dict]:
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _key(row: dict) -> dict:
+    """The columns that identify a row: all but the value and its estimate."""
+    return {k: v for k, v in row.items() if k not in ("value", "error_estimate")}
+
+
+def value_report(old_dir: Path, new_dir: Path) -> int:
+    """Print how far the values of every differing CSV moved; 1 if too far."""
+    names = sorted({p.relative_to(root) for root in (old_dir, new_dir)
+                    for p in root.rglob("*.csv")})
+    status = 0
+    for name in names:
+        old_path, new_path = old_dir / name, new_dir / name
+        if not (old_path.is_file() and new_path.is_file()):
+            print(f"{name} only in {old_dir if old_path.is_file() else new_dir}")
+            status = 1
+            continue
+        if old_path.read_bytes() == new_path.read_bytes():
+            continue
+        old, new = _rows(old_path), _rows(new_path)
+        if len(old) != len(new) or any(_key(a) != _key(b) for a, b in zip(old, new)):
+            print(f"{name} rows do not line up")
+            status = 1
+            continue
+        moved = [(abs(float(b["value"]) - float(a["value"])), float(b["error_estimate"]))
+                 for a, b in zip(old, new) if a != b]
+        # a NaN or zero estimate bounds no change at all
+        ratios = [d / e if e > 0 else (math.inf if d else 0.0) for d, e in moved]
+        exceeded = sum(not r <= 1.0 for r in ratios)
+        print(f"{name} moved {len(moved)}/{len(new)} rows, max |dvalue| "
+              f"{max((d for d, _ in moved), default=0.0):.3e}, "
+              f"max |dvalue|/error_estimate {max(ratios, default=0.0):.3e}"
+              + (f", {exceeded} beyond their error_estimate" if exceeded else ""))
+        status |= exceeded > 0
+    return int(status)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("out_dir", metavar="OUT_DIR")
+    ap.add_argument("out_dir", metavar="OUT_DIR", nargs="?")
     ap.add_argument("--against", type=Path, metavar="LISTING",
                     help="print only the entries that differ from LISTING")
+    ap.add_argument("--values", type=Path, nargs=2, metavar=("OLD_DIR", "NEW_DIR"),
+                    help="compare the CSV values of two output directories")
     args = ap.parse_args(argv)
+    if args.values is not None:
+        return value_report(*args.values)
+    if args.out_dir is None:
+        ap.error("OUT_DIR is required without --values")
     if args.against is None:
         for line in listing(args.out_dir):
             print(line, flush=True)
