@@ -238,9 +238,10 @@ def sndr_cdf_oracle(x: float, scn: ScenarioConfig) -> float:
     """Single-integral CDF, independent of the bivariate machinery.
 
     F(x) = 1 - int_0^inf  ccdf_g2(C X / z) f_g1(kappa X + z) dz,  X = |b|^2 x,
-    evaluated on a scaled tangent grid with composite Gauss panels that are
-    split until the 20- vs 40-point estimates agree; each refinement level
-    evaluates the densities of all its panels in one batch.
+    integrated by :func:`specfun.gauss_panels` on 120 geometric panels that
+    bracket both links' scales, each to an absolute tolerance of
+    ``_ORACLE_ABS_TOL / 121``; each refinement level evaluates the densities
+    of all its panels in one batch.
     """
     if x <= 0:
         raise ValueError("x must be positive")
@@ -267,28 +268,8 @@ def sndr_cdf_oracle(x: float, scn: ScenarioConfig) -> float:
     lo = min(anchors) * 1e-10
     hi = max(gamma1_cut, 1e4 * c_over_g2)
     edges = np.geomspace(max(lo, 1e-280), hi, 121)
-
-    nodes20, w20 = np.polynomial.legendre.leggauss(20)
-    nodes40, w40 = np.polynomial.legendre.leggauss(40)
     tol = max(_ORACLE_ABS_TOL / len(edges), 1e-13)
-
-    # every live panel of one refinement level shares one density batch;
-    # the panels whose 20- and 40-point values disagree are halved
-    pieces = []
-    a, b = edges[:-1], edges[1:]
-    for depth in range(13):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        x20 = mid[:, None] + half[:, None] * nodes20
-        x40 = mid[:, None] + half[:, None] * nodes40
-        f = integrand(np.concatenate((x20.ravel(), x40.ravel())))
-        v20 = half * (f[:x20.size].reshape(x20.shape) @ w20)
-        v40 = half * (f[x20.size:].reshape(x40.shape) @ w40)
-        done = (np.abs(v40 - v20) <= tol) | (depth == 12)
-        pieces.extend(v40[done].tolist())
-        a, b = np.concatenate((a[~done], mid[~done])), np.concatenate((mid[~done], b[~done]))
-        if not len(a):
-            break
-    integral = math.fsum(pieces)
+    integral = specfun.gauss_panels(integrand, edges, tol)
     return min(max(1.0 - integral, 0.0), 1.0)
 
 

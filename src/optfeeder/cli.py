@@ -101,14 +101,8 @@ def load_config(path: str | None) -> tuple[configparser.ConfigParser, dict]:
 
 
 def _scenario_from_config(cp: configparser.ConfigParser, mu_r_db: float,
-                          overrides: dict,
-                          turbulence_memo: dict | None = None) -> system.ScenarioConfig:
-    """The scenario a config describes at one operating point.
-
-    ``turbulence_memo`` maps each ``AtmosphereConfig`` already seen to its
-    turbulence pipeline output; a sweep passes one dict for all its points,
-    so the pipeline runs once per distinct atmosphere.
-    """
+                          overrides: dict) -> system.ScenarioConfig:
+    """The scenario a config describes at one operating point."""
     a = cp["atmosphere"]
     atmo = fso_link.AtmosphereConfig(
         altitude_sat=a.getfloat("altitude_sat_m"),
@@ -152,17 +146,13 @@ def _scenario_from_config(cp: configparser.ConfigParser, mu_r_db: float,
     hpa = transponder.hpa_state(family, ibo_db, p_r=h.getfloat("p_r"))
     sysc = cp["system"]
     g2_raw = sysc.get("gamma_bar2").strip()
-    memo = {} if turbulence_memo is None else turbulence_memo
-    if atmo not in memo:
-        memo[atmo] = fso_link.scintillation_params(atmo)
     return system.build_scenario(
         feeder, layout, rf, shadow, hpa, mu_r_db,
         gamma_bar2=float(g2_raw) if g2_raw else None,
         p_g=sysc.getfloat("p_g"), sigma2_sq=sysc.getfloat("sigma2_sq"),
         user_index=sysc.getint("user_index"),
         gain_mode=sysc.get("gain_mode"),
-        fixed_gain=sysc.getfloat("fixed_gain"),
-        turbulence=memo[atmo])
+        fixed_gain=sysc.getfloat("fixed_gain"))
 
 
 def _sweep_grid(cp, args) -> tuple[str, list[float]]:
@@ -254,8 +244,7 @@ def run(args) -> int:
         overrides["ibo_db"] = args.ibo_db
     # the manifest's scenario; built before any output exists, so a config
     # the scenario rejects leaves no output directory behind
-    turbulence_memo = {}
-    scn0 = _scenario_from_config(cp, args.mu_r_db, overrides, turbulence_memo)
+    scn0 = _scenario_from_config(cp, args.mu_r_db, overrides)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -269,7 +258,7 @@ def run(args) -> int:
             point_args = argparse.Namespace(**{**vars(args), "gamma_th_db": point})
         else:   # cn2, xi, ibo_db
             point_over = {**overrides, variable: point}
-        scn = _scenario_from_config(cp, mu_db, point_over, turbulence_memo)
+        scn = _scenario_from_config(cp, mu_db, point_over)
         for m in methods:
             rows[(args.metric, m)].append(
                 _evaluate(args.metric, m, scn, point_args, point))

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from optfeeder import analytics, cli, fso_link, specfun
+from optfeeder import analytics, cli, specfun
 
 
 CONFIG = """
@@ -247,36 +247,24 @@ def test_gamma_th_sweep(tmp_path, config_file):
     assert vals == sorted(vals)   # outage grows with the threshold
 
 
-# sweep grid and the number of distinct atmospheres it sees, the base
-# scenario's included (its cn2 is the default 1e-12)
 _SWEEPS = {
-    "mu_r_db": ("20 30 40", 1),
-    "gamma_th_db": ("0 5 10", 1),
-    "ibo_db": ("20 25 30", 1),
-    "xi": ("0.9 1.1 1.5", 1),
-    "cn2": ("2e-12 1e-12 2e-12 5e-13", 3),
+    "mu_r_db": "20 30 40",
+    "gamma_th_db": "0 5 10",
+    "ibo_db": "20 25 30",
+    "xi": "0.9 1.1 1.5",
+    "cn2": "2e-12 1e-12 2e-12 5e-13",
 }
 
 
 @pytest.mark.parametrize("variable", list(_SWEEPS))
-def test_sweep_builds_turbulence_once_per_atmosphere(tmp_path, monkeypatch,
-                                                     variable):
-    grid, n_atmospheres = _SWEEPS[variable]
+def test_sweep_points_match_fresh_builds(tmp_path, variable):
+    grid = _SWEEPS[variable]
     cfg = tmp_path / "sweep.ini"
     cfg.write_text(CONFIG + f"grid = {grid}\n")
-    built = []
-    pipeline = fso_link.scintillation_params
-
-    def counted(atmo):
-        built.append(atmo)
-        return pipeline(atmo)
-
-    monkeypatch.setattr(fso_link, "scintillation_params", counted)
     out = tmp_path / "s"
     rc = _run(["--config", str(cfg), "--sweep", variable, "--metric", "moments",
                "--method", "exact", "--mu-r-db", "35", "--out", str(out)])
     assert rc == 0
-    assert len(built) == len(set(built)) == n_atmospheres
 
     # every point is the scenario a fresh build from the config gives
     cp, _ = cli.load_config(str(cfg))

@@ -1,6 +1,7 @@
 """Optical feeder-link statistics: turbulence pipeline against hand and
 quadrature oracles, densities against their samplers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -74,6 +75,51 @@ def test_rytov_variance_oracle_and_monotonicity():
     assert fso_link.rytov_variance(cfg) == pytest.approx(ref, rel=1e-5)
     vals = [fso_link.rytov_variance(make_atmosphere(c)) for c in (1e-13, 5e-13, 1e-12)]
     assert vals[0] < vals[1] < vals[2]
+
+
+def _path_quad_reference(cfg, weight):
+    # adaptive scipy quad on a ladder of breakpoints doubling from 100 m
+    # above the ground up to 100 km, then one segment to the satellite
+    h0, H = cfg.altitude_ground, cfg.altitude_sat
+    knots = [h0]
+    step = 100.0
+    while h0 + step < min(H, 100e3):
+        knots.append(h0 + step)
+        step *= 2.0
+    knots.append(H)
+    return math.fsum(
+        quad(lambda h: fso_link.hv_cn2(h, cfg) * weight(h), a, b,
+             limit=200, epsabs=0.0, epsrel=1e-12)[0]
+        for a, b in zip(knots[:-1], knots[1:]))
+
+
+def test_turbulence_pipeline_matches_quad_reference(monkeypatch):
+    # both path integrals, with the weights the pipeline passes, and the
+    # pipeline's outputs agree with the scipy quad ladder to 1e-12 over
+    # cn2, ground height, zenith angle, beam radius and beam wander
+    gauss = fso_link._path_quad
+    integrals = []
+
+    def reference(cfg, weight):
+        ref = _path_quad_reference(cfg, weight)
+        assert gauss(cfg, weight) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        integrals.append(ref)
+        return ref
+
+    grid = list(enumerate(itertools.product((1e-15, 1e-14, 1e-13, 1e-12, 1e-11),
+                                            (0.0, 1.2e3, 2.4e3))))
+    for i, (cn2, h0) in grid:
+        cfg = fso_link.AtmosphereConfig(
+            35786e3, h0, math.radians((0.0, 30.0, 60.0)[i // 3 % 3]), 1550e-9,
+            21.0, cn2, (0.02, 0.3, 5.0)[(i + i // 3) % 3], beam_wander=i % 2 == 0)
+        got = fso_link.scintillation_params(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(fso_link, "_path_quad", reference)
+            ref = fso_link.scintillation_params(cfg)
+        for name in ("alpha", "beta", "rytov_var", "fried_r0", "sigma_pe"):
+            assert getattr(got, name) == pytest.approx(
+                getattr(ref, name), rel=1e-12, abs=0.0), (cfg, name)
+    assert len(integrals) == 2 * len(grid)
 
 
 def test_beam_wander_vanishes_for_wide_beams():

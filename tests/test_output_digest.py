@@ -48,13 +48,13 @@ def test_against_prints_only_changed_entries(tmp_path, monkeypatch, capsys):
 HEADER = "sweep_value_dB,value,error_estimate,n_samples,scenario_fingerprint\n"
 
 
-def _write(root, name, rows):
+def _write(root, name, rows, fingerprint="abc"):
     path = root / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(HEADER + "".join(f"{r},0,abc\n" for r in rows))
+    path.write_text(HEADER + "".join(f"{r},0,{fingerprint}\n" for r in rows))
 
 
-def _values(tmp_path, capsys, new_rows):
+def _values(tmp_path, capsys, new_rows, new_fingerprint="abc"):
     old, new = tmp_path / "old", tmp_path / "new"
     same = ["0.0,1.0e-01,1.0e-09", "5.0,2.0e-01,1.0e-09"]
     _write(old, "cfg/outage_exact/outage_exact.csv", same)
@@ -62,7 +62,7 @@ def _values(tmp_path, capsys, new_rows):
     _write(old, "cfg/ber_exact/ber_exact.csv",
            ["0.0,3.000000000000e-01,1.0e-09", "5.0,2.0e-01,1.0e-09",
             "10.0,1.0e-01,nan"])
-    _write(new, "cfg/ber_exact/ber_exact.csv", new_rows)
+    _write(new, "cfg/ber_exact/ber_exact.csv", new_rows, new_fingerprint)
     code = digest.main(["--values", str(old), str(new)])
     return code, capsys.readouterr().out.splitlines()
 
@@ -73,7 +73,28 @@ def test_values_within_error_estimate(tmp_path, capsys):
         "10.0,1.0e-01,nan"])
     assert code == 0
     assert out == ["cfg/ber_exact/ber_exact.csv moved 1/3 rows, max |dvalue| "
-                   "2.000e-13, max |dvalue|/error_estimate 2.000e-04"]
+                   "2.000e-13, max |dvalue|/error_estimate 2.000e-04, "
+                   "max |dvalue|/|value| 6.667e-13"]
+
+
+def test_values_report_moves_when_fingerprints_change(tmp_path, capsys):
+    # a new fingerprint on every row neither hides the value moves nor
+    # passes: the rows still line up, and the count fails the comparison
+    code, out = _values(tmp_path, capsys, [
+        "0.0,3.000000000000e-01,1.0e-09", "5.0,2.0e-01,1.0e-09",
+        "10.0,1.0e-01,nan"], new_fingerprint="abd")
+    assert code == 1
+    assert out == ["cfg/ber_exact/ber_exact.csv moved 0/3 rows, max |dvalue| "
+                   "0.000e+00, max |dvalue|/error_estimate 0.000e+00, "
+                   "max |dvalue|/|value| 0.000e+00",
+                   "3 fingerprints changed"]
+    code, out = _values(tmp_path, capsys, [
+        "0.0,3.000000000002e-01,1.0e-09", "5.0,2.0e-01,1.0e-09",
+        "10.0,1.0e-01,nan"], new_fingerprint="abd")
+    assert code == 1
+    assert out[0].startswith("cfg/ber_exact/ber_exact.csv moved 1/3 rows, "
+                             "max |dvalue| 2.000e-13")
+    assert out[1:] == ["3 fingerprints changed"]
 
 
 def test_values_beyond_error_estimate_or_nan_estimate(tmp_path, capsys):
@@ -91,6 +112,10 @@ def test_values_beyond_error_estimate_or_nan_estimate(tmp_path, capsys):
 
 def test_values_rows_must_line_up(tmp_path, capsys):
     code, out = _values(tmp_path, capsys, ["0.0,3.0e-01,1.0e-09"])
+    assert (code, out) == (1, ["cfg/ber_exact/ber_exact.csv rows do not line up"])
+    code, out = _values(tmp_path, capsys, [
+        "0.0,3.000000000000e-01,1.0e-09", "5.0,2.0e-01,1.0e-09",
+        "15.0,1.0e-01,nan"])
     assert (code, out) == (1, ["cfg/ber_exact/ber_exact.csv rows do not line up"])
     (tmp_path / "new" / "cfg" / "ber_exact" / "ber_exact.csv").unlink()
     code = digest.main(["--values", str(tmp_path / "old"), str(tmp_path / "new")])

@@ -158,6 +158,24 @@ def test_bessel_j1_first_zero():
     assert abs(sp.jv(1, zero)) < 1e-10
 
 
+def test_gauss_panels_closed_forms():
+    # x^(5/6) on a geometric ladder toward its singular derivative at 0
+    edges = np.concatenate(([0.0], np.geomspace(2.0 ** -40, 1.0, 41)))
+    got = specfun.gauss_panels(lambda x: x ** (5.0 / 6.0), edges, 1e-15)
+    assert got == pytest.approx(6.0 / 11.0, rel=1e-13, abs=0.0)
+    # e^-x on one panel: the 20- and 40-point values disagree, so the
+    # panel is halved until they agree
+    levels = []
+
+    def exp_counted(x):
+        levels.append(x.size)
+        return np.exp(-x)
+
+    got = specfun.gauss_panels(exp_counted, np.array([0.0, 50.0]), 1e-15)
+    assert got == pytest.approx(-math.expm1(-50.0), rel=1e-13, abs=0.0)
+    assert len(levels) > 1 and levels[0] == 60
+
+
 # ---------------------------------------------------------------------------
 # univariate Meijer G
 # ---------------------------------------------------------------------------
@@ -408,7 +426,8 @@ def test_bivariate_family_matches_single_calls():
 def _bivariate_dense(js, t_block, x1, x2, w, rel_tol):
     # the bivariate engine with its (2ns+1) x (2nt+1) kernel built in full
     # and its weighted s-kernel summed from per-term Gamma(j - s), without
-    # the Pochhammer product; returns (total, plan, round-off floor)
+    # the Pochhammer product; returns (total, error, plan, round-off floor),
+    # the error being step + tail + round-off floor
     sigma_s, sigma_t = specfun._plan_bivariate(js, t_block)
     dec_s = 1.25 * math.pi
     dec_t = specfun._decay_rate(len(t_block.a), len(t_block.b), t_block.m,
@@ -460,9 +479,10 @@ def _bivariate_dense(js, t_block, x1, x2, w, rel_tol):
             prev = None
             continue
         if prev is not None and abs(total - prev) <= budget:
-            return total, specfun.ContourPlan(
+            floor = 1e-15 * abs_mass
+            return total, abs(total - prev) + tail + floor, specfun.ContourPlan(
                 sigma_s, half_s, 2 * ns + 1, abscissa_t=sigma_t,
-                half_height_t=half_t, nodes_t=2 * nt + 1), 1e-15 * abs_mass
+                half_height_t=half_t, nodes_t=2 * nt + 1), floor
         prev = total
         h *= 0.5
     raise specfun.ConvergenceError("did not converge")
@@ -471,9 +491,11 @@ def _bivariate_dense(js, t_block, x1, x2, w, rel_tol):
 def test_bivariate_hankel_matches_dense_kernel():
     # seeded families of every metric's t-block under both detections: the
     # Hankel t-collapse and the Pochhammer polynomial give the plan of the
-    # dense 2-D kernel with per-term gammas, and the total to 1e-11 of its
-    # own size, or to the round-off floor where cancellation across the grid
-    # makes that larger
+    # dense 2-D kernel with per-term gammas, the total to 1e-11 of its own
+    # size, or to the round-off floor where cancellation across the grid
+    # makes that larger, and the error estimate, whose t-tail term pins the
+    # edge column sums of the t-tail monitor, to 1e-6 of its own size or
+    # to the same floor
     from optfeeder import analytics
     rng = rng_for(32)
     blocks = {"cdf": ((), (), 0.0), "pdf": ((), (), 1.0),
@@ -496,11 +518,13 @@ def test_bivariate_hankel_matches_dense_kernel():
         js = range(len(w))
         x1, x2 = np.exp(rng.uniform(-12.0, 1.0)), np.exp(rng.uniform(-4.0, 9.0))
         rel_tol = float(rng.choice([1e-9, 1e-7]))
-        ref_total, ref_plan, floor = _bivariate_dense(js, t_block, x1, x2, w, rel_tol)
-        total, _, plan = specfun.meijer_g_bivariate_family(
+        ref_total, ref_err, ref_plan, floor = _bivariate_dense(
+            js, t_block, x1, x2, w, rel_tol)
+        total, err, plan = specfun.meijer_g_bivariate_family(
             js, t_block, x1, x2, weights=w, rel_tol=rel_tol)
         assert plan == ref_plan, case
         assert abs(total - ref_total) <= max(1e-11 * abs(ref_total), floor), case
+        assert abs(err - ref_err) <= 1e-6 * ref_err + floor, case
 
 
 def test_bivariate_rejects_bad_arguments():

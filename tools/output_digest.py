@@ -17,11 +17,14 @@ the entries whose line differs are printed, the old one prefixed ``-`` and
 the new one ``+``, and the exit status is 1 if any entry differs.
 
 With ``--values``, OLD_DIR and NEW_DIR are two such output directories, and
-no sweep runs.  For every CSV whose bytes differ it prints the number of
-rows that moved, the largest |change of value| and the largest ratio of
-that change to the row's new ``error_estimate``.  The exit status is 1 if
-any moved value exceeds its ``error_estimate`` (a NaN estimate counts as
-exceeded), or if a CSV is missing on one side or its rows do not line up.
+no sweep runs.  Rows line up on ``sweep_value_dB`` and ``n_samples``.  For
+every CSV whose bytes differ it prints the number of rows whose value or
+estimate moved, the largest |change of value|, and the largest ratio of that
+change to the row's new ``error_estimate`` and to its new |value|; then the
+number of rows whose ``scenario_fingerprint`` changed, if any, on a line of
+its own.  The exit status is 1 if any moved value exceeds its
+``error_estimate`` (a NaN estimate counts as exceeded), if any fingerprint
+changed, or if a CSV is missing on one side or its rows do not line up.
 """
 
 from __future__ import annotations
@@ -90,16 +93,21 @@ def _rows(path: Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _key(row: dict) -> dict:
-    """The columns that identify a row: all but the value and its estimate."""
-    return {k: v for k, v in row.items() if k not in ("value", "error_estimate")}
+def _key(row: dict) -> tuple:
+    """The columns that line a row up with its counterpart."""
+    return row["sweep_value_dB"], row["n_samples"]
+
+
+def _ratio(d: float, scale: float) -> float:
+    """d / scale; a NaN or zero scale bounds no change at all."""
+    return d / scale if scale > 0 else (math.inf if d else 0.0)
 
 
 def value_report(old_dir: Path, new_dir: Path) -> int:
     """Print how far the values of every differing CSV moved; 1 if too far."""
     names = sorted({p.relative_to(root) for root in (old_dir, new_dir)
                     for p in root.rglob("*.csv")})
-    status = 0
+    status = fingerprints = 0
     for name in names:
         old_path, new_path = old_dir / name, new_dir / name
         if not (old_path.is_file() and new_path.is_file()):
@@ -109,21 +117,30 @@ def value_report(old_dir: Path, new_dir: Path) -> int:
         if old_path.read_bytes() == new_path.read_bytes():
             continue
         old, new = _rows(old_path), _rows(new_path)
-        if len(old) != len(new) or any(_key(a) != _key(b) for a, b in zip(old, new)):
+        if list(map(_key, old)) != list(map(_key, new)):
             print(f"{name} rows do not line up")
             status = 1
             continue
-        moved = [(abs(float(b["value"]) - float(a["value"])), float(b["error_estimate"]))
-                 for a, b in zip(old, new) if a != b]
-        # a NaN or zero estimate bounds no change at all
-        ratios = [d / e if e > 0 else (math.inf if d else 0.0) for d, e in moved]
+        fingerprints += sum(a["scenario_fingerprint"] != b["scenario_fingerprint"]
+                            for a, b in zip(old, new))
+        moved = []    # (|dvalue|, new error_estimate, new |value|)
+        for a, b in zip(old, new):
+            if (a["value"], a["error_estimate"]) != (b["value"], b["error_estimate"]):
+                value = float(b["value"])
+                moved.append((abs(value - float(a["value"])),
+                              float(b["error_estimate"]), abs(value)))
+        ratios = [_ratio(d, e) for d, e, _ in moved]
         exceeded = sum(not r <= 1.0 for r in ratios)
         print(f"{name} moved {len(moved)}/{len(new)} rows, max |dvalue| "
-              f"{max((d for d, _ in moved), default=0.0):.3e}, "
-              f"max |dvalue|/error_estimate {max(ratios, default=0.0):.3e}"
+              f"{max((d for d, _, _ in moved), default=0.0):.3e}, "
+              f"max |dvalue|/error_estimate {max(ratios, default=0.0):.3e}, "
+              f"max |dvalue|/|value| "
+              f"{max((_ratio(d, v) for d, _, v in moved), default=0.0):.3e}"
               + (f", {exceeded} beyond their error_estimate" if exceeded else ""))
         status |= exceeded > 0
-    return int(status)
+    if fingerprints:
+        print(f"{fingerprints} fingerprints changed")
+    return int(status or fingerprints > 0)
 
 
 def main(argv=None) -> int:
