@@ -8,12 +8,14 @@ CDF against the feeder density) serves as the numerical oracle for the
 closed forms, and simple four-term expansions cover the high-SNR regime.
 
 Sum handling: for integer severity m the k-sum weights are binomial and
-positive, so the (k, j) double sum is regrouped as one weight per j.  Only
-the s-side gamma Gamma(j - s) changes with j, and Gamma(j - s) =
-Gamma(-s) (-s)_j, so the evaluator integrates the whole weighted sum at
-once, with the Pochhammer polynomial sum_j w_j (-s)_j on the s-side.  The
-moments and the expansions, which sum their terms one by one, use
-compensated summation because the term magnitudes span many orders.
+positive, so the (k, j) double sum is regrouped as one weight per j, and
+the closed forms, the moments and the expansions all share these per-j
+weights.  Only the s-side gamma Gamma(j - s) changes with j, and
+Gamma(j - s) = Gamma(-s) (-s)_j, so the evaluator integrates the whole
+weighted sum at once, with the Pochhammer polynomial sum_j w_j (-s)_j on
+the s-side.  A moment is the feeder moment E[gamma_1^n] times the user-link
+sum over j.  The moments and the expansions, which sum their terms one by
+one, use compensated summation because the term magnitudes span many orders.
 """
 
 from __future__ import annotations
@@ -92,18 +94,6 @@ def check_detection(mod: ModulationSpec, scn: ScenarioConfig):
 def capacity_tau(scn: ScenarioConfig) -> float:
     """tau of log2(1 + tau gamma): e/(2 pi) under IM/DD, 1 under heterodyne."""
     return math.e / (2.0 * math.pi) if scn.detection_r == 2 else 1.0
-
-
-@dataclass(frozen=True)
-class MetricResult:
-    """One sweep point: value plus method and uncertainty bookkeeping."""
-    scenario_fingerprint: str
-    metric: str
-    sweep_value_db: float
-    value: float
-    method: Literal["exact", "asymptotic", "oracle", "monte-carlo"]
-    error_estimate: float = 0.0
-    n_samples: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +208,14 @@ def sndr_moments(order: int, scn: ScenarioConfig) -> float:
     if order < 1 or order != int(order):
         raise ValueError("moment order must be a positive integer")
     n = int(order)
-    al, be = scn.turbulence.alpha, scn.turbulence.beta
-    xi2 = scn.feeder.pointing.xi ** 2
-    r = scn.detection_r
-    m = scn.shadowing.m_int
     x1 = _x1(scn)
-    # r^(2r) is 1 or 16, so the division is exact
-    scale = _x2_base(scn) / r ** (2 * r)
-    pref = (xi2 * sp.gamma(al + r * n) * sp.gamma(be + r * n)
-            / ((xi2 + r * n) * sp.gamma(al) * sp.gamma(be) * sp.gamma(n))
-            * scale ** n * scn.shadowing.power_ratio ** (m - 1))
-    weights = _sum_weights(scn.shadowing)
-    terms = [weights[j] * specfun.meijer_g_2_1_1_2(x1, 1.0 - n, float(j), 1.0)
-             for j in range(m)]
+    # gamma_1 and gamma_2 are independent: E[gamma_1^n] times the user-link sum
+    g1_moment = fso_link.gamma1_moment(n, scn.detection_r, scn.turbulence,
+                                       scn.feeder.pointing, scn.mu_r)
+    pref = (g1_moment / ((scn.kappa * scn.b_row_norm_sq) ** n * sp.gamma(n))
+            * scn.shadowing.power_ratio ** (scn.shadowing.m_int - 1))
+    terms = [w_j * specfun.meijer_g_2_1_1_2(x1, 1.0 - n, float(j), 1.0)
+             for j, w_j in enumerate(_sum_weights(scn.shadowing))]
     return float(pref * math.fsum(terms))
 
 
@@ -358,7 +343,7 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
             "case, so the perturbed value is indicative only (the exact and "
             "oracle paths remain valid)", RuntimeWarning, stacklevel=3)
     x1 = _x1(scn)
-    a_const = scn.kappa * scn.b_row_norm_sq * (al * be * xi2) ** r / (xi2 + 1.0) ** r
+    a_const = r ** (2 * r) * scn.mu_r / _x2_base(scn)
 
     theta_tail = {"xi": xi2 / r, "al": al / r, "be": be / r}
     lead = {
@@ -367,28 +352,19 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
         "be": sp.gamma(al - be) / r * (1.0 / (xi2 - be)),
     }
 
-    coefs = rf_link.series_coeffs(scn.shadowing).tolist()
-    # the J2..J4 brackets depend on (j, theta) only, not on k
-    brackets = {}
-    for j in range(len(coefs)):
+    # the (k, j) double sum regrouped: term j carries the shared weight w_j
+    total = []
+    for j, w_j in enumerate(_sum_weights(scn.shadowing)):
+        # J1: exponent j
+        j1 = (sp.gamma(al - r * j) * sp.gamma(be - r * j)
+              * (1.0 / (xi2 - r * j)) * (x1 * a_const) ** j)
+        total.append(w_j * j1 * exponent_weight(float(j)) / scn.mu_r ** j)
+        # J2..J4: exponents xi^2/r, al/r, be/r
         for key, theta in theta_tail.items():
             g212 = specfun.meijer_g_2_1_1_2(x1, 1.0 + theta, float(j), 1.0)
-            brackets[(j, key)] = (sp.gamma(j - theta) * x1 ** theta
-                                  + g212 / sp.gamma(1.0 - theta))
-
-    total = []
-    for k, coef_k in enumerate(coefs):
-        for j in range(k + 1):
-            c_kj = coef_k / math.factorial(j)
-            # J1: exponent j
-            j1 = (sp.gamma(al - r * j) * sp.gamma(be - r * j)
-                  * (1.0 / (xi2 - r * j)) * (x1 * a_const) ** j)
-            total.append(c_kj * j1 * exponent_weight(float(j)) / scn.mu_r ** j)
-            # J2..J4: exponents xi^2/r, al/r, be/r
-            for key, theta in theta_tail.items():
-                term = lead[key] * a_const ** theta * brackets[(j, key)]
-                total.append(c_kj * term * exponent_weight(theta)
-                             / scn.mu_r ** theta)
+            bracket = sp.gamma(j - theta) * x1 ** theta + g212 / sp.gamma(1.0 - theta)
+            total.append(w_j * lead[key] * a_const ** theta * bracket
+                         * exponent_weight(theta) / scn.mu_r ** theta)
     pref = xi2 / (sp.gamma(al) * sp.gamma(be)) * scn.shadowing.power_ratio ** (m - 1)
     return pref * math.fsum(total)
 

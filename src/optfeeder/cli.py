@@ -213,14 +213,14 @@ EVALUATORS = {
 FIXED_ERROR = {"exact": 1e-9, "oracle": 1e-8, "asymptotic": math.nan}
 
 
-def _evaluate(metric, method, scn, args, sweep_value) -> analytics.MetricResult:
+def _evaluate(metric, method, scn, args, sweep_value) -> tuple:
+    """One CSV row: sweep value, value, error estimate, samples, fingerprint."""
     out = EVALUATORS[(metric, method)](scn, args)
     if isinstance(out, montecarlo.MonteCarloEstimate):
         val, err, n = out.value, out.half_width, out.n_samples
     else:
         val, err, n = out, FIXED_ERROR[method], 0
-    return analytics.MetricResult(scn.fingerprint(), metric, float(sweep_value),
-                                  float(val), method, float(err), n)
+    return float(sweep_value), float(val), float(err), n, scn.fingerprint()
 
 
 def run(args) -> int:
@@ -248,8 +248,7 @@ def run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows: dict[tuple[str, str], list[analytics.MetricResult]] = {
-        (args.metric, m): [] for m in methods}
+    rows: dict[tuple[str, str], list[tuple]] = {(args.metric, m): [] for m in methods}
     for point in grid:
         mu_db, point_over, point_args = args.mu_r_db, overrides, args
         if variable == "mu_r_db":
@@ -270,12 +269,8 @@ def run(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["sweep_value_dB", "value", "error_estimate",
                              "n_samples", "scenario_fingerprint"])
-            for res in results:
-                writer.writerow([f"{res.sweep_value_db:.6f}",
-                                 f"{res.value:.12e}",
-                                 f"{res.error_estimate:.6e}",
-                                 res.n_samples,
-                                 res.scenario_fingerprint])
+            writer.writerows([f"{sweep:.6f}", f"{val:.12e}", f"{err:.6e}", n, fp]
+                             for sweep, val, err, n, fp in results)
         files.append(str(fname))
 
     manifest = {

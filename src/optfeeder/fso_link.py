@@ -208,34 +208,6 @@ def scintillation_params(cfg: AtmosphereConfig) -> TurbulenceParams:
 # irradiance and electrical-SNR statistics
 # ---------------------------------------------------------------------------
 
-def irradiance_pdf(intensity, turb: TurbulenceParams, pointing: PointingConfig,
-                   path_loss_il: float = 1.0):
-    """Density of I = I_l * I_a * I_p (turbulence times misalignment loss)."""
-    ii = np.atleast_1d(np.asarray(intensity, dtype=float))
-    if np.any(ii <= 0):
-        raise ValueError("irradiance must be positive")
-    al, be, xi2 = turb.alpha, turb.beta, pointing.xi ** 2
-    scale = al * be / (pointing.a0 * path_loss_il)
-    arg = scale * ii
-    out = np.zeros_like(ii)
-    keep = arg <= _G_ARG_CUTOFF
-    if np.any(keep):
-        vals, _, _ = specfun.meijer_g_many(
-            (xi2,), (xi2 - 1.0, al - 1.0, be - 1.0), 3, 0, arg[keep])
-        out[keep] = xi2 * scale / (sp.gamma(al) * sp.gamma(be)) * vals
-    return out if np.ndim(intensity) else float(out[0])
-
-
-def irradiance_moment(order: float, turb: TurbulenceParams,
-                      pointing: PointingConfig, path_loss_il: float = 1.0) -> float:
-    """E[I^order] of the composite irradiance (closed form)."""
-    al, be, xi2 = turb.alpha, turb.beta, pointing.xi ** 2
-    gg = (sp.gamma(al + order) * sp.gamma(be + order)
-          / (sp.gamma(al) * sp.gamma(be) * (al * be) ** order))
-    pe = xi2 * pointing.a0 ** order / (xi2 + order)
-    return float(path_loss_il ** order * gg * pe)
-
-
 def sample_irradiance(turb: TurbulenceParams, pointing: PointingConfig,
                       path_loss_il: float, rng: np.random.Generator, n: int):
     """Draw I = I_l * I_a * I_p with unit-mean Gamma-Gamma turbulence."""
@@ -245,29 +217,21 @@ def sample_irradiance(turb: TurbulenceParams, pointing: PointingConfig,
     return path_loss_il * i_a * i_p
 
 
-def mu_r_from_gbar1(gbar1: float, r: int, turb: TurbulenceParams,
-                    pointing: PointingConfig) -> float:
-    """Average electrical SNR mu_r from the average SNR gbar1 = E[gamma_1].
+def gamma1_moment(order: float, r: int, turb: TurbulenceParams,
+                  pointing: PointingConfig, mu_r: float) -> float:
+    """E[gamma_1^order] of the feeder electrical SNR under detection order r.
 
-    Consistency with E[I^r] of the Gamma-Gamma x misalignment model requires
-    the r-shifted gamma function of BOTH shape parameters:
-    mu_r / gbar1 = (xi^2+r) (alpha beta xi^2)^r Gamma(al) Gamma(be)
-                   / (xi^2 (xi^2+1)^r Gamma(al+r) Gamma(be+r)).
+    With k = r * order, E[gamma_1^order] = mu_r^order / M_k, where
+    M_k = (xi^2+k) (alpha beta xi^2)^k Gamma(al) Gamma(be)
+          / (xi^2 (xi^2+1)^k Gamma(al+k) Gamma(be+k)).
+    At order 1 this is the average SNR gbar1; with r = 1 and mu_r = E[I]
+    it is the irradiance moment E[I^order].
     """
-    return gbar1 * _mu_over_gbar1(r, turb, pointing)
-
-
-def gbar1_from_mu_r(mu_r: float, r: int, turb: TurbulenceParams,
-                    pointing: PointingConfig) -> float:
-    """Inverse companion of :func:`mu_r_from_gbar1`."""
-    return mu_r / _mu_over_gbar1(r, turb, pointing)
-
-
-def _mu_over_gbar1(r, turb, pointing):
     al, be, xi2 = turb.alpha, turb.beta, pointing.xi ** 2
-    num = (xi2 + r) * (al * be * xi2) ** r * sp.gamma(al) * sp.gamma(be)
-    den = xi2 * (xi2 + 1.0) ** r * sp.gamma(al + r) * sp.gamma(be + r)
-    return float(num / den)
+    k = r * order
+    num = (xi2 + k) * (al * be * xi2) ** k * sp.gamma(al) * sp.gamma(be)
+    den = xi2 * (xi2 + 1.0) ** k * sp.gamma(al + k) * sp.gamma(be + k)
+    return mu_r ** order / float(num / den)
 
 
 def gamma1_pdf(gamma1, r: int, turb: TurbulenceParams, pointing: PointingConfig,

@@ -110,8 +110,8 @@ class ScenarioConfig:
         trace_term = trace_bbh_inv(b)
         row = b[self.user_index]
         b_row_norm_sq = float(row @ row)
-        gbar1 = fso_link.gbar1_from_mu_r(self.mu_r, self.detection_r,
-                                         self.turbulence, self.feeder.pointing)
+        gbar1 = fso_link.gamma1_moment(1, self.detection_r, self.turbulence,
+                                       self.feeder.pointing, self.mu_r)
         if self.gain_mode == "fixed":
             relay_g = self.fixed_gain
         elif self.hpa.family == "linear":

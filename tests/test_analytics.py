@@ -4,12 +4,13 @@ moment consistency, asymptotic behavior, and the modulation table."""
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from optfeeder import analytics, montecarlo, specfun
+from optfeeder import analytics, cli, montecarlo, specfun
 from conftest import rng_for
 
 
@@ -185,6 +186,32 @@ def test_moments_against_pdf_quadrature(scn_imdd_twta):
                       * analytics.sndr_pdf_exact(math.tan(t), scn_imdd_twta)
                       / math.cos(t) ** 2, 1e-6, math.pi / 2 - 1e-8, limit=200)
         assert closed == pytest.approx(val, rel=1e-4)
+
+
+@pytest.mark.parametrize("detection", ["imdd", "heterodyne"])
+def test_moments_against_mpmath_term_sum(detection):
+    # deep user link (x1 ~ 1e-10): E[gamma_1^n] / ((kappa |b|^2)^n Gamma(n))
+    # times sum_j w_j G^{2,1}_{1,2}(x1 | 1-n; j, 1), every factor in mpmath
+    mp = pytest.importorskip("mpmath")
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "floor_phenomenology.ini"
+    cp, _ = cli.load_config(str(cfg))
+    scn = cli._scenario_from_config(cp, 10.0, {"detection": detection})
+    al, be = scn.turbulence.alpha, scn.turbulence.beta
+    xi2 = scn.feeder.pointing.xi ** 2
+    r = scn.detection_r
+    weights = analytics._sum_weights(scn.shadowing)
+    with mp.workdps(30):
+        x1 = mp.mpf(scn.noise_amp_c) * scn.shadowing.m / (mp.mpf(scn.kappa) * scn.gamma_bar2)
+        for n in (1, 2, 3):
+            k = r * n
+            g1_moment = (mp.mpf(scn.mu_r) ** n * xi2 * (xi2 + 1) ** k * mp.gamma(al + k)
+                         * mp.gamma(be + k) / ((xi2 + k) * (mp.mpf(al) * be * xi2) ** k
+                                               * mp.gamma(al) * mp.gamma(be)))
+            terms = mp.fsum(w * mp.meijerg([[1 - n], []], [[j, 1], []], x1)
+                            for j, w in enumerate(weights))
+            ref = (g1_moment / ((mp.mpf(scn.kappa) * scn.b_row_norm_sq) ** n * mp.gamma(n))
+                   * mp.mpf(scn.shadowing.power_ratio) ** (scn.shadowing.m_int - 1) * terms)
+            assert analytics.sndr_moments(n, scn) == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_moments_jensen(scn_imdd_twta):
@@ -448,9 +475,3 @@ def test_fit_gamma_bar2_bracket_check(scenario_factory):
     with pytest.raises(ValueError, match="outside attainable range"):
         analytics.fit_gamma_bar2(scn, 0.01, 10 ** 0.5, lo=1.0, hi=1e13)
 
-
-def test_metric_result_fields(scn_imdd_twta):
-    res = analytics.MetricResult(scn_imdd_twta.fingerprint(), "outage", 30.0,
-                                 0.25, "exact", 1e-9, 0)
-    assert res.metric == "outage"
-    assert 0.0 <= res.value <= 1.0

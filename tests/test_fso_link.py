@@ -173,18 +173,25 @@ def turb():
     return fso_link.scintillation_params(make_atmosphere(5e-13))
 
 
+def _irradiance_pdf(i, turb, point, il):
+    # the irradiance is gamma_1 at r = 1 with mu_r = E[I]
+    mean_i = il * point.a0 * point.xi ** 2 / (point.xi ** 2 + 1.0)
+    return fso_link.gamma1_pdf(i, 1, turb, point, mean_i)
+
+
 def test_irradiance_pdf_normalization_and_mean(turb):
     point = fso_link.PointingConfig(xi=1.1, a0=0.9)
     il = 0.95
-    norm, _ = quad(lambda i: fso_link.irradiance_pdf(i, turb, point, il),
+    norm, _ = quad(lambda i: _irradiance_pdf(i, turb, point, il),
                    1e-12, 60.0, limit=300)
     assert norm == pytest.approx(1.0, abs=1e-6)
-    mean, _ = quad(lambda i: i * fso_link.irradiance_pdf(i, turb, point, il),
+    mean, _ = quad(lambda i: i * _irradiance_pdf(i, turb, point, il),
                    1e-12, 60.0, limit=300)
     xi2 = 1.1 ** 2
-    assert mean == pytest.approx(il * 0.9 * xi2 / (xi2 + 1), rel=1e-6)
+    mean_i = il * 0.9 * xi2 / (xi2 + 1)
+    assert mean == pytest.approx(mean_i, rel=1e-6)
     assert mean == pytest.approx(
-        fso_link.irradiance_moment(1, turb, point, il), rel=1e-6)
+        fso_link.gamma1_moment(1, 1, turb, point, mean_i), rel=1e-6)
 
 
 def test_irradiance_pdf_matches_histogram(turb):
@@ -195,7 +202,7 @@ def test_irradiance_pdf_matches_histogram(turb):
     edges = np.linspace(0.02, 2.5, 26)
     counts, _ = np.histogram(draws, bins=edges)
     for k in range(len(edges) - 1):
-        prob, _ = quad(lambda i: fso_link.irradiance_pdf(i, turb, point, 1.0),
+        prob, _ = quad(lambda i: _irradiance_pdf(i, turb, point, 1.0),
                        edges[k], edges[k + 1])
         expect = n * prob
         # Poisson 5-sigma band per bin
@@ -207,7 +214,7 @@ def test_irradiance_sampler_ks(turb):
     rng = rng_for(26)
     draws = fso_link.sample_irradiance(turb, point, 1.0, rng, 100_000)
     grid = np.linspace(1e-6, float(draws.max()) * 1.05, 4001)
-    pdf = fso_link.irradiance_pdf(grid, turb, point, 1.0)
+    pdf = _irradiance_pdf(grid, turb, point, 1.0)
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(grid) / 2)])
     cdf /= cdf[-1]
     res = ks_1samp(draws, lambda x: np.interp(x, grid, cdf))
@@ -253,9 +260,12 @@ def test_gamma1_pdf_normalization_and_mean(turb, r):
                    1e-10, math.pi / 2 - 1e-10, limit=400)
     # E[gamma_1] must equal the gbar1 implied by the mu_r conversion; this
     # pins the r-shifted gamma factor of the second shape parameter
-    gbar1 = fso_link.gbar1_from_mu_r(mu_r, r, turb, point)
+    gbar1 = fso_link.gamma1_moment(1, r, turb, point, mu_r)
     assert mean == pytest.approx(gbar1, rel=1e-6)
-    assert fso_link.mu_r_from_gbar1(gbar1, r, turb, point) == pytest.approx(mu_r)
+    second, _ = quad(lambda t: math.tan(t) ** 2 * pdf(math.tan(t)) / math.cos(t) ** 2,
+                     1e-10, math.pi / 2 - 1e-10, limit=400)
+    assert second == pytest.approx(fso_link.gamma1_moment(2, r, turb, point, mu_r),
+                                   rel=1e-6)
 
 
 def test_gamma1_sampler_against_pdf(turb):

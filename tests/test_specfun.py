@@ -364,6 +364,21 @@ def test_tricomi_u_negative_first_parameter():
         assert specfun.tricomi_u(a, b, z) == pytest.approx(ref, rel=1e-9)
 
 
+def test_tricomi_u_small_argument():
+    # the deep-SNR regime of the moments and expansions: z down to 1e-10,
+    # where the kernel's (1 + t)^(b-a-1) turns over far from its peak; the
+    # last case is one where a two-piece adaptive quad lost every digit
+    mp = pytest.importorskip("mpmath")
+    rng = rng_for(33)
+    cases = [(rng.uniform(0.01, 25.0), rng.uniform(-3.0, 20.0),
+              10.0 ** rng.uniform(-10.0, -4.0)) for _ in range(40)]
+    cases.append((13.80, 0.297, 3.39e-7))
+    with mp.workdps(30):
+        for a, b, z in cases:
+            ref = float(mp.hyperu(a, b, z))
+            assert specfun.tricomi_u(a, b, z) == pytest.approx(ref, rel=1e-12), (a, b, z)
+
+
 # ---------------------------------------------------------------------------
 # bivariate Meijer G
 # ---------------------------------------------------------------------------

@@ -196,7 +196,8 @@ def test_relay_gain(scenario_factory):
     draws = fso_link.sample_irradiance(turb, point, 1.0, rng, n) ** 2
     est = float(np.mean(draws))
     se = float(np.std(draws)) / math.sqrt(n)
-    closed = fso_link.irradiance_moment(2, turb, point, 1.0)
+    mean_i = point.a0 * point.xi ** 2 / (point.xi ** 2 + 1.0)
+    closed = fso_link.gamma1_moment(2, 1, turb, point, mean_i)
     assert abs(est - closed) < 3 * se
 
 
