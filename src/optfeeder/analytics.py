@@ -70,6 +70,12 @@ def modulation(name: str, order: int | None = None) -> ModulationSpec:
     if order is None:
         raise ValueError(f"{name} needs a constellation order")
     m_ord = int(order)
+    # the tables below cover M-PSK for M = 2^k and square M-QAM, M = 4^k
+    power_of_two = m_ord >= 2 and m_ord & (m_ord - 1) == 0
+    if key == "mpsk" and not power_of_two:
+        raise ValueError(f"M-PSK needs an order 2, 4, 8, ..., not {order}")
+    if key == "mqam" and not (power_of_two and m_ord.bit_length() % 2 == 1):
+        raise ValueError(f"M-QAM needs an order 4, 16, 64, ..., not {order}")
     if key == "mpsk":
         n = max(m_ord // 4, 1)
         delta = 2.0 / max(math.log2(m_ord), 2.0)

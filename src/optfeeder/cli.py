@@ -46,9 +46,8 @@ DEFAULTS = {
         "beam_radius_tx_m": "0.02",
         "beam_wander": "true",
     },
-    "pointing": {"xi": "1.1", "a0": "1.0"},
-    "feeder": {"detection": "imdd", "path_loss_il": "1.0", "eta": "1.0",
-               "sigma1_sq": "1.0"},
+    "pointing": {"xi": "1.1"},
+    "feeder": {"detection": "imdd", "sigma1_sq": "1.0"},
     "rf": {
         "carrier_ghz": "20.0",
         "gain_tx_dbi": "52.0",
@@ -114,18 +113,15 @@ def _scenario_from_config(cp: configparser.ConfigParser, mu_r_db: float,
         beam_radius_tx=a.getfloat("beam_radius_tx_m"),
         beam_wander=a.getboolean("beam_wander"),
     )
-    p = cp["pointing"]
     pointing = fso_link.PointingConfig(
-        xi=overrides.get("xi", p.getfloat("xi")), a0=p.getfloat("a0"))
+        xi=overrides.get("xi", cp["pointing"].getfloat("xi")))
     f = cp["feeder"]
     det = overrides.get("detection", f.get("detection")).lower()
     if det not in ("imdd", "heterodyne", "het"):
         raise ConfigError(f"unknown detection {det!r}")
     feeder = fso_link.FeederConfig(
         detection_r=2 if det == "imdd" else 1,
-        atmosphere=atmo, pointing=pointing,
-        path_loss_il=f.getfloat("path_loss_il"),
-        eta=f.getfloat("eta"), sigma1_sq=f.getfloat("sigma1_sq"))
+        atmosphere=atmo, pointing=pointing, sigma1_sq=f.getfloat("sigma1_sq"))
     r = cp["rf"]
     rf = rf_link.RfLinkParams(
         carrier_hz=r.getfloat("carrier_ghz") * 1e9,
@@ -196,12 +192,9 @@ EVALUATORS = {
     ("outage", "oracle"): lambda scn, a: analytics.sndr_cdf_oracle(_gamma_th(a), scn),
     ("outage", "monte-carlo"):
         lambda scn, a: montecarlo.empirical_outage(_sim(scn, a), _gamma_th(a)),
-    ("ber", "exact"): lambda scn, a: analytics.ber_exact(
-        analytics.modulation(a.modulation, a.mod_order), scn),
-    ("ber", "asymptotic"): lambda scn, a: analytics.ber_asymptotic(
-        analytics.modulation(a.modulation, a.mod_order), scn),
-    ("ber", "monte-carlo"): lambda scn, a: montecarlo.empirical_ber(
-        _sim(scn, a), analytics.modulation(a.modulation, a.mod_order)),
+    ("ber", "exact"): lambda scn, a: analytics.ber_exact(a.mod, scn),
+    ("ber", "asymptotic"): lambda scn, a: analytics.ber_asymptotic(a.mod, scn),
+    ("ber", "monte-carlo"): lambda scn, a: montecarlo.empirical_ber(_sim(scn, a), a.mod),
     ("capacity", "exact"): lambda scn, a: analytics.capacity_exact(scn),
     ("capacity", "monte-carlo"):
         lambda scn, a: montecarlo.empirical_capacity(_sim(scn, a)),
@@ -242,8 +235,10 @@ def run(args) -> int:
         overrides["hpa"] = args.hpa
     if args.ibo_db is not None:
         overrides["ibo_db"] = args.ibo_db
-    # the manifest's scenario; built before any output exists, so a config
-    # the scenario rejects leaves no output directory behind
+    # the modulation and the manifest's scenario are built before any output
+    # exists, so an input they reject leaves no output directory behind
+    args = argparse.Namespace(
+        **vars(args), mod=analytics.modulation(args.modulation, args.mod_order))
     scn0 = _scenario_from_config(cp, args.mu_r_db, overrides)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

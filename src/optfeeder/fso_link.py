@@ -4,7 +4,7 @@ Covers the slant-path turbulence pipeline (Hufnagel-Valley profile to Rytov
 variance, Fried parameter, and beam-wander pointing jitter, following
 Andrews & Phillips), Gamma-Gamma scintillation with misalignment loss, the
 electrical-SNR distribution for both direct and coherent detection, and
-matching samplers for Monte Carlo work.
+its sampler for Monte Carlo work.
 """
 
 from __future__ import annotations
@@ -68,24 +68,24 @@ class TurbulenceParams:
     rytov_var: float
     fried_r0: float
     sigma_pe: float              # beam-wander pointing jitter, m at the receiver plane
-    scintillation_index: float
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("Gamma-Gamma shapes must be positive")
 
+    @property
+    def scintillation_index(self) -> float:
+        return 1.0 / self.alpha + 1.0 / self.beta + 1.0 / (self.alpha * self.beta)
+
 
 @dataclass(frozen=True)
 class PointingConfig:
-    """Misalignment severity xi and peak collected-power fraction A0."""
+    """Misalignment severity xi."""
     xi: float
-    a0: float = 1.0
 
     def __post_init__(self):
         if self.xi <= 0:
             raise ValueError("xi must be positive")
-        if not (0 < self.a0 <= 1):
-            raise ValueError("A0 must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,11 @@ class FeederConfig:
     detection_r: int             # 1 = heterodyne, 2 = IM/DD
     atmosphere: AtmosphereConfig
     pointing: PointingConfig
-    path_loss_il: float = 1.0    # Beers-Lambert term, deterministic
-    eta: float = 1.0             # photoelectric conversion
     sigma1_sq: float = 1.0       # feeder noise variance
 
     def __post_init__(self):
         if self.detection_r not in (1, 2):
             raise ValueError("detection_r must be 1 (heterodyne) or 2 (IM/DD)")
-        if not (0 < self.path_loss_il <= 1):
-            raise ValueError("path loss I_l must lie in (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -199,23 +195,13 @@ def scintillation_params(cfg: AtmosphereConfig) -> TurbulenceParams:
         wander = 0.0
     alpha = 1.0 / (wander + large_scale)
     beta = 1.0 / (math.exp(0.51 * sigma_b / (1.0 + 0.69 * sigma_b ** 1.2) ** (5.0 / 6.0)) - 1.0)
-    si = 1.0 / alpha + 1.0 / beta + 1.0 / (alpha * beta)
     return TurbulenceParams(alpha=alpha, beta=beta, rytov_var=sigma_b,
-                            fried_r0=r0, sigma_pe=sigma_pe, scintillation_index=si)
+                            fried_r0=r0, sigma_pe=sigma_pe)
 
 
 # ---------------------------------------------------------------------------
 # irradiance and electrical-SNR statistics
 # ---------------------------------------------------------------------------
-
-def sample_irradiance(turb: TurbulenceParams, pointing: PointingConfig,
-                      path_loss_il: float, rng: np.random.Generator, n: int):
-    """Draw I = I_l * I_a * I_p with unit-mean Gamma-Gamma turbulence."""
-    i_a = (rng.gamma(turb.alpha, 1.0 / turb.alpha, n)
-           * rng.gamma(turb.beta, 1.0 / turb.beta, n))
-    i_p = pointing.a0 * rng.random(n) ** (1.0 / pointing.xi ** 2)
-    return path_loss_il * i_a * i_p
-
 
 def gamma1_moment(order: float, r: int, turb: TurbulenceParams,
                   pointing: PointingConfig, mu_r: float) -> float:
@@ -224,8 +210,8 @@ def gamma1_moment(order: float, r: int, turb: TurbulenceParams,
     With k = r * order, E[gamma_1^order] = mu_r^order / M_k, where
     M_k = (xi^2+k) (alpha beta xi^2)^k Gamma(al) Gamma(be)
           / (xi^2 (xi^2+1)^k Gamma(al+k) Gamma(be+k)).
-    At order 1 this is the average SNR gbar1; with r = 1 and mu_r = E[I]
-    it is the irradiance moment E[I^order].
+    At order 1 this is the average SNR gbar1; with r = 1 and
+    mu_r = E[I] = xi^2/(xi^2+1) it is the irradiance moment E[I^order].
     """
     al, be, xi2 = turb.alpha, turb.beta, pointing.xi ** 2
     k = r * order
@@ -252,14 +238,15 @@ def gamma1_pdf(gamma1, r: int, turb: TurbulenceParams, pointing: PointingConfig,
 
 
 def sample_gamma1(r: int, turb: TurbulenceParams, pointing: PointingConfig,
-                  mu_r: float, path_loss_il: float,
-                  rng: np.random.Generator, n: int):
-    """Draw gamma_1 = mu_r * (I / (A0 I_l xi^2/(xi^2+1)))^r.
+                  mu_r: float, rng: np.random.Generator, n: int):
+    """Draw gamma_1 = mu_r * (I / E[I])^r, E[I] = xi^2/(xi^2+1).
 
-    The photoelectric conversion cancels between gamma_1 and mu_r, so the
-    sampler needs only the normalized irradiance.
+    I = I_a * I_p: unit-mean Gamma-Gamma turbulence times the pointing
+    factor U^(1/xi^2).  Every constant scale of I (peak collected fraction,
+    path loss, photoelectric gain) cancels between gamma_1 and mu_r.
     """
-    i = sample_irradiance(turb, pointing, path_loss_il, rng, n)
     xi2 = pointing.xi ** 2
-    ref = pointing.a0 * path_loss_il * xi2 / (xi2 + 1.0)
-    return mu_r * (i / ref) ** r
+    i_a = (rng.gamma(turb.alpha, 1.0 / turb.alpha, n)
+           * rng.gamma(turb.beta, 1.0 / turb.beta, n))
+    i = i_a * rng.random(n) ** (1.0 / xi2)
+    return mu_r * (i / (xi2 / (xi2 + 1.0))) ** r

@@ -63,8 +63,7 @@ def simulate_sndr(plan: SimPlan):
         n = min(plan.batch_size, remaining)
         rng = _batch_rng(plan, index)
         g1 = fso_link.sample_gamma1(scn.detection_r, scn.turbulence,
-                                    scn.feeder.pointing, scn.mu_r,
-                                    scn.feeder.path_loss_il, rng, n)
+                                    scn.feeder.pointing, scn.mu_r, rng, n)
         g2 = rf_link.sample_gamma2(scn.shadowing, scn.gamma_bar2, rng, n)
         yield system.sndr(g1, g2, scn)
         remaining -= n

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.special as sp
 
 SPEED_OF_LIGHT = 299792458.0   # m/s
+BOLTZMANN = 1.380649e-23       # J/K
 PATTERN_PEAK_CONST = 2.07123   # u = const * sin(theta)/sin(theta_3dB)
 
 
@@ -36,7 +37,6 @@ class RfLinkParams:
     bandwidth_hz: float
     noise_temp_k: float
     theta_3db_rad: float
-    boltzmann: float = 1.380649e-23
 
     def __post_init__(self):
         for name in ("carrier_hz", "gain_tx", "gain_rx", "bandwidth_hz",
@@ -100,7 +100,7 @@ def beam_gain_matrix(layout: BeamLayout, rf: RfLinkParams) -> np.ndarray:
     u = PATTERN_PEAK_CONST * np.sin(theta) / math.sin(rf.theta_3db_rad)
     amplitude = (SPEED_OF_LIGHT * math.sqrt(rf.gain_tx * rf.gain_rx)
                  / (4.0 * math.pi * rf.carrier_hz * layout.slant_range
-                    * math.sqrt(rf.boltzmann * rf.noise_temp_k * rf.bandwidth_hz)))
+                    * math.sqrt(BOLTZMANN * rf.noise_temp_k * rf.bandwidth_hz)))
     return amplitude * _pattern(u)
 
 

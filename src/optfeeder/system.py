@@ -3,8 +3,8 @@ and the signal-to-noise-plus-distortion law of the relayed forward link.
 
 A ``ScenarioConfig`` freezes one operating point (one average electrical SNR
 of the feeder link) and derives every other quantity from its inputs in
-``__post_init__``, so each clone made with ``dataclasses.replace`` (sweeps
-use :meth:`ScenarioConfig.at_mu_r`) re-derives what its changed input
+``__post_init__``, so each clone made with ``dataclasses.replace`` (as
+:meth:`ScenarioConfig.at_mu_r` does) re-derives what its changed input
 affects: the relay gain shrinks as the optical transmit power grows, so the
 distortion ratio kappa and the noise-amplification constant C both climb
 with mu_r.  That coupling is what separates the nonlinear amplifier floors
@@ -117,9 +117,9 @@ class ScenarioConfig:
         elif self.hpa.family == "linear":
             relay_g = 1.0
         else:
-            # P_g E[(eta I)^r] / sigma1^2 equals trace_term * gbar1 by the
-            # definition of the average feeder SNR, so the power-constrained
-            # gain follows without touching eta or P_g explicitly
+            # the relay's mean input signal power over sigma1^2 is
+            # trace_term * gbar1 by the definition of the average feeder
+            # SNR, so the power-constrained gain needs no optical power scale
             relay_g = math.sqrt(self.hpa.p_r / (self.feeder.sigma1_sq
                                                 * (trace_term * gbar1 + 1.0)))
         derived = {
@@ -145,11 +145,6 @@ class ScenarioConfig:
     def detection_r(self) -> int:
         return self.feeder.detection_r
 
-    @property
-    def p_s(self) -> float:
-        """Total satellite transmit power N (K^2 P_r + sigma_NL^2)."""
-        return self.gain_matrix.shape[0] * self.hpa.sat_power_tx
-
     def at_mu_r(self, mu_r: float) -> "ScenarioConfig":
         """Same system at another feeder operating point."""
         return replace(self, mu_r=mu_r)
@@ -172,11 +167,8 @@ class ScenarioConfig:
         a = f.atmosphere
         return {
             "detection_r": f.detection_r,
-            "path_loss_il": f.path_loss_il,
-            "eta": f.eta,
             "sigma1_sq": f.sigma1_sq,
             "xi": f.pointing.xi,
-            "a0": f.pointing.a0,
             "altitude_sat": a.altitude_sat,
             "altitude_ground": a.altitude_ground,
             "zenith_rad": a.zenith_rad,

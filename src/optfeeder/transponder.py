@@ -46,18 +46,18 @@ _SERIES_CUTOFF = 1e3
 # waveform-level AM/AM characteristics
 # ---------------------------------------------------------------------------
 
-def saleh_amam(x, a_sat: float):
+def saleh_amam(x, amp_sat: float):
     """Saleh amplitude response A_sat^2 x / (x^2 + A_sat^2)."""
     x = np.asarray(x, dtype=float)
-    return a_sat ** 2 * x / (x ** 2 + a_sat ** 2)
+    return amp_sat ** 2 * x / (x ** 2 + amp_sat ** 2)
 
 
-def rapp_amam(x, a_sat: float, smoothness: float = 1.0):
+def rapp_amam(x, amp_sat: float, smoothness: float = 1.0):
     """Rapp amplitude response x / (1 + (x/A_sat)^(2v))^(1/(2v))."""
     if smoothness <= 0:
         raise ValueError("smoothness must be positive")
     x = np.asarray(x, dtype=float)
-    return x / (1.0 + (x / a_sat) ** (2.0 * smoothness)) ** (1.0 / (2.0 * smoothness))
+    return x / (1.0 + (x / amp_sat) ** (2.0 * smoothness)) ** (1.0 / (2.0 * smoothness))
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +131,6 @@ class HpaState:
             raise ValueError("distortion power must be nonnegative")
 
     @property
-    def a_sat(self) -> float:
-        return math.sqrt(self.ibo_linear * self.p_r)
-
-    @property
-    def distortion_over_k2(self) -> float:
-        """sigma_NL^2 / (K^2 P_r), the back-off-only distortion coefficient."""
-        return self.sigma_nl_sq / (self.k_gain ** 2 * self.p_r)
-
-    @property
     def sat_power_tx(self) -> float:
         """Per-feed transmit power P_s/N = K^2 P_r + sigma_NL^2."""
         return self.k_gain ** 2 * self.p_r + self.sigma_nl_sq
@@ -153,11 +144,8 @@ class HpaState:
 
 def hpa_state(family: str, ibo_db: float | None = None, p_r: float = 1.0) -> HpaState:
     """Build an HpaState from a back-off in dB ('linear' needs no back-off)."""
-    if family == "linear":
-        ibo = math.inf if ibo_db is None else 10.0 ** (ibo_db / 10.0)
-        return HpaState("linear", ibo, p_r, 1.0, 0.0)
-    if ibo_db is None:
+    if ibo_db is None and family != "linear":
         raise ValueError("nonlinear families need a back-off")
-    ibo = 10.0 ** (ibo_db / 10.0)
+    ibo = math.inf if ibo_db is None else 10.0 ** (ibo_db / 10.0)
     k_gain, snl = bussgang_pair(family, ibo, p_r)
     return HpaState(family, ibo, p_r, k_gain, snl)

@@ -49,6 +49,13 @@ def test_modulation_table():
     assert analytics.modulation("mqam", 64).n_terms == 4
     with pytest.raises(ValueError):
         analytics.modulation("mpsk")
+    assert analytics.modulation("mpsk", 2).q_values == pytest.approx((1.0,))
+    assert analytics.modulation("mqam", 4).q_values == pytest.approx((0.5,))
+    # only the tabulated orders: M-PSK at 2^k, square M-QAM at 4^k
+    for name, order in (("mpsk", 1), ("mpsk", 3), ("mpsk", 6), ("mpsk", 0),
+                        ("mqam", 1), ("mqam", 2), ("mqam", 8), ("mqam", 32)):
+        with pytest.raises(ValueError):
+            analytics.modulation(name, order)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +296,7 @@ def test_parameter_collision_handling(layout, rf_params):
     def scenario(alpha):
         turb = fso_link.TurbulenceParams(
             alpha=alpha, beta=4.3, rytov_var=0.7, fried_r0=0.018,
-            sigma_pe=133.0, scintillation_index=0.8)
+            sigma_pe=133.0)
         feeder = fso_link.FeederConfig(
             2, make_atmosphere(1e-12), fso_link.PointingConfig(xi=1.3))
         return system.build_scenario(

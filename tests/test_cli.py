@@ -1,9 +1,11 @@
 """Sweep front-end: CSV round-trip, determinism, manifest completeness, and
 exit codes."""
 
+import configparser
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -163,19 +165,32 @@ def test_bad_config_exit_code(tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("text", [
-    "[sweep]\nstep = 0\n",
-    "p_g = 2\n[system]\n",
-    "[hpa]\nibo_db = 20\n[hpa]\nibo_db = 21\n",
-    "[system]\nuser_index = 7\n",
-    "[system]\nuser_index = -1\n",
+_HET_BER = ["--metric", "ber", "--detection", "het"]
+
+
+@pytest.mark.parametrize("text,argv", [
+    ("[sweep]\nstep = 0\n", []),
+    ("p_g = 2\n[system]\n", []),
+    ("[hpa]\nibo_db = 20\n[hpa]\nibo_db = 21\n", []),
+    ("[system]\nuser_index = 7\n", []),
+    ("[system]\nuser_index = -1\n", []),
+    ("[pointing]\na0 = 1.0\n", []),
+    ("[feeder]\npath_loss_il = 1.0\n", []),
+    ("[feeder]\neta = 1.0\n", []),
+    ("", _HET_BER + ["--modulation", "mqam", "--mod-order", "1"]),
+    ("", _HET_BER + ["--modulation", "mqam", "--mod-order", "2"]),
+    ("", _HET_BER + ["--modulation", "mqam", "--mod-order", "32"]),
+    ("", _HET_BER + ["--modulation", "mpsk", "--mod-order", "3"]),
 ], ids=["zero_step", "no_section_header", "duplicate_section",
-        "user_index_past_last_beam", "negative_user_index"])
-def test_malformed_config_exit_code(tmp_path, text):
+        "user_index_past_last_beam", "negative_user_index", "removed_key_a0",
+        "removed_key_path_loss_il", "removed_key_eta", "qam_order_1",
+        "qam_order_2", "qam_order_32", "psk_order_3"])
+def test_malformed_config_exit_code(tmp_path, capsys, text, argv):
     bad = tmp_path / "malformed.ini"
     bad.write_text(text)
-    rc = _run(["--config", str(bad), "--out", str(tmp_path / "x")])
+    rc = _run(["--config", str(bad), "--out", str(tmp_path / "x")] + argv)
     assert rc == 1
+    assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()    # rejected before any output
 
 
@@ -276,3 +291,61 @@ def test_sweep_points_match_fresh_builds(tmp_path, variable):
             overrides = {variable: point}
         fresh = cli._scenario_from_config(cp, mu_r_db, overrides)
         assert row["scenario_fingerprint"] == fresh.fingerprint()
+
+
+def test_config_doc_matches_defaults():
+    # the documented ini block lists exactly the keys and defaults the CLI reads
+    text = (Path(__file__).parent.parent / "docs" / "config.md").read_text()
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    doc = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+    doc.read_string(block)
+    assert {sec: dict(doc[sec]) for sec in doc.sections()} == cli.DEFAULTS
+
+
+def _metric_inputs(scn):
+    """Every scenario number the metrics read."""
+    return [scn.turbulence.alpha, scn.turbulence.beta, scn.feeder.pointing.xi,
+            scn.detection_r, scn.shadowing.m, scn.shadowing.b, scn.shadowing.omega,
+            scn.mu_r, scn.kappa, scn.noise_amp_c, scn.b_row_norm_sq, scn.gamma_bar2]
+
+
+def _perturbed(value):
+    """Another legal value of a config string."""
+    switch = {"true": "false", "imdd": "heterodyne", "twta": "sspa",
+              "power_constrained": "fixed", "": "1e6"}
+    if value in switch:
+        return switch[value]
+    number = float(value)
+    return repr(0.9 * number) if number != 0 else "100"
+
+
+def _moves(cp, section, key, value):
+    base = _metric_inputs(cli._scenario_from_config(cp, 50.0, {}))
+    cp[section][key] = value
+    new = _metric_inputs(cli._scenario_from_config(cp, 50.0, {}))
+    return any(abs(n - b) > 1e-9 * abs(b) for n, b in zip(new, base))
+
+
+def test_every_config_key_reaches_a_metric_input():
+    # p_g sets only the reported precoder constant c_zf = p_g / tr[(B B^H)^-1];
+    # the metrics see the feeder through mu_r, which is given directly
+    inert = {("system", "p_g")}
+    # sigma1_sq cancels from kappa under the power-constrained gain, and
+    # fixed_gain is the gain of the fixed mode: both act only there
+    fixed_only = {("feeder", "sigma1_sq"), ("system", "fixed_gain")}
+    # index 0 scaled is 0 again and 100 lies past the last beam
+    legal = {("system", "user_index"): "1"}
+    for section, keys in cli.DEFAULTS.items():
+        if section == "sweep":
+            continue
+        for key, default in keys.items():
+            cp, _ = cli.load_config(None)
+            if (section, key) in fixed_only:
+                cp["system"]["gain_mode"] = "fixed"
+            value = legal.get((section, key), _perturbed(default))
+            if (section, key) in inert:
+                before = cli._scenario_from_config(cp, 50.0, {}).c_zf
+                assert not _moves(cp, section, key, value)
+                assert cli._scenario_from_config(cp, 50.0, {}).c_zf != before
+            else:
+                assert _moves(cp, section, key, value), f"[{section}] {key}"

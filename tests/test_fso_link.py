@@ -173,22 +173,28 @@ def turb():
     return fso_link.scintillation_params(make_atmosphere(5e-13))
 
 
-def _irradiance_pdf(i, turb, point, il):
-    # the irradiance is gamma_1 at r = 1 with mu_r = E[I]
-    mean_i = il * point.a0 * point.xi ** 2 / (point.xi ** 2 + 1.0)
-    return fso_link.gamma1_pdf(i, 1, turb, point, mean_i)
+# the irradiance is gamma_1 at r = 1 with mu_r = E[I]
+def _mean_irradiance(point):
+    return point.xi ** 2 / (point.xi ** 2 + 1.0)
+
+
+def _irradiance_pdf(i, turb, point):
+    return fso_link.gamma1_pdf(i, 1, turb, point, _mean_irradiance(point))
+
+
+def _sample_irradiance(turb, point, rng, n):
+    return fso_link.sample_gamma1(1, turb, point, _mean_irradiance(point), rng, n)
 
 
 def test_irradiance_pdf_normalization_and_mean(turb):
-    point = fso_link.PointingConfig(xi=1.1, a0=0.9)
-    il = 0.95
-    norm, _ = quad(lambda i: _irradiance_pdf(i, turb, point, il),
+    point = fso_link.PointingConfig(xi=1.1)
+    norm, _ = quad(lambda i: _irradiance_pdf(i, turb, point),
                    1e-12, 60.0, limit=300)
     assert norm == pytest.approx(1.0, abs=1e-6)
-    mean, _ = quad(lambda i: i * _irradiance_pdf(i, turb, point, il),
+    mean, _ = quad(lambda i: i * _irradiance_pdf(i, turb, point),
                    1e-12, 60.0, limit=300)
     xi2 = 1.1 ** 2
-    mean_i = il * 0.9 * xi2 / (xi2 + 1)
+    mean_i = xi2 / (xi2 + 1)
     assert mean == pytest.approx(mean_i, rel=1e-6)
     assert mean == pytest.approx(
         fso_link.gamma1_moment(1, 1, turb, point, mean_i), rel=1e-6)
@@ -198,11 +204,11 @@ def test_irradiance_pdf_matches_histogram(turb):
     point = fso_link.PointingConfig(xi=1.1)
     rng = rng_for(21)
     n = 200_000
-    draws = fso_link.sample_irradiance(turb, point, 1.0, rng, n)
+    draws = _sample_irradiance(turb, point, rng, n)
     edges = np.linspace(0.02, 2.5, 26)
     counts, _ = np.histogram(draws, bins=edges)
     for k in range(len(edges) - 1):
-        prob, _ = quad(lambda i: _irradiance_pdf(i, turb, point, 1.0),
+        prob, _ = quad(lambda i: _irradiance_pdf(i, turb, point),
                        edges[k], edges[k + 1])
         expect = n * prob
         # Poisson 5-sigma band per bin
@@ -212,9 +218,9 @@ def test_irradiance_pdf_matches_histogram(turb):
 def test_irradiance_sampler_ks(turb):
     point = fso_link.PointingConfig(xi=1.1)
     rng = rng_for(26)
-    draws = fso_link.sample_irradiance(turb, point, 1.0, rng, 100_000)
+    draws = _sample_irradiance(turb, point, rng, 100_000)
     grid = np.linspace(1e-6, float(draws.max()) * 1.05, 4001)
-    pdf = _irradiance_pdf(grid, turb, point, 1.0)
+    pdf = _irradiance_pdf(grid, turb, point)
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(grid) / 2)])
     cdf /= cdf[-1]
     res = ks_1samp(draws, lambda x: np.interp(x, grid, cdf))
@@ -223,10 +229,9 @@ def test_irradiance_sampler_ks(turb):
 
 def test_sampler_degenerate_pointing(turb):
     rng = rng_for(22)
-    point = fso_link.PointingConfig(xi=1e9, a0=0.7)
-    draws = fso_link.sample_irradiance(turb, point, 1.0, rng, 2000)
-    i_a = draws / 0.7
-    # pointing factor collapses to A0, leaving pure turbulence
+    point = fso_link.PointingConfig(xi=1e9)
+    i_a = _sample_irradiance(turb, point, rng, 2000)
+    # pointing factor collapses to 1, leaving pure turbulence
     assert np.mean(i_a) == pytest.approx(1.0, abs=5 * 1.5 / math.sqrt(2000))
 
 
@@ -273,7 +278,7 @@ def test_gamma1_sampler_against_pdf(turb):
     mu_r = 100.0
     rng = rng_for(24)
     n = 100_000
-    draws = fso_link.sample_gamma1(2, turb, point, mu_r, 1.0, rng, n)
+    draws = fso_link.sample_gamma1(2, turb, point, mu_r, rng, n)
     qs = np.quantile(draws, np.linspace(0.05, 0.95, 10))
     cdf_vals = []
     for q in qs:
@@ -291,7 +296,7 @@ def test_feeder_config_validation(turb):
     with pytest.raises(ValueError):
         fso_link.FeederConfig(3, atmo, fso_link.PointingConfig(1.0))
     with pytest.raises(ValueError):
-        fso_link.PointingConfig(xi=1.0, a0=1.5)
+        fso_link.PointingConfig(xi=0.0)
     with pytest.raises(ValueError):
         fso_link.AtmosphereConfig(
             0.0, 10.0, 0.0, 1550e-9, 21.0, 1e-13, 0.02)

@@ -108,7 +108,6 @@ def test_scenario_pipeline_shapes(layout, rf_params):
     expect = scn.hpa.sat_power_tx * scn.b_row_norm_sq * two_bm_om
     assert scn.gamma_bar2 == pytest.approx(expect, rel=1e-12)
     assert scn.gamma2_source == "physical"
-    assert scn.p_s == pytest.approx(7 * scn.hpa.sat_power_tx, rel=1e-12)
 
 
 def test_kappa_tracks_operating_point(scenario_factory):
@@ -117,7 +116,7 @@ def test_kappa_tracks_operating_point(scenario_factory):
     # the power-constrained relay gain shrinks and kappa grows with mu_r
     assert hi.relay_g < scn.relay_g
     assert hi.kappa > scn.kappa
-    c = scn.hpa.distortion_over_k2
+    c = scn.hpa.sigma_nl_sq / (scn.hpa.k_gain ** 2 * scn.hpa.p_r)
     expect = 1.0 + c * (scn.trace_term * scn.gbar1 + 1.0)
     assert scn.kappa == pytest.approx(expect, rel=1e-12)
     # fixed-gain mode reproduces the plain ratio
@@ -130,8 +129,6 @@ def test_scenario_describe_records_defaults(scenario_factory):
     scn = scenario_factory()
     d = scn.describe()
     assert d["user_placement"] == "beam_centers"
-    assert d["a0"] == 1.0
-    assert d["path_loss_il"] == 1.0
     assert d["sigma1_sq"] == 1.0
     assert d["gain_mode"] == "power_constrained"
     assert d["gamma2_source"] == "explicit"

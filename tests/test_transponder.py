@@ -193,10 +193,10 @@ def test_relay_gain(scenario_factory):
     point = fso_link.PointingConfig(xi=1.1)
     rng = rng_for(43)
     n = 2_000_000
-    draws = fso_link.sample_irradiance(turb, point, 1.0, rng, n) ** 2
+    mean_i = point.xi ** 2 / (point.xi ** 2 + 1.0)
+    draws = fso_link.sample_gamma1(1, turb, point, mean_i, rng, n) ** 2
     est = float(np.mean(draws))
     se = float(np.std(draws)) / math.sqrt(n)
-    mean_i = point.a0 * point.xi ** 2 / (point.xi ** 2 + 1.0)
     closed = fso_link.gamma1_moment(2, 1, turb, point, mean_i)
     assert abs(est - closed) < 3 * se
 
@@ -204,10 +204,11 @@ def test_relay_gain(scenario_factory):
 def test_hpa_state_construction():
     h = transponder.hpa_state("twta", 25.0)
     assert h.family == "twta"
-    assert h.a_sat == pytest.approx(math.sqrt(10 ** 2.5))
+    assert h.ibo_linear == pytest.approx(10 ** 2.5)
     assert h.sat_power_tx == pytest.approx(h.k_gain ** 2 + h.sigma_nl_sq)
     lin = transponder.hpa_state("linear")
     assert lin.k_gain == 1.0 and lin.sigma_nl_sq == 0.0
+    assert lin.ibo_linear == math.inf
     assert lin.kappa_for_gain(0.3, 1.0) == 1.0
     with pytest.raises(ValueError):
         transponder.hpa_state("sspa")       # back-off required
