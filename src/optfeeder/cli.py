@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import json
 import math
 import sys
@@ -178,42 +179,59 @@ def _gamma_th(args) -> float:
     return 10.0 ** (args.gamma_th_db / 10.0)
 
 
-def _sim(scn, args) -> montecarlo.SimPlan:
-    return montecarlo.SimPlan(scn, args.samples, args.seed)
+def _sim(scns, args) -> montecarlo.SimPlan:
+    return montecarlo.SimPlan(scns, args.samples, args.seed)
 
 
-# (metric, method) -> f(scenario, args): a value, or a Monte Carlo estimate
-# carrying its own half width and sample count.  The lambdas look the
-# functions up at call time, so wrappers installed on the modules apply.
+# (metric, method) -> evaluator.  A deterministic method's takes one point,
+# f(scenario, args), and returns its value.  A Monte Carlo one takes a run
+# of consecutive points that share one sample stream, f(scenarios, args of
+# each point), and returns one estimate per point, each carrying its own
+# half width and sample count.  The lambdas look the functions up at call
+# time, so wrappers installed on the modules apply.
 EVALUATORS = {
     ("outage", "exact"): lambda scn, a: analytics.outage_exact(_gamma_th(a), scn),
     ("outage", "asymptotic"):
         lambda scn, a: analytics.outage_asymptotic(_gamma_th(a), scn),
     ("outage", "oracle"): lambda scn, a: analytics.sndr_cdf_oracle(_gamma_th(a), scn),
-    ("outage", "monte-carlo"):
-        lambda scn, a: montecarlo.empirical_outage(_sim(scn, a), _gamma_th(a)),
+    ("outage", "monte-carlo"): lambda scns, pa: montecarlo.empirical_outage(
+        _sim(scns, pa[0]), [_gamma_th(a) for a in pa]),
     ("ber", "exact"): lambda scn, a: analytics.ber_exact(a.mod, scn),
     ("ber", "asymptotic"): lambda scn, a: analytics.ber_asymptotic(a.mod, scn),
-    ("ber", "monte-carlo"): lambda scn, a: montecarlo.empirical_ber(_sim(scn, a), a.mod),
+    ("ber", "monte-carlo"):
+        lambda scns, pa: montecarlo.empirical_ber(_sim(scns, pa[0]), pa[0].mod),
     ("capacity", "exact"): lambda scn, a: analytics.capacity_exact(scn),
     ("capacity", "monte-carlo"):
-        lambda scn, a: montecarlo.empirical_capacity(_sim(scn, a)),
+        lambda scns, pa: montecarlo.empirical_capacity(_sim(scns, pa[0])),
     ("moments", "exact"): lambda scn, a: analytics.sndr_moments(a.order, scn),
     ("moments", "monte-carlo"):
-        lambda scn, a: montecarlo.empirical_moment(_sim(scn, a), a.order),
+        lambda scns, pa: montecarlo.empirical_moment(_sim(scns, pa[0]), pa[0].order),
 }
 # error_estimate column of the deterministic methods
 FIXED_ERROR = {"exact": 1e-9, "oracle": 1e-8, "asymptotic": math.nan}
 
 
-def _evaluate(metric, method, scn, args, sweep_value) -> tuple:
+def _evaluate(metric, method, points) -> list:
+    """The method's value or estimate at each (sweep value, scenario, args)
+    point: a Monte Carlo method runs once per run of consecutive points
+    with equal ``montecarlo.stream_key``, any other once per point."""
+    evaluate = EVALUATORS[(metric, method)]
+    if method != "monte-carlo":
+        return [evaluate(scn, a) for _, scn, a in points]
+    out = []
+    for _, run in itertools.groupby(points, key=lambda p: montecarlo.stream_key(p[1])):
+        _, scns, point_args = zip(*run)
+        out += evaluate(scns, point_args)
+    return out
+
+
+def _row(method, point, scn, out) -> tuple:
     """One CSV row: sweep value, value, error estimate, samples, fingerprint."""
-    out = EVALUATORS[(metric, method)](scn, args)
     if isinstance(out, montecarlo.MonteCarloEstimate):
         val, err, n = out.value, out.half_width, out.n_samples
     else:
         val, err, n = out, FIXED_ERROR[method], 0
-    return float(sweep_value), float(val), float(err), n, scn.fingerprint()
+    return float(point), float(val), float(err), n, scn.fingerprint()
 
 
 def run(args) -> int:
@@ -243,7 +261,7 @@ def run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows: dict[tuple[str, str], list[tuple]] = {(args.metric, m): [] for m in methods}
+    points = []
     for point in grid:
         mu_db, point_over, point_args = args.mu_r_db, overrides, args
         if variable == "mu_r_db":
@@ -252,10 +270,10 @@ def run(args) -> int:
             point_args = argparse.Namespace(**{**vars(args), "gamma_th_db": point})
         else:   # cn2, xi, ibo_db
             point_over = {**overrides, variable: point}
-        scn = _scenario_from_config(cp, mu_db, point_over)
-        for m in methods:
-            rows[(args.metric, m)].append(
-                _evaluate(args.metric, m, scn, point_args, point))
+        points.append((point, _scenario_from_config(cp, mu_db, point_over), point_args))
+    rows = {(args.metric, m): [_row(m, point, scn, out) for (point, scn, _), out
+                               in zip(points, _evaluate(args.metric, m, points))]
+            for m in methods}
 
     files = []
     for (metric, method), results in rows.items():

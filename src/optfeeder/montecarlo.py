@@ -8,7 +8,10 @@ Reproducibility contract: streams are counter-based (Philox keyed by the
 master seed and the batch index), so results for a fixed (scenario, N,
 seed, batch size) are bit-identical no matter how batches are scheduled.
 Within a batch numpy's pairwise summation applies; across batches partial
-sums are combined with exact float summation.
+sums are combined with exact float summation.  A plan may carry several
+scenarios that agree on ``stream_key``: every scenario of the plan reads
+the same draws, so each of its estimates is bit-identical to the one a
+single-scenario plan gives (common random numbers across a sweep).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc
 
 from . import analytics, fso_link, rf_link, system
 from .system import ScenarioConfig
@@ -24,10 +28,26 @@ from .system import ScenarioConfig
 DEFAULT_BATCH = 1 << 19
 
 
+def stream_key(scn: ScenarioConfig) -> dict:
+    """The scenario inputs the sampled stream reads, by name.
+
+    Scenarios that agree on them (they may differ in mu_r, kappa, C and
+    ||b||^2) can share one plan and so one set of draws.
+    """
+    return {"detection_r": scn.detection_r, "turbulence": scn.turbulence,
+            "pointing": scn.feeder.pointing, "shadowing": scn.shadowing,
+            "gamma_bar2": scn.gamma_bar2}
+
+
 @dataclass(frozen=True)
 class SimPlan:
-    """Scenario, sample budget, and the deterministic stream layout."""
-    scenario: ScenarioConfig
+    """Scenario, sample budget, and the deterministic stream layout.
+
+    ``scenario`` is one ScenarioConfig, or a tuple of scenarios that share
+    the stream; the estimators return one estimate for the former and a
+    list of one estimate per scenario, in order, for the latter.
+    """
+    scenario: ScenarioConfig | tuple[ScenarioConfig, ...]
     n_samples: int
     seed: int
     batch_size: int = DEFAULT_BATCH
@@ -37,6 +57,20 @@ class SimPlan:
             raise ValueError("need at least one sample")
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
+        if not self.scenarios:
+            raise ValueError("need at least one scenario")
+        first = stream_key(self.scenarios[0])
+        for i, scn in enumerate(self.scenarios[1:], 1):
+            for name, value in stream_key(scn).items():
+                if value != first[name]:
+                    raise ValueError(f"the scenarios of one plan must share "
+                                     f"{name}: scenario {i} differs from scenario 0")
+
+    @property
+    def scenarios(self) -> tuple[ScenarioConfig, ...]:
+        if isinstance(self.scenario, ScenarioConfig):
+            return (self.scenario,)
+        return tuple(self.scenario)
 
 
 @dataclass(frozen=True)
@@ -55,82 +89,113 @@ def _batch_rng(plan: SimPlan, index: int) -> np.random.Generator:
 
 
 def simulate_sndr(plan: SimPlan):
-    """Yield batches of end-to-end SNDR samples (deterministic stream)."""
-    scn = plan.scenario
+    """Yield batches of end-to-end SNDR samples (deterministic stream).
+
+    Batch-major, scenario-minor: for each batch of draws, one array per
+    scenario of the plan, so item i belongs to scenario i % len(scenarios).
+    Each batch is drawn once with unit mu_r and scaled per scenario
+    (1.0 * x == x, so every scenario gets the bytes of its own stream).
+    """
+    scns = plan.scenarios
+    first = scns[0]
     remaining = plan.n_samples
     index = 0
     while remaining > 0:
         n = min(plan.batch_size, remaining)
         rng = _batch_rng(plan, index)
-        g1 = fso_link.sample_gamma1(scn.detection_r, scn.turbulence,
-                                    scn.feeder.pointing, scn.mu_r, rng, n)
-        g2 = rf_link.sample_gamma2(scn.shadowing, scn.gamma_bar2, rng, n)
-        yield system.sndr(g1, g2, scn)
+        x = fso_link.sample_gamma1(first.detection_r, first.turbulence,
+                                   first.feeder.pointing, 1.0, rng, n)
+        g2 = rf_link.sample_gamma2(first.shadowing, first.gamma_bar2, rng, n)
+        for scn in scns:
+            yield system.sndr(scn.mu_r * x, g2, scn)
         remaining -= n
         index += 1
 
 
-def _mean_ci(plan: SimPlan, transform) -> MonteCarloEstimate:
-    sums, sq_sums, count = [], [], 0
-    for batch in simulate_sndr(plan):
+def _per_plan(plan: SimPlan, estimates: list):
+    """One estimate for a single-scenario plan, else the per-scenario list."""
+    return estimates[0] if isinstance(plan.scenario, ScenarioConfig) else estimates
+
+
+def _cdf_hits(plan: SimPlan, thresholds: np.ndarray) -> np.ndarray:
+    """Per scenario (row), the samples below each of that row's thresholds."""
+    hits = np.zeros(thresholds.shape)
+    n_scn = len(plan.scenarios)
+    for i, batch in enumerate(simulate_sndr(plan)):
+        k = i % n_scn
+        hits[k] += (batch[:, None] < thresholds[k][None, :]).sum(axis=0)
+    return hits
+
+
+def _binomial(hits: float, count: int) -> MonteCarloEstimate:
+    p = hits / count
+    half = 3.0 * math.sqrt(max(p * (1.0 - p), 1.0 / count) / count)
+    return MonteCarloEstimate(p, half, count)
+
+
+def _mean_ci(plan: SimPlan, transform):
+    n_scn = len(plan.scenarios)
+    sums = [[] for _ in range(n_scn)]
+    sq_sums = [[] for _ in range(n_scn)]
+    for i, batch in enumerate(simulate_sndr(plan)):
         vals = transform(batch)
-        sums.append(float(np.sum(vals)))
-        sq_sums.append(float(np.sum(vals * vals)))
-        count += vals.size
-    mean = math.fsum(sums) / count
-    var = max(math.fsum(sq_sums) / count - mean * mean, 0.0)
-    half = 3.0 * math.sqrt(var / count)
-    return MonteCarloEstimate(mean, half, count)
-
-
-def empirical_outage(plan: SimPlan, gamma_th: float) -> MonteCarloEstimate:
-    """Fraction of SNDR samples below the threshold, with binomial 3-sigma."""
-    if gamma_th < 0:
-        raise ValueError("threshold must be nonnegative")
-    return empirical_cdf(plan, [gamma_th])[0]
-
-
-def empirical_cdf(plan: SimPlan, points) -> list[MonteCarloEstimate]:
-    """Empirical CDF at several points from one shared sample stream."""
-    pts = np.asarray(points, dtype=float)
-    hits = np.zeros(pts.size)
-    count = 0
-    for batch in simulate_sndr(plan):
-        hits += (batch[:, None] < pts[None, :]).sum(axis=0)
-        count += batch.size
+        sums[i % n_scn].append(float(np.sum(vals)))
+        sq_sums[i % n_scn].append(float(np.sum(vals * vals)))
+    count = plan.n_samples
     out = []
-    for h in hits:
-        p = h / count
-        half = 3.0 * math.sqrt(max(p * (1.0 - p), 1.0 / count) / count)
-        out.append(MonteCarloEstimate(p, half, count))
-    return out
+    for s, sq in zip(sums, sq_sums):
+        mean = math.fsum(s) / count
+        var = max(math.fsum(sq) / count - mean * mean, 0.0)
+        out.append(MonteCarloEstimate(mean, 3.0 * math.sqrt(var / count), count))
+    return _per_plan(plan, out)
 
 
-def empirical_ber(plan: SimPlan, mod: analytics.ModulationSpec) -> MonteCarloEstimate:
+def empirical_outage(plan: SimPlan, gamma_th):
+    """Fraction of SNDR samples below the threshold, with binomial 3-sigma.
+
+    ``gamma_th`` is one threshold for every scenario of the plan, or a
+    sequence of one per scenario.
+    """
+    th = np.broadcast_to(np.asarray(gamma_th, dtype=float), (len(plan.scenarios),))
+    if np.any(th < 0):
+        raise ValueError("threshold must be nonnegative")
+    hits = _cdf_hits(plan, th[:, None])
+    return _per_plan(plan, [_binomial(row[0], plan.n_samples) for row in hits])
+
+
+def empirical_cdf(plan: SimPlan, points):
+    """Empirical CDF at several points from one shared sample stream: a list
+    over the points (per scenario, for a plan of several)."""
+    pts = np.asarray(points, dtype=float)
+    hits = _cdf_hits(plan, np.tile(pts, (len(plan.scenarios), 1)))
+    return _per_plan(plan, [[_binomial(h, plan.n_samples) for h in row]
+                            for row in hits])
+
+
+def empirical_ber(plan: SimPlan, mod: analytics.ModulationSpec):
     """Average of the exact conditional BER over the SNDR stream.
 
     For the p = 1/2 family the conditional BER is a finite erfc sum,
     delta/2 sum_u erfc(sqrt(q_u gamma)), so averaging it is unbiased.
     """
-    analytics.check_detection(mod, plan.scenario)
-    from scipy.special import erfc as _erfc
+    analytics.check_detection(mod, plan.scenarios[0])
 
     def conditional(g):
         acc = np.zeros_like(g)
         for q in mod.q_values:
-            acc += _erfc(np.sqrt(q * g))
+            acc += erfc(np.sqrt(q * g))
         return 0.5 * mod.delta * acc
 
     return _mean_ci(plan, conditional)
 
 
-def empirical_capacity(plan: SimPlan) -> MonteCarloEstimate:
+def empirical_capacity(plan: SimPlan):
     """Sample mean of log2(1 + tau gamma), tau set by the detection type."""
-    tau = analytics.capacity_tau(plan.scenario)
+    tau = analytics.capacity_tau(plan.scenarios[0])
     return _mean_ci(plan, lambda g: np.log2(1.0 + tau * g))
 
 
-def empirical_moment(plan: SimPlan, order: int) -> MonteCarloEstimate:
+def empirical_moment(plan: SimPlan, order: int):
     """Sample moment E[gamma^order]."""
     if order < 1:
         raise ValueError("order must be a positive integer")

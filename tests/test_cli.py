@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from optfeeder import analytics, cli, specfun
+from optfeeder import analytics, cli, montecarlo, specfun
 
 
 CONFIG = """
@@ -291,6 +291,69 @@ def test_sweep_points_match_fresh_builds(tmp_path, variable):
             overrides = {variable: point}
         fresh = cli._scenario_from_config(cp, mu_r_db, overrides)
         assert row["scenario_fingerprint"] == fresh.fingerprint()
+
+
+# (variable, grid, explicit gamma_bar2, Monte Carlo calls the sweep makes)
+_MC_SWEEPS = [
+    ("mu_r_db", "20 30 40", True, 1),
+    ("gamma_th_db", "0 5 10", True, 1),
+    ("ibo_db", "20 25 30", True, 1),
+    ("ibo_db", "20 25 30", False, 3),   # physical gamma_bar2 moves with ibo
+    ("cn2", "2e-12 1e-12 5e-13", True, 3),
+]
+# metric -> (estimator, CLI arguments, its call on a plan and the point's args)
+_MC_METRICS = {
+    "outage": ("empirical_outage", ["--gamma-th-db", "5"],
+               lambda fn, plan, a: fn(plan, cli._gamma_th(a))),
+    "ber": ("empirical_ber", ["--modulation", "ook"],
+            lambda fn, plan, a: fn(plan, a.mod)),
+    "capacity": ("empirical_capacity", [], lambda fn, plan, a: fn(plan)),
+    "moments": ("empirical_moment", ["--order", "2"],
+                lambda fn, plan, a: fn(plan, a.order)),
+}
+
+
+@pytest.mark.parametrize("metric", list(_MC_METRICS))
+@pytest.mark.parametrize("variable,grid,explicit,calls", _MC_SWEEPS,
+                         ids=["mu_r_db", "gamma_th_db", "ibo_db",
+                              "ibo_db_physical", "cn2"])
+def test_monte_carlo_rows_match_single_scenario_calls(
+        tmp_path, monkeypatch, variable, grid, explicit, calls, metric):
+    text = CONFIG if explicit else CONFIG.replace("gamma_bar2 = 2.7588e6", "")
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(text + f"grid = {grid}\n")
+    name, extra, call = _MC_METRICS[metric]
+    single = getattr(montecarlo, name)
+    seen = []
+    monkeypatch.setattr(montecarlo, name,
+                        lambda plan, *a: seen.append(plan) or single(plan, *a))
+    out = tmp_path / "s"
+    argv = ["--config", str(cfg), "--sweep", variable, "--metric", metric,
+            "--method", "monte-carlo", "--mu-r-db", "35", "--samples", "3000",
+            "--seed", "5", "--out", str(out)] + extra
+    assert _run(argv) == 0
+    # one call per run of points on one stream
+    assert len(seen) == calls
+    assert sum(len(plan.scenarios) for plan in seen) == len(grid.split())
+
+    args = cli.build_parser().parse_args(argv)
+    args.mod = analytics.modulation(args.modulation, args.mod_order)
+    cp, _ = cli.load_config(str(cfg))
+    with open(out / f"{metric}_monte_carlo.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(grid.split())
+    for point, row in zip(map(float, grid.split()), rows):
+        mu_r_db, overrides = 35.0, {}
+        if variable == "mu_r_db":
+            mu_r_db = point
+        elif variable == "gamma_th_db":
+            args.gamma_th_db = point
+        else:
+            overrides = {variable: point}
+        fresh = cli._scenario_from_config(cp, mu_r_db, overrides)
+        est = call(single, montecarlo.SimPlan(fresh, 3000, 5), args)
+        assert (row["value"], row["error_estimate"], row["n_samples"]) == (
+            f"{est.value:.12e}", f"{est.half_width:.6e}", str(est.n_samples))
 
 
 def test_config_doc_matches_defaults():

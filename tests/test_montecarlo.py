@@ -2,6 +2,7 @@
 and agreement with the analytic layer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,3 +110,65 @@ def test_plan_validation(scenario):
         montecarlo.empirical_ber(
             montecarlo.SimPlan(scenario, 100, seed=1),
             analytics.modulation("bpsk"))   # detection mismatch
+
+
+def test_shared_plan_matches_single_plans(scenario):
+    # three operating points on one stream, 50_000 samples in batches of
+    # 2^14: three full batches and a partial one
+    scns = tuple(scenario.at_mu_r_db(db) for db in (10.0, 30.0, 50.0))
+    shared = montecarlo.SimPlan(scns, 50_000, seed=41, batch_size=1 << 14)
+    singles = [montecarlo.SimPlan(s, 50_000, seed=41, batch_size=1 << 14)
+               for s in scns]
+    batches = list(montecarlo.simulate_sndr(shared))
+    assert len(batches) == 4 * len(scns)
+    for k, single in enumerate(singles):
+        own = list(montecarlo.simulate_sndr(single))
+        assert len(own) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(batches[k::len(scns)], own))
+
+    ths = [0.5, 2.0, 8.0]
+    ook = analytics.modulation("ook")
+    assert montecarlo.empirical_outage(shared, ths) == [
+        montecarlo.empirical_outage(p, th) for p, th in zip(singles, ths)]
+    assert montecarlo.empirical_outage(shared, 2.0) == [
+        montecarlo.empirical_outage(p, 2.0) for p in singles]
+    assert montecarlo.empirical_cdf(shared, ths) == [
+        montecarlo.empirical_cdf(p, ths) for p in singles]
+    assert montecarlo.empirical_ber(shared, ook) == [
+        montecarlo.empirical_ber(p, ook) for p in singles]
+    assert montecarlo.empirical_capacity(shared) == [
+        montecarlo.empirical_capacity(p) for p in singles]
+    assert montecarlo.empirical_moment(shared, 2) == [
+        montecarlo.empirical_moment(p, 2) for p in singles]
+
+
+@pytest.mark.parametrize("field,change", [
+    ("detection_r", {"detection": "het"}),
+    ("turbulence", {"cn2": 2e-12}),
+    ("pointing", {"xi": 1.5}),
+    ("shadowing", {"shadowing": HEAVY_SHADOWING}),
+    ("gamma_bar2", {"gamma_bar2": 1e7}),
+])
+def test_shared_plan_rejects_another_stream(scenario_factory, field, change):
+    base = scenario_factory(mu_r_db=30.0)
+    other = scenario_factory(mu_r_db=40.0, **change)
+    with pytest.raises(ValueError, match=f"must share {field}:"):
+        montecarlo.SimPlan((base, base.at_mu_r_db(35.0), other), 100, seed=1)
+
+
+def test_shared_plan_memory_does_not_grow_with_scenarios(scenario):
+    # no (scenarios x batch) array and no stream kept past the call
+    def peak(scns, estimate):
+        plan = montecarlo.SimPlan(scns, 3 << 16, seed=43, batch_size=1 << 16)
+        tracemalloc.start()
+        try:
+            estimate(plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    many = tuple(scenario.at_mu_r_db(db) for db in range(0, 85, 5))
+    assert len(many) == 17
+    for estimate in (lambda p: montecarlo.empirical_outage(p, 2.0),
+                     montecarlo.empirical_capacity):
+        assert peak(many, estimate) <= 1.5 * peak((scenario,), estimate)
