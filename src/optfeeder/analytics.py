@@ -409,8 +409,10 @@ def fit_gamma_bar2(scn: ScenarioConfig, target_outage: float, gamma_th: float,
     everything else, so Brent's method on the bracket [lo, hi] finds the
     root in about ten evaluations.  It stops once ln gamma_bar2 is known to
     the closed form's relative tolerance, which moves the fitted outage by
-    far less than its own error.  The fitted value is meant to be frozen
-    into a documented configuration afterwards.
+    far less than its own error.  gamma_bar2 enters the closed form only
+    through x1, so the steps share one bivariate t-collapse per grid and
+    each step only multiplies in x1^s.  The fitted value is meant to be
+    frozen into a documented configuration afterwards.
     """
     if not (0.0 < target_outage < 1.0):
         raise ValueError("target outage must lie in (0, 1)")

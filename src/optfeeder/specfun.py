@@ -25,6 +25,7 @@ bounds both the last refinement step and the truncated tail.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -411,6 +412,96 @@ def _plan_bivariate(js, t_block):
     return s_right - 0.5 * min(1.0, s_right - lo_s), sigma_t
 
 
+# The lines of one refinement level do not depend on x1, and only the
+# t-collapse depends on x2, so each is memoised on its exact inputs and
+# shared by every call on the same grid: the steps of a root search in x1,
+# the sweep points that share a t-block.  Cached arrays are read-only.
+#
+# Size: one calibration (three gamma_bar2 fits) builds 30 distinct
+# t-collapses and reuses each within 16 other builds; a closed-form sweep
+# reuses its lines within 26.  Thirty-two entries keep all of those reuses,
+# and 1,211 of the 1,248 line reuses of tools/output_digest.py's sweeps.
+# Worst case: the metric families here have ns/nt between 0.6 and 2.2, so a
+# level under the 4e7-node cap has at most about 9,400 s and 8,200 t nodes,
+# and one entry holds at most 0.53 MB (s-line), 0.26 MB (t-line), 0.33 MB
+# (coupling line) and 0.23 MB (t-collapse): 43 MB for all four caches full.
+_LINE_CACHE = 32
+
+
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=_LINE_CACHE)
+def _t_line(t_block, sigma_t, h, nt):
+    """t-contour points and the t-block's log gammas on them."""
+    v = h * np.arange(-nt, nt + 1)
+    t = sigma_t + 1j * v
+    return _frozen(t, _line_log_block(t_block.a, t_block.b, t_block.m, t_block.n, t))
+
+
+@functools.lru_cache(maxsize=_LINE_CACHE)
+def _coupling_line(sigma_w, h, n):
+    """Coupling gamma on the antidiagonal sums s + t (abscissa ``sigma_w``),
+    scaled by its largest modulus: (log of that scale, values, moduli)."""
+    w_sum = sigma_w + 1j * h * np.arange(-n, n + 1)
+    log_c = sp.loggamma(w_sum)
+    c_max = float(np.max(log_c.real))
+    c_n = np.exp(log_c - c_max)
+    return (c_max,) + _frozen(c_n, np.abs(c_n))
+
+
+@functools.lru_cache(maxsize=_LINE_CACHE)
+def _s_line(coef, j0, sigma_s, h, ns):
+    """s-contour points, log Gamma(j0 - s) Gamma(1 - s) on them, and the
+    Pochhammer polynomial P with its termwise modulus bound, built as
+    running products."""
+    u = h * np.arange(-ns, ns + 1)
+    s = sigma_s + 1j * u
+    log_g = sp.loggamma(j0 - s) + sp.loggamma(1.0 - s)
+    poch = np.ones_like(s)
+    poly = np.full_like(s, coef[0])
+    bound = np.full(len(s), abs(coef[0]))
+    for k in range(1, len(coef)):
+        poch *= j0 + k - 1 - s
+        poly += coef[k] * poch
+        bound += abs(coef[k]) * np.abs(poch)
+    return _frozen(s, log_g, poly, bound)
+
+
+@functools.lru_cache(maxsize=_LINE_CACHE)
+def _t_collapse(t_block, sigma_s, sigma_t, h, ns, nt, x2):
+    """The t-integral at every s node, as a Hankel product, with the t-tail
+    monitor's edge magnitudes per s node and its tail divisor."""
+    t, log_blk = _t_line(t_block, sigma_t, h, nt)
+    log_t = log_blk + t * math.log(x2)
+    # the kernel C[i + k] T[k] is a Hankel matrix times a diagonal, never
+    # formed; both maxima are factored out so nothing overflows, and
+    # restored in tvec
+    c_max, c_n, abs_c = _coupling_line(sigma_s + sigma_t, h, ns + nt)
+    t_max = float(np.max(log_t.real))
+    t_n = np.exp(log_t - t_max)
+    t_n[0] *= 0.5      # trapezoid weights on the t edges
+    t_n[-1] *= 0.5
+    lead = math.exp(c_max + t_max)
+    tvec = lead * (sliding_window_view(c_n, 2 * nt + 1) @ t_n)
+    tvec[[0, -1]] *= 0.5   # and on the s edges
+    # t-tail monitor: edge blocks of |kernel| per s node, and the edge
+    # column sums |T[k]| sum_i |C[i + k]| over the whole s-line, summed
+    # directly so that tail columns keep their relative accuracy
+    blk_t = min(8, nt // 2)
+    abs_t = np.abs(t_n)
+    t_edge = lead / blk_t * (
+        sliding_window_view(abs_c[:2 * ns + blk_t], blk_t) @ abs_t[:blk_t]
+        + sliding_window_view(abs_c[-(2 * ns + blk_t):], blk_t) @ abs_t[-blk_t:])
+    cols = np.r_[:2 * blk_t, 2 * nt + 1 - 2 * blk_t:2 * nt + 1]
+    col_sums = sliding_window_view(abs_c, 2 * ns + 1)[cols].sum(axis=1)
+    _, t_divisor = _edge_tail(abs_t[cols] * col_sums, blk_t)
+    return _frozen(tvec, t_edge) + (t_divisor,)
+
+
 def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
                               rel_tol: float = 1e-8, abs_tol: float = 0.0):
     """Weighted sum over integer j of the channel statistics' bivariate G terms.
@@ -425,7 +516,10 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
     the weights cancel.  On the shared grid the kernel is C[i + k] T[k],
     the coupling gamma on the antidiagonal sums times the t-block, so the
     t-collapse is a Hankel product: memory and the exponentials are
-    O(ns + nt), never O(ns nt).
+    O(ns + nt), never O(ns nt).  On a fixed grid x1 enters only through
+    x1^s, so each contour line is built once per grid and memoised; a call
+    whose grid and x2 an earlier call shared only adds s ln x1,
+    exponentiates and sums.
 
     Returns (total, error_estimate, plan).  ``weights`` default to 1.
     ``abs_tol`` sets an absolute-error floor so that totals which underflow
@@ -439,6 +533,7 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
     j0 = int(js.min())
     coef = np.zeros(int(js.max()) - j0 + 1)
     np.add.at(coef, js - j0, w)
+    coef = tuple(coef.tolist())
 
     # Gamma(j - s) Gamma(1 - s) decays like exp(-pi |u|); the coupling gamma
     # contributes exp(-pi |u+v| / 2), counted half toward each axis when
@@ -467,48 +562,9 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
                 return best[1], best[0], best[2]
             raise ConvergenceError("bivariate quadrature grid exceeded its work budget "
                                    "of 4e7 nodes")
-        u = h * np.arange(-ns, ns + 1)
-        v = h * np.arange(-nt, nt + 1)
-        s = sigma_s + 1j * u
-        t = sigma_t + 1j * v
-
-        log_t = _line_log_block(t_block.a, t_block.b, t_block.m, t_block.n, t)
-        log_t += t * math.log(x2)
-        # coupling gamma on the antidiagonal sums s + t: the kernel
-        # C[i + k] T[k] is a Hankel matrix times a diagonal, never formed
-        w_sum = (sigma_s + sigma_t) + 1j * h * np.arange(-(ns + nt), ns + nt + 1)
-        log_c = sp.loggamma(w_sum)
-        # factor out both maxima so nothing overflows; restored in tvec
-        c_max, t_max = float(np.max(log_c.real)), float(np.max(log_t.real))
-        c_n = np.exp(log_c - c_max)
-        t_n = np.exp(log_t - t_max)
-        t_n[0] *= 0.5      # trapezoid weights on the t edges
-        t_n[-1] *= 0.5
-        lead = math.exp(c_max + t_max)
-        tvec = lead * (sliding_window_view(c_n, 2 * nt + 1) @ t_n)
-        tvec[[0, -1]] *= 0.5   # and on the s edges
-        # t-tail monitor: edge blocks of |kernel| per s node, and the edge
-        # column sums |T[k]| sum_i |C[i + k]| over the whole s-line, summed
-        # directly so that tail columns keep their relative accuracy
-        blk_t = min(8, nt // 2)
-        abs_c, abs_t = np.abs(c_n), np.abs(t_n)
-        t_edge = lead / blk_t * (
-            sliding_window_view(abs_c[:2 * ns + blk_t], blk_t) @ abs_t[:blk_t]
-            + sliding_window_view(abs_c[-(2 * ns + blk_t):], blk_t) @ abs_t[-blk_t:])
-        cols = np.r_[:2 * blk_t, 2 * nt + 1 - 2 * blk_t:2 * nt + 1]
-        col_sums = sliding_window_view(abs_c, 2 * ns + 1)[cols].sum(axis=1)
-        _, t_divisor = _edge_tail(abs_t[cols] * col_sums, blk_t)
-
-        # s-side: Gamma(j0 - s) Gamma(1 - s) x1^s once, times the Pochhammer
-        # polynomial P and its termwise modulus bound, as running products
-        fs = np.exp(sp.loggamma(j0 - s) + sp.loggamma(1.0 - s) + s * math.log(x1))
-        poch = np.ones_like(s)
-        poly = np.full_like(s, coef[0])
-        bound = np.full(len(s), abs(coef[0]))
-        for k in range(1, len(coef)):
-            poch *= j0 + k - 1 - s
-            poly += coef[k] * poch
-            bound += abs(coef[k]) * np.abs(poch)
+        s, log_g, poly, bound = _s_line(coef, j0, sigma_s, h, ns)
+        tvec, t_edge, t_divisor = _t_collapse(t_block, sigma_s, sigma_t, h, ns, nt, x2)
+        fs = np.exp(log_g + s * math.log(x1))
         fs_mod = np.abs(fs) * bound
         quadw = h * h / (4.0 * math.pi ** 2)
         total = float(np.real(np.sum(fs * poly * tvec))) * quadw

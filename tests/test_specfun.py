@@ -10,7 +10,7 @@ import pytest
 import scipy.special as sp
 from scipy.integrate import dblquad, quad
 
-from optfeeder import rf_link, specfun
+from optfeeder import analytics, rf_link, specfun
 from conftest import rng_for
 
 
@@ -503,6 +503,26 @@ def _bivariate_dense(js, t_block, x1, x2, w, rel_tol):
     raise specfun.ConvergenceError("did not converge")
 
 
+def _seeded_family(rng, case):
+    """t-block and weights of a seeded family: cases cycle through r = 1, 2
+    and the CDF, PDF, BER and capacity t-blocks."""
+    blocks = ((), (), 0.0), ((), (), 1.0), ((), (0.5,), 0.0), ((1.0,), (1.0,), 0.0)
+    r = 1 + case % 2
+    top, bottom, last = blocks[(case // 2) % 4]
+    alpha, beta = rng.uniform(1.2, 6.0), rng.uniform(0.8, 3.0)
+    xi2 = rng.uniform(0.5, 6.0)
+    t_block = specfun.GBlock(
+        a=(top + specfun.duplication_split(r, 1.0 - xi2)
+           + specfun.duplication_split(r, 1.0 - alpha)
+           + specfun.duplication_split(r, 1.0 - beta)),
+        b=bottom + specfun.duplication_split(r, -xi2) + (last,),
+        m=len(bottom), n=len(top) + 3 * r)
+    shadow = rf_link.ShadowedRicianParams(
+        m=int(rng.integers(1, 20)), b=rng.uniform(0.05, 0.3),
+        omega=rng.uniform(0.1, 2.0))
+    return t_block, analytics._sum_weights(shadow)
+
+
 def test_bivariate_hankel_matches_dense_kernel():
     # seeded families of every metric's t-block under both detections: the
     # Hankel t-collapse and the Pochhammer polynomial give the plan of the
@@ -511,25 +531,9 @@ def test_bivariate_hankel_matches_dense_kernel():
     # makes that larger, and the error estimate, whose t-tail term pins the
     # edge column sums of the t-tail monitor, to 1e-6 of its own size or
     # to the same floor
-    from optfeeder import analytics
     rng = rng_for(32)
-    blocks = {"cdf": ((), (), 0.0), "pdf": ((), (), 1.0),
-              "ber": ((), (0.5,), 0.0), "capacity": ((1.0,), (1.0,), 0.0)}
     for case in range(40):
-        r = 1 + case % 2
-        top, bottom, last = blocks[("cdf", "pdf", "ber", "capacity")[(case // 2) % 4]]
-        alpha, beta = rng.uniform(1.2, 6.0), rng.uniform(0.8, 3.0)
-        xi2 = rng.uniform(0.5, 6.0)
-        t_block = specfun.GBlock(
-            a=(top + specfun.duplication_split(r, 1.0 - xi2)
-               + specfun.duplication_split(r, 1.0 - alpha)
-               + specfun.duplication_split(r, 1.0 - beta)),
-            b=bottom + specfun.duplication_split(r, -xi2) + (last,),
-            m=len(bottom), n=len(top) + 3 * r)
-        shadow = rf_link.ShadowedRicianParams(
-            m=int(rng.integers(1, 20)), b=rng.uniform(0.05, 0.3),
-            omega=rng.uniform(0.1, 2.0))
-        w = analytics._sum_weights(shadow)
+        t_block, w = _seeded_family(rng, case)
         js = range(len(w))
         x1, x2 = np.exp(rng.uniform(-12.0, 1.0)), np.exp(rng.uniform(-4.0, 9.0))
         rel_tol = float(rng.choice([1e-9, 1e-7]))
@@ -540,6 +544,68 @@ def test_bivariate_hankel_matches_dense_kernel():
         assert plan == ref_plan, case
         assert abs(total - ref_total) <= max(1e-11 * abs(ref_total), floor), case
         assert abs(err - ref_err) <= 1e-6 * ref_err + floor, case
+
+
+_LINE_CACHES = (specfun._t_line, specfun._coupling_line, specfun._s_line,
+                specfun._t_collapse)
+
+
+def _clear_line_caches():
+    for cached in _LINE_CACHES:
+        cached.cache_clear()
+
+
+def test_bivariate_memo_warm_equals_cold():
+    # seeded families of every metric's t-block under both detections: a
+    # call that takes its lines from the memo, after calls at other x1 with
+    # the same x2 and grid, returns exactly what a cold call returns, and
+    # no memoised array can be written in place
+    rng = rng_for(33)
+    for case in range(16):
+        t_block, w = _seeded_family(rng, case)
+        js = range(len(w))
+        # |ln x1| and |ln x2| below 8 hold the first level's step at its cap,
+        # so every x1 starts on the same grid
+        x2 = np.exp(rng.uniform(-4.0, 8.0))
+        x1s = np.exp(rng.uniform(-8.0, 1.0, 3))
+        rel_tol = float(rng.choice([1e-9, 1e-7]))
+        _clear_line_caches()
+        cold = specfun.meijer_g_bivariate_family(js, t_block, x1s[-1], x2,
+                                                 weights=w, rel_tol=rel_tol)
+        _clear_line_caches()
+        for x1 in x1s[:-1]:
+            specfun.meijer_g_bivariate_family(js, t_block, x1, x2,
+                                              weights=w, rel_tol=rel_tol)
+        hits = specfun._t_collapse.cache_info().hits
+        warm = specfun.meijer_g_bivariate_family(js, t_block, x1s[-1], x2,
+                                                 weights=w, rel_tol=rel_tol)
+        assert warm == cold, case
+        assert specfun._t_collapse.cache_info().hits > hits, case
+
+    sigma_s, sigma_t = specfun._plan_bivariate(js, t_block)
+    coef = tuple(w.tolist())
+    lines = (specfun._t_line(t_block, sigma_t, 0.125, 40)
+             + specfun._coupling_line(sigma_s + sigma_t, 0.125, 80)
+             + specfun._s_line(coef, 0, sigma_s, 0.125, 40)
+             + specfun._t_collapse(t_block, sigma_s, sigma_t, 0.125, 40, 40, x2))
+    arrays = [arr for arr in lines if isinstance(arr, np.ndarray)]
+    assert len(arrays) == 10
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 1.0
+
+
+def test_bivariate_memo_is_bounded():
+    # 300 calls at distinct x2 fill each line cache no further than its size
+    _clear_line_caches()
+    t_block = _cdf_t_block(1, 2.57, 5.36, 1.21)
+    for x2 in np.geomspace(1e-1, 1e3, 300):
+        specfun.meijer_g_bivariate_family([0, 1], t_block, 0.5, x2)
+    for cached in _LINE_CACHES:
+        info = cached.cache_info()
+        assert info.currsize <= info.maxsize
+    info = specfun._t_collapse.cache_info()
+    assert info.misses >= 300 and info.currsize == info.maxsize
 
 
 def test_bivariate_rejects_bad_arguments():
