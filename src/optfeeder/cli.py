@@ -48,7 +48,7 @@ DEFAULTS = {
         "beam_wander": "true",
     },
     "pointing": {"xi": "1.1"},
-    "feeder": {"detection": "imdd", "sigma1_sq": "1.0"},
+    "feeder": {"detection": "imdd"},
     "rf": {
         "carrier_ghz": "20.0",
         "gain_tx_dbi": "52.0",
@@ -60,7 +60,7 @@ DEFAULTS = {
         "slant_range_km": "35786.0",
     },
     "shadowing": {"m": "19", "b": "0.158", "omega": "1.29"},
-    "hpa": {"family": "twta", "ibo_db": "25.0", "p_r": "1.0"},
+    "hpa": {"family": "twta", "ibo_db": "25.0"},
     "system": {"p_g": "1.0", "sigma2_sq": "1.0", "user_index": "0",
                "gain_mode": "power_constrained", "fixed_gain": "1.0",
                "gamma_bar2": ""},
@@ -116,13 +116,11 @@ def _scenario_from_config(cp: configparser.ConfigParser, mu_r_db: float,
     )
     pointing = fso_link.PointingConfig(
         xi=overrides.get("xi", cp["pointing"].getfloat("xi")))
-    f = cp["feeder"]
-    det = overrides.get("detection", f.get("detection")).lower()
+    det = overrides.get("detection", cp["feeder"].get("detection")).lower()
     if det not in ("imdd", "heterodyne", "het"):
         raise ConfigError(f"unknown detection {det!r}")
     feeder = fso_link.FeederConfig(
-        detection_r=2 if det == "imdd" else 1,
-        atmosphere=atmo, pointing=pointing, sigma1_sq=f.getfloat("sigma1_sq"))
+        detection_r=2 if det == "imdd" else 1, atmosphere=atmo, pointing=pointing)
     r = cp["rf"]
     rf = rf_link.RfLinkParams(
         carrier_hz=r.getfloat("carrier_ghz") * 1e9,
@@ -140,7 +138,7 @@ def _scenario_from_config(cp: configparser.ConfigParser, mu_r_db: float,
     h = cp["hpa"]
     family = overrides.get("hpa", h.get("family")).lower()
     ibo_db = overrides.get("ibo_db", h.getfloat("ibo_db"))
-    hpa = transponder.hpa_state(family, ibo_db, p_r=h.getfloat("p_r"))
+    hpa = transponder.hpa_state(family, ibo_db)
     sysc = cp["system"]
     g2_raw = sysc.get("gamma_bar2").strip()
     return system.build_scenario(

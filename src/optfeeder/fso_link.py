@@ -90,11 +90,10 @@ class PointingConfig:
 
 @dataclass(frozen=True)
 class FeederConfig:
-    """Detection type and noise bookkeeping for the optical uplink."""
+    """Detection type, atmosphere and pointing of the optical uplink."""
     detection_r: int             # 1 = heterodyne, 2 = IM/DD
     atmosphere: AtmosphereConfig
     pointing: PointingConfig
-    sigma1_sq: float = 1.0       # feeder noise variance
 
     def __post_init__(self):
         if self.detection_r not in (1, 2):

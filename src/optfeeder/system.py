@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 from scipy import linalg
@@ -88,9 +88,6 @@ class ScenarioConfig:
     gain_mode: str                # 'power_constrained' or 'fixed'
     fixed_gain: float
     gamma2_source: str            # 'explicit' (e.g. calibrated) or 'physical'
-    # derived; the array is left out of == and hash (an array has no truth
-    # value), and layout and rf, which fix it, are compared instead
-    gain_matrix: np.ndarray = field(init=False, compare=False)
     trace_term: float = field(init=False)
     b_row_norm_sq: float = field(init=False)
     c_zf: float = field(init=False)
@@ -117,17 +114,15 @@ class ScenarioConfig:
         elif self.hpa.family == "linear":
             relay_g = 1.0
         else:
-            # the relay's mean input signal power over sigma1^2 is
-            # trace_term * gbar1 by the definition of the average feeder
-            # SNR, so the power-constrained gain needs no optical power scale
-            relay_g = math.sqrt(self.hpa.p_r / (self.feeder.sigma1_sq
-                                                * (trace_term * gbar1 + 1.0)))
+            # G^2 (signal + sigma1^2) = P_r, and the relay's mean input signal
+            # power over sigma1^2 is trace_term * gbar1 by the definition of
+            # the average feeder SNR, so the gain in units of sqrt(P_r)/sigma1
+            # needs no optical power scale
+            relay_g = math.sqrt(1.0 / (trace_term * gbar1 + 1.0))
         derived = {
-            "gain_matrix": b, "trace_term": trace_term,
-            "b_row_norm_sq": b_row_norm_sq, "c_zf": self.p_g / trace_term,
-            "gbar1": gbar1, "relay_g": relay_g,
-            "kappa": 1.0 if self.hpa.family == "linear"
-                     else self.hpa.kappa_for_gain(relay_g, self.feeder.sigma1_sq)}
+            "trace_term": trace_term, "b_row_norm_sq": b_row_norm_sq,
+            "c_zf": self.p_g / trace_term, "gbar1": gbar1, "relay_g": relay_g,
+            "kappa": self.hpa.kappa_for_gain(relay_g)}
         if self.gamma2_source == "physical":
             two_bm = 2.0 * self.shadowing.b * self.shadowing.m
             derived["gamma_bar2"] = (self.hpa.sat_power_tx * b_row_norm_sq
@@ -162,54 +157,20 @@ class ScenarioConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def describe(self) -> dict:
-        """Flat record of the scenario for manifests and fingerprints."""
-        f, t, s, h = self.feeder, self.turbulence, self.shadowing, self.hpa
-        a = f.atmosphere
-        return {
-            "detection_r": f.detection_r,
-            "sigma1_sq": f.sigma1_sq,
-            "xi": f.pointing.xi,
-            "altitude_sat": a.altitude_sat,
-            "altitude_ground": a.altitude_ground,
-            "zenith_rad": a.zenith_rad,
-            "wavelength": a.wavelength,
-            "wind_rms": a.wind_rms,
-            "cn2_ground": a.cn2_ground,
-            "beam_radius_tx": a.beam_radius_tx,
-            "beam_wander": a.beam_wander,
-            "alpha": t.alpha,
-            "beta": t.beta,
-            "rytov_var": t.rytov_var,
-            "fried_r0": t.fried_r0,
-            "sigma_pe": t.sigma_pe,
-            "scintillation_index": t.scintillation_index,
-            "beam_radius_rf": self.layout.beam_radius,
-            "slant_range": self.layout.slant_range,
-            "user_placement": "beam_centers" if self.layout.user_positions is None
-                              else "explicit",
-            "shadowing_m": s.m,
-            "shadowing_b": s.b,
-            "shadowing_omega": s.omega,
-            "hpa_family": h.family,
-            "ibo_linear": h.ibo_linear,
-            "p_r": h.p_r,
-            "k_gain": h.k_gain,
-            "sigma_nl_sq": h.sigma_nl_sq,
-            "mu_r": self.mu_r,
-            "gamma_bar2": self.gamma_bar2,
-            "gamma2_source": self.gamma2_source,
-            "p_g": self.p_g,
-            "sigma2_sq": self.sigma2_sq,
-            "user_index": self.user_index,
-            "gain_mode": self.gain_mode,
-            "fixed_gain": self.fixed_gain,
-            "trace_term": self.trace_term,
-            "b_row_norm_sq": self.b_row_norm_sq,
-            "c_zf": self.c_zf,
-            "gbar1": self.gbar1,
-            "relay_g": self.relay_g,
-            "kappa": self.kappa,
-        }
+        """Flat record of every field for manifests and fingerprints; the
+        fields of a nested record sit under dotted paths (``hpa.k_gain``)."""
+        return _fields_by_path(self)
+
+
+def _fields_by_path(record, prefix: str = "") -> dict:
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            out.update(_fields_by_path(value, f"{prefix}{f.name}."))
+        else:
+            out[prefix + f.name] = value
+    return out
 
 
 def build_scenario(feeder: fso_link.FeederConfig,

@@ -20,9 +20,9 @@ amplifier families; the assignment here is fixed by re-deriving the
 expectations (see the tests, which check both K values against brute-force
 Bussgang estimators on the matching waveform curves).
 
-Everything depends on the back-off only; P_r cancels from every normalized
-quantity.  Closed forms cancel catastrophically at large back-off, so the
-implementation switches to asymptotic series there.
+Everything depends on the back-off only; powers are in units of P_r, the
+mean power at the gain-block output.  Closed forms cancel catastrophically
+at large back-off, so the implementation switches to asymptotic series there.
 """
 
 from __future__ import annotations
@@ -64,50 +64,50 @@ def rapp_amam(x, amp_sat: float, smoothness: float = 1.0):
 # Bussgang pairs
 # ---------------------------------------------------------------------------
 
-def bussgang_twta(ibo_linear: float, p_r: float = 1.0) -> tuple[float, float]:
+def bussgang_twta(ibo_linear: float) -> tuple[float, float]:
     """(K, sigma_NL^2) for the Saleh-curve amplifier at back-off A^2/P_r."""
-    if ibo_linear <= 0 or p_r <= 0:
-        raise ValueError("back-off and power must be positive")
+    if ibo_linear <= 0:
+        raise ValueError("back-off must be positive")
     q = ibo_linear
     if q > _SERIES_CUTOFF:
         x = 1.0 / q
         k = 1.0 - 2.0 * x + 6.0 * x * x - 24.0 * x ** 3
-        snl = (2.0 * x * x - 24.0 * x ** 3) * p_r
+        snl = 2.0 * x * x - 24.0 * x ** 3
         return k, max(snl, 0.0)
     e = np.longdouble(exp_scaled_e1(q))
     ql = np.longdouble(q)
     k = ql * (1.0 - ql * e)
-    mean_sq = ql * ql * ((1.0 + ql) * e - 1.0)       # E[f^2]/P_r
-    snl = float(mean_sq - k * k) * p_r
+    mean_sq = ql * ql * ((1.0 + ql) * e - 1.0)       # E[f^2]
+    snl = float(mean_sq - k * k)
     return float(k), max(snl, 0.0)
 
 
-def bussgang_sspa(ibo_linear: float, p_r: float = 1.0) -> tuple[float, float]:
+def bussgang_sspa(ibo_linear: float) -> tuple[float, float]:
     """(K, sigma_NL^2) for the smooth envelope limiter at back-off A^2/P_r."""
-    if ibo_linear <= 0 or p_r <= 0:
-        raise ValueError("back-off and power must be positive")
+    if ibo_linear <= 0:
+        raise ValueError("back-off must be positive")
     q = ibo_linear
     if q > _SERIES_CUTOFF:
         x = 1.0 / q
         k = 1.0 - x + 2.25 * x * x - 7.5 * x ** 3
-        snl = (0.5 * x * x - 4.5 * x ** 3) * p_r
+        snl = 0.5 * x * x - 4.5 * x ** 3
         return k, max(snl, 0.0)
     z = math.sqrt(q)
     scaled = np.longdouble(sp.erfcx(z))
     zl = np.longdouble(z)
     k = zl / 2.0 * (2.0 * zl - np.longdouble(math.sqrt(math.pi)) * scaled * (2.0 * q - 1.0))
     e = np.longdouble(exp_scaled_e1(q))
-    mean_sq = np.longdouble(q) * (1.0 - np.longdouble(q) * e)   # E[f^2]/P_r
-    snl = float(mean_sq - k * k) * p_r
+    mean_sq = np.longdouble(q) * (1.0 - np.longdouble(q) * e)   # E[f^2]
+    snl = float(mean_sq - k * k)
     return float(k), max(snl, 0.0)
 
 
-def bussgang_pair(family: str, ibo_linear: float, p_r: float = 1.0) -> tuple[float, float]:
+def bussgang_pair(family: str, ibo_linear: float) -> tuple[float, float]:
     """Dispatch on amplifier family; 'linear' is the identity device."""
     if family == "twta":
-        return bussgang_twta(ibo_linear, p_r)
+        return bussgang_twta(ibo_linear)
     if family == "sspa":
-        return bussgang_sspa(ibo_linear, p_r)
+        return bussgang_sspa(ibo_linear)
     if family == "linear":
         return 1.0, 0.0
     raise ValueError(f"unknown amplifier family {family!r}")
@@ -118,7 +118,6 @@ class HpaState:
     """Amplifier family, back-off, and the derived linearization pair."""
     family: str
     ibo_linear: float
-    p_r: float
     k_gain: float
     sigma_nl_sq: float
 
@@ -132,20 +131,20 @@ class HpaState:
 
     @property
     def sat_power_tx(self) -> float:
-        """Per-feed transmit power P_s/N = K^2 P_r + sigma_NL^2."""
-        return self.k_gain ** 2 * self.p_r + self.sigma_nl_sq
+        """Per-feed transmit power P_s/N = K^2 + sigma_NL^2."""
+        return self.k_gain ** 2 + self.sigma_nl_sq
 
-    def kappa_for_gain(self, relay_g: float, sigma1_sq: float) -> float:
-        """Distortion ratio 1 + sigma_NL^2 / (K^2 G^2 sigma_1^2); 1 means linear."""
-        if relay_g <= 0 or sigma1_sq <= 0:
-            raise ValueError("gain and noise variance must be positive")
-        return 1.0 + self.sigma_nl_sq / (self.k_gain ** 2 * relay_g ** 2 * sigma1_sq)
+    def kappa_for_gain(self, relay_g: float) -> float:
+        """Distortion ratio 1 + sigma_NL^2 / (K^2 G^2), G in sqrt(P_r)/sigma_1."""
+        if relay_g <= 0:
+            raise ValueError("relay gain must be positive")
+        return 1.0 + self.sigma_nl_sq / (self.k_gain ** 2 * relay_g ** 2)
 
 
-def hpa_state(family: str, ibo_db: float | None = None, p_r: float = 1.0) -> HpaState:
+def hpa_state(family: str, ibo_db: float | None = None) -> HpaState:
     """Build an HpaState from a back-off in dB ('linear' needs no back-off)."""
     if ibo_db is None and family != "linear":
         raise ValueError("nonlinear families need a back-off")
     ibo = math.inf if ibo_db is None else 10.0 ** (ibo_db / 10.0)
-    k_gain, snl = bussgang_pair(family, ibo, p_r)
-    return HpaState(family, ibo, p_r, k_gain, snl)
+    k_gain, snl = bussgang_pair(family, ibo)
+    return HpaState(family, ibo, k_gain, snl)

@@ -100,7 +100,7 @@ def test_cli_override_flags(tmp_path, config_file):
                "--modulation", "bpsk", "--mu-r-db", "25", "--out", str(out)])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["scenario"]["detection_r"] == 1
+    assert manifest["scenario"]["feeder.detection_r"] == 1
     assert manifest["cli_overrides"]["detection"] == "heterodyne"
 
 
@@ -114,7 +114,7 @@ def test_ibo_db_override(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["cli_overrides"]["ibo_db"] == 10.0
-    assert manifest["scenario"]["ibo_linear"] == 10.0
+    assert manifest["scenario"]["hpa.ibo_linear"] == 10.0
     with open(out / "moments_exact.csv") as fh:
         (row,) = list(csv.DictReader(fh))
     cp, _ = cli.load_config(str(one_point))
@@ -177,14 +177,15 @@ _HET_BER = ["--metric", "ber", "--detection", "het"]
     ("[pointing]\na0 = 1.0\n", []),
     ("[feeder]\npath_loss_il = 1.0\n", []),
     ("[feeder]\neta = 1.0\n", []),
+    ("[hpa]\nfamily = linear\n[system]\ngain_mode = fixed\nfixed_gain = 0\n", []),
     ("", _HET_BER + ["--modulation", "mqam", "--mod-order", "1"]),
     ("", _HET_BER + ["--modulation", "mqam", "--mod-order", "2"]),
     ("", _HET_BER + ["--modulation", "mqam", "--mod-order", "32"]),
     ("", _HET_BER + ["--modulation", "mpsk", "--mod-order", "3"]),
 ], ids=["zero_step", "no_section_header", "duplicate_section",
         "user_index_past_last_beam", "negative_user_index", "removed_key_a0",
-        "removed_key_path_loss_il", "removed_key_eta", "qam_order_1",
-        "qam_order_2", "qam_order_32", "psk_order_3"])
+        "removed_key_path_loss_il", "removed_key_eta", "linear_fixed_gain_0",
+        "qam_order_1", "qam_order_2", "qam_order_32", "psk_order_3"])
 def test_malformed_config_exit_code(tmp_path, capsys, text, argv):
     bad = tmp_path / "malformed.ini"
     bad.write_text(text)
@@ -236,11 +237,14 @@ def test_method_dispatch(tmp_path, metric, method):
         assert rows[0]["n_samples"] == "0"
 
 
-def test_unknown_key_exit_code(tmp_path):
+def test_unknown_key_exit_code(tmp_path, capsys):
+    # p_r and sigma1_sq were absorbed by sigma2_sq and fixed_gain
     bad = tmp_path / "bad2.ini"
-    bad.write_text("[hpa]\nwattage = 11\n")
-    rc = _run(["--config", str(bad), "--out", str(tmp_path / "x")])
-    assert rc == 1
+    for section, key in [("hpa", "wattage"), ("hpa", "p_r"), ("feeder", "sigma1_sq")]:
+        bad.write_text(f"[{section}]\n{key} = 11\n")
+        rc = _run(["--config", str(bad), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"unknown key {key!r} in section [{section}]" in capsys.readouterr().err
 
 
 def test_selftest_passes():
@@ -393,9 +397,8 @@ def test_every_config_key_reaches_a_metric_input():
     # p_g sets only the reported precoder constant c_zf = p_g / tr[(B B^H)^-1];
     # the metrics see the feeder through mu_r, which is given directly
     inert = {("system", "p_g")}
-    # sigma1_sq cancels from kappa under the power-constrained gain, and
-    # fixed_gain is the gain of the fixed mode: both act only there
-    fixed_only = {("feeder", "sigma1_sq"), ("system", "fixed_gain")}
+    # fixed_gain is the gain of the fixed mode and acts only there
+    fixed_only = {("system", "fixed_gain")}
     # index 0 scaled is 0 again and 100 lies past the last beam
     legal = {("system", "user_index"): "1"}
     for section, keys in cli.DEFAULTS.items():

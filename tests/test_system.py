@@ -82,6 +82,9 @@ def test_linear_family_is_kappa_one(scenario_factory):
     scn = scenario_factory(hpa_family="linear", ibo_db=None)
     assert scn.kappa == 1.0
     assert scn.relay_g == 1.0
+    fixed = scenario_factory(hpa_family="linear", ibo_db=None,
+                             gain_mode="fixed", fixed_gain=0.7)
+    assert fixed.kappa == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +119,7 @@ def test_kappa_tracks_operating_point(scenario_factory):
     # the power-constrained relay gain shrinks and kappa grows with mu_r
     assert hi.relay_g < scn.relay_g
     assert hi.kappa > scn.kappa
-    c = scn.hpa.sigma_nl_sq / (scn.hpa.k_gain ** 2 * scn.hpa.p_r)
+    c = scn.hpa.sigma_nl_sq / scn.hpa.k_gain ** 2
     expect = 1.0 + c * (scn.trace_term * scn.gbar1 + 1.0)
     assert scn.kappa == pytest.approx(expect, rel=1e-12)
     # fixed-gain mode reproduces the plain ratio
@@ -128,11 +131,25 @@ def test_kappa_tracks_operating_point(scenario_factory):
 def test_scenario_describe_records_defaults(scenario_factory):
     scn = scenario_factory()
     d = scn.describe()
-    assert d["user_placement"] == "beam_centers"
-    assert d["sigma1_sq"] == 1.0
+    assert d["layout.user_positions"] is None
+    assert d["feeder.atmosphere.cn2_ground"] == 1e-12
+    assert d["hpa.family"] == "twta"
+    assert d["hpa.k_gain"] == scn.hpa.k_gain
     assert d["gain_mode"] == "power_constrained"
     assert d["gamma2_source"] == "explicit"
     assert d["gamma_bar2"] == CALIBRATED_GAMMA_BAR2
+
+
+def test_fingerprint_tells_swapped_antenna_gains_apart(scenario_factory, rf_params):
+    # the gain matrix reads only the product of the two antenna gains, so
+    # swapping them changes no derived value, yet the scenarios differ
+    scn = scenario_factory()
+    swapped = dataclasses.replace(scn, rf=dataclasses.replace(
+        rf_params, gain_tx=rf_params.gain_rx, gain_rx=rf_params.gain_tx))
+    assert swapped.b_row_norm_sq == pytest.approx(scn.b_row_norm_sq, rel=1e-12)
+    assert swapped != scn
+    assert swapped.describe()["rf.gain_tx"] == rf_params.gain_rx
+    assert swapped.fingerprint() != scn.fingerprint()
 
 
 def test_with_gamma_bar2_and_hpa_swap(scenario_factory):
@@ -167,8 +184,8 @@ def test_clone_equals_build(scenario_factory, family, gamma_bar2):
 
 
 def test_scenario_equality_and_hash(scenario_factory):
-    # the derived gain matrix stays out of == and hash; a clone and a direct
-    # build at the same operating point compare and hash alike
+    # a clone and a direct build at the same operating point compare and
+    # hash alike
     scn = scenario_factory(mu_r_db=30.0)
     direct = scenario_factory(mu_r_db=40.0)
     clone = scn.at_mu_r_db(40.0)

@@ -160,30 +160,37 @@ def test_bussgang_residual_uncorrelated():
 # ---------------------------------------------------------------------------
 
 def test_kappa_values():
-    def kappa(k, snl, g, s1):
-        return transponder.HpaState("twta", 1.0, 1.0, k, snl).kappa_for_gain(g, s1)
+    def kappa(k, snl, g):
+        return transponder.HpaState("twta", 1.0, k, snl).kappa_for_gain(g)
 
-    assert kappa(1.0, 0.0, 1.0, 1.0) == 1.0
+    assert kappa(1.0, 0.0, 1.0) == 1.0
     # doubling the gain cuts the excess by four
-    k1 = kappa(0.9, 0.02, 1.0, 1.0) - 1.0
-    k2 = kappa(0.9, 0.02, 2.0, 1.0) - 1.0
+    k1 = kappa(0.9, 0.02, 1.0) - 1.0
+    k2 = kappa(0.9, 0.02, 2.0) - 1.0
     assert k1 == pytest.approx(4 * k2, rel=1e-12)
     # composition golden from the audited pair
     k, snl = transponder.bussgang_twta(10 ** 2.5)
     expect = 1.0 + snl / k ** 2
-    assert kappa(k, snl, 1.0, 1.0) == pytest.approx(expect, rel=1e-12)
+    assert kappa(k, snl, 1.0) == pytest.approx(expect, rel=1e-12)
+    # a gain-block output power P_r scales the distortion power to P_r snl;
+    # with gain G and feeder noise sigma1^2 that ratio is kappa at the gain
+    # G sigma1 / sqrt(P_r) in units of P_r
+    p_r, sigma1_sq, g = 4.0, 2.0, 0.7
+    physical = 1.0 + p_r * snl / (k ** 2 * g ** 2 * sigma1_sq)
+    assert kappa(k, snl, g * math.sqrt(sigma1_sq / p_r)) == pytest.approx(
+        physical, rel=1e-14)
 
 
 def test_relay_gain(scenario_factory):
     # power-constrained gain G = sqrt(P_r / (P_g E[(eta I)^r] + sigma_1^2)),
-    # with P_g E[(eta I)^r] = sigma_1^2 tr[(B B^H)^-1] gbar1
+    # with P_g E[(eta I)^r] = sigma_1^2 tr[(B B^H)^-1] gbar1; in units of
+    # sqrt(P_r)/sigma_1 that is G^2 (tr[(B B^H)^-1] gbar1 + 1) = 1
     scn = scenario_factory()
-    budget = scn.feeder.sigma1_sq * (scn.trace_term * scn.gbar1 + 1.0)
-    assert scn.relay_g ** 2 * budget == pytest.approx(scn.hpa.p_r, rel=1e-12)
-    # G grows as sqrt(P_r) at a fixed operating point
-    g4 = dataclasses.replace(
-        scn, hpa=transponder.hpa_state("twta", 25.0, p_r=4.0)).relay_g
-    assert g4 == pytest.approx(2 * scn.relay_g, rel=1e-12)
+    budget = scn.trace_term * scn.gbar1 + 1.0
+    assert scn.relay_g ** 2 * budget == pytest.approx(1.0, rel=1e-12)
+    # it is set by the operating point, not by the amplifier's back-off
+    other = dataclasses.replace(scn, hpa=transponder.hpa_state("sspa", 10.0))
+    assert other.relay_g == scn.relay_g
     # a fixed gain is taken as given
     assert scenario_factory(gain_mode="fixed", fixed_gain=0.7).relay_g == 0.7
     # the mean input power E[I^r] behind it against a Monte Carlo estimate
@@ -205,11 +212,14 @@ def test_hpa_state_construction():
     h = transponder.hpa_state("twta", 25.0)
     assert h.family == "twta"
     assert h.ibo_linear == pytest.approx(10 ** 2.5)
+    # powers in units of P_r: the transmit power is K^2 + sigma_NL^2
     assert h.sat_power_tx == pytest.approx(h.k_gain ** 2 + h.sigma_nl_sq)
     lin = transponder.hpa_state("linear")
     assert lin.k_gain == 1.0 and lin.sigma_nl_sq == 0.0
     assert lin.ibo_linear == math.inf
-    assert lin.kappa_for_gain(0.3, 1.0) == 1.0
+    assert lin.kappa_for_gain(0.3) == 1.0
+    with pytest.raises(ValueError):
+        lin.kappa_for_gain(0.0)
     with pytest.raises(ValueError):
         transponder.hpa_state("sspa")       # back-off required
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@
     PYTHONPATH=src python3 tools/output_digest.py OUT_DIR --against LISTING
     python3 tools/output_digest.py --values OLD_DIR NEW_DIR
 
-Runs twelve sweeps over each config in ``configs/`` in-process through
+Runs thirteen sweeps over each config in ``configs/`` in-process through
 ``optfeeder.cli.main``, each into its own subdirectory of OUT_DIR, and
 prints one line per output file: run name, exit code, file name, SHA-256.
 ``manifest.json`` records the output paths, so it is hashed with the run's
@@ -47,6 +47,8 @@ RUNS = {
     "outage_asymptotic": ["--metric", "outage", "--method", "asymptotic"],
     "outage_oracle": ["--metric", "outage", "--method", "oracle"],
     "outage_mc": ["--metric", "outage"] + MC,
+    "outage_linear_exact": ["--metric", "outage", "--hpa", "linear",
+                            "--method", "exact"],
     "ber_ook_exact": OOK + ["--method", "exact"],
     "ber_ook_asymptotic": OOK + ["--method", "asymptotic"],
     "ber_ook_mc": OOK + MC,
