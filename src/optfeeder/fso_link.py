@@ -23,11 +23,6 @@ BEAM_WANDER_SCALING = 2.0 * math.pi   # C_r in the pointing-variance bracket
 # ~1e-300 (double underflow); the far tail is reported as exactly zero.
 _G_ARG_CUTOFF = 2.0e5
 
-# A batch of densities shares one contour, accurate relative to the batch
-# maximum; callers batch over up to four e-folds of the argument, where
-# the default 1e-8 would leave the smaller values ~1e-11 of the batch off.
-_PDF_REL_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class AtmosphereConfig:
@@ -230,8 +225,7 @@ def gamma1_pdf(gamma1, r: int, turb: TurbulenceParams, pointing: PointingConfig,
     out = np.zeros_like(g)
     keep = arg <= _G_ARG_CUTOFF
     if np.any(keep):
-        vals, _, _ = specfun.meijer_g_many((xi2 + 1.0,), (xi2, al, be), 3, 0,
-                                           arg[keep], _PDF_REL_TOL)
+        vals, _, _ = specfun.meijer_g_many((xi2 + 1.0,), (xi2, al, be), 3, 0, arg[keep])
         out[keep] = xi2 / (r * sp.gamma(al) * sp.gamma(be) * g[keep]) * vals
     return out if np.ndim(gamma1) else float(out[0])
 

@@ -18,9 +18,14 @@ positive arguments are supported.
 
 Quadrature is a uniform trapezoidal rule on the truncated contour.  The
 integrand decays exponentially along the imaginary direction for every shape
-accepted here, so the rule converges geometrically; node counts are doubled
-until two successive estimates agree to tolerance and the reported error
-bounds both the last refinement step and the truncated tail.
+accepted here, so the rule converges geometrically (Trefethen & Weideman,
+SIAM Review 56(3), 2014).  Both engines refine under one policy,
+:func:`_refine`: each line is cut where the integrand's exponential decay
+has taken it below the tolerance, the lines widen while the tail monitor
+sees mass at the cut, and the step halves until two successive estimates
+agree to tolerance; the reported error bounds the last refinement step,
+the truncated tail and the round-off floor.  A level past the work cap
+raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -249,7 +254,16 @@ def _plan_abscissa(a, b, m, n, lnz=0.0):
         return 0.5 * (left_max + right_min)
 
     def log_mod(sig):
-        return _line_log_block(a, b, m, n, sig + 0j).real + sig * lnz
+        # |Gamma(x)| >= pi / Gamma(1 - x) by reflection; below x = 1/2 the
+        # bound stands in for a reciprocal gamma, whose zeros at x = 0, -1,
+        # ... are -inf wells of the log modulus that the search would find
+        out = 0.0
+        for x in [bj - sig for bj in b[:m]] + [1.0 - aj + sig for aj in a[:n]]:
+            out = out + sp.loggamma(x + 0j).real
+        for x in [1.0 - bj + sig for bj in b[m:]] + [aj - sig for aj in a[n:]]:
+            out = out - np.where(x < 0.5, math.log(math.pi) - sp.gammaln(1.0 - x),
+                                 sp.loggamma(x + 0j).real)
+        return out + sig * lnz
 
     grid = np.linspace(lo, hi, 121)
     vals = log_mod(grid)
@@ -287,15 +301,59 @@ def _edge_tail(mags, blk):
     return float(outer), max(1.0 - min(ratio, 0.97), 0.03)
 
 
-def meijer_g_many(a_top, b_bottom, m, n, arguments, rel_tol: float = 1e-8):
+def _refine(level, abscissae, decays, osc, rel_tol, abs_tol=0.0):
+    """The refinement policy of both Mellin-Barnes engines.
+
+    Line i runs through ``abscissae[i]`` with nodes at h k, |k| <= c_i, and
+    ``level(h, c_0, c_1, ...)`` returns one level's values, their scale, the
+    cut tail and the round-off floor.  Lines start at half height
+    (-ln(rel_tol 1e-3) + 6) / decays[i] and the step at
+    min(pi / (3 max(1, osc)), 0.125), osc the largest |log argument|.  While
+    the tail is above a quarter of the budget max(rel_tol scale, abs_tol,
+    4 floor) every line widens by 1.4; otherwise the step halves until two
+    levels agree within the budget.  A level with a line over 2^22 nodes or
+    a grid over 4e7 raises ConvergenceError before it runs.  Returns
+    (values, step + tail + floor, plan).
+    """
+    halves = [(-math.log(rel_tol * 1e-3) + 6.0) / decay for decay in decays]
+    h = min(math.pi / (3.0 * max(1.0, osc)), 0.125)
+    prev = None
+    while True:
+        counts = [math.ceil(half / h) for half in halves]
+        sizes = [2 * c + 1 for c in counts]
+        if max(sizes) > 2 ** 22 or math.prod(sizes) > 4e7:
+            raise ConvergenceError("Mellin-Barnes quadrature exceeded its work budget "
+                                   "of 2^22 nodes a line and 4e7 a grid")
+        vals, scale, tail, floor = level(h, *counts)
+        budget = max(rel_tol * scale, abs_tol, 4.0 * floor)
+        if tail > 0.25 * budget:
+            halves = [1.4 * half for half in halves]
+            prev = None
+            continue
+        if prev is not None:
+            step = abs(vals - prev)     # a float for one value: no numpy call
+            step = float(step.max()) if isinstance(step, np.ndarray) else step
+            if step <= budget:
+                # ContourPlan's fields run abscissa, half height, nodes per line
+                lines = zip(abscissae, halves, sizes)
+                return vals, step + tail + floor, ContourPlan(*(v for ln in lines for v in ln))
+        prev = vals
+        h *= 0.5
+
+
+def meijer_g_many(a_top, b_bottom, m, n, arguments, rel_tol: float = 1e-10):
     """Evaluate one G shape at many positive arguments on a shared contour.
 
     Returns (values, error_estimate, plan).  The contour and node count are
     chosen for the worst argument, so all values share one quadrature grid;
     this is the fast path for densities evaluated inside quadratures.  The
-    integrand at conjugate nodes is conjugate, so the trapezoid runs over
-    the half contour, and the kernel modulus |z^sigma| |F(y)| is rank one,
-    so the tail and roundoff monitors need no arguments x nodes array.
+    values are accurate relative to the batch maximum, and a batch spans up
+    to four e-folds of the argument before it is split, so the default
+    tolerance is 1e-10: at 1e-8 the smaller values of such a batch sit
+    ~1e-11 of the maximum off.  The integrand at conjugate nodes is
+    conjugate, so the trapezoid runs over the half contour, and the kernel
+    modulus |z^sigma| |F(y)| is rank one, so the tail and roundoff monitors
+    need no arguments x nodes array.
     """
     a = tuple(float(v) for v in a_top)
     b = tuple(float(v) for v in b_bottom)
@@ -315,59 +373,32 @@ def meijer_g_many(a_top, b_bottom, m, n, arguments, rel_tol: float = 1e-8):
         out[lo_i] = v1
         out[hi_i] = v2
         return out, max(e1, e2), plan
-    p, q = len(a), len(b)
-    decay = _decay_rate(p, q, m, n)
+    decay = _decay_rate(len(a), len(b), m, n)
     if decay <= 0:
         raise ConvergenceError("integrand does not decay along the contour")
     sigma = _plan_abscissa(a, b, m, n, lnz=float(np.mean(lnz)))
-    # the algebraic |y|^powers factor delays the exponential decay; start
-    # from the exponential estimate and let the tail monitor widen further
-    half_h = (-math.log(rel_tol * 1e-3) + 8.0) / decay + 0.6 * abs(sigma)
-    osc = max(1.0, float(np.max(np.abs(lnz))))
-    nodes = 1 + 2 ** int(math.ceil(math.log2(max(256.0, 4.0 * half_h * osc / math.pi))))
 
-    prev = None
-    for _ in range(24):
+    def level(h, count):
         # the integrand at -y is the conjugate of the one at +y (real
         # parameters, positive arguments), so only the upper half of the
         # contour is summed, off-centre nodes twice, real parts only
-        k = nodes - 1
-        h = 2.0 * half_h / k
-        y = h * (np.arange((k + 1) // 2, k + 1) - 0.5 * k)
+        y = h * np.arange(count + 1)
         logf = _line_log_block(a, b, m, n, sigma + 1j * y)
         lead = float(np.max(logf.real))
         mag = np.exp(logf.real - lead)        # |F(y)| / max |F|
         zpow = np.exp(sigma * lnz + lead)     # |z^sigma| max |F| per argument
-        wts = np.full(len(y), h / math.pi)
-        wts[-1] *= 0.5
-        if k % 2 == 0:
-            wts[0] *= 0.5
+        wts = np.full(count + 1, h / math.pi)
+        wts[[0, -1]] *= 0.5
         vals = zpow * (np.cos(np.outer(lnz, y) + logf.imag) @ (wts * mag))
-        scale = float(np.max(np.abs(vals))) + 1e-300
-
         # |kernel| = |z^sigma| |F(y)| is rank one: the monitors need only
         # |F| along the whole contour and the largest |z^sigma|
-        mags = np.concatenate((mag[::-1] if k % 2 else mag[:0:-1], mag))
-        outer, divisor = _edge_tail(mags, min(8, k // 4))
+        mags = np.concatenate((mag[:0:-1], mag))
+        outer, divisor = _edge_tail(mags, min(8, count // 2))
         peak = float(np.max(zpow)) * h / (2.0 * math.pi)
-        tail = peak * outer / divisor
-        round_floor = 1e-15 * peak * float(mags.sum())
-        budget = max(rel_tol * scale, 4.0 * round_floor)
-        if tail > 0.25 * budget:
-            half_h *= 1.5
-            nodes = 1 + int(1.5 * (nodes - 1))
-            prev = None
-            continue
-        if prev is not None:
-            step = float(np.max(np.abs(vals - prev)))
-            if step <= budget:
-                plan = ContourPlan(sigma, half_h, nodes)
-                return vals, step + tail + round_floor, plan
-        prev = vals
-        nodes = 1 + 2 * (nodes - 1)
-        if nodes > 2 ** 22:
-            break
-    raise ConvergenceError("univariate Mellin-Barnes integral did not converge")
+        return (vals, float(np.max(np.abs(vals))) + 1e-300,
+                peak * outer / divisor, 1e-15 * peak * float(mags.sum()))
+
+    return _refine(level, (sigma,), (decay,), float(np.max(np.abs(lnz))), rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +554,8 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
 
     Returns (total, error_estimate, plan).  ``weights`` default to 1.
     ``abs_tol`` sets an absolute-error floor so that totals which underflow
-    toward zero still terminate.
+    toward zero still terminate.  A call that cannot meet its budget within
+    the work cap of :func:`_refine` raises ConvergenceError.
     """
     if x1 <= 0 or x2 <= 0:
         raise ValueError("arguments must be positive")
@@ -542,26 +574,8 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
     dec_t = _decay_rate(len(t_block.a), len(t_block.b), t_block.m, t_block.n) + 0.25 * math.pi
     if dec_t <= 0:
         raise ConvergenceError("bivariate integrand does not decay")
-    budget = -math.log(rel_tol * 1e-3) + 6.0
-    half_s = budget / dec_s
-    half_t = budget / dec_t
 
-    osc = max(1.0, abs(math.log(x1)), abs(math.log(x2)))
-    h = min(math.pi / (3.0 * osc), 0.125)
-
-    prev_total = None
-    best = None    # (step+tail, total, plan, budget) fallback at the grid cap
-    for _ in range(20):
-        ns = int(math.ceil(half_s / h))
-        nt = int(math.ceil(half_t / h))
-        if (2 * ns + 1) * (2 * nt + 1) > 4e7:
-            # aliasing resonances can keep successive estimates bouncing just
-            # above the budget; surface the best one with its honest error
-            # as long as it is in the budget's neighbourhood
-            if best is not None and best[0] <= 50.0 * best[3]:
-                return best[1], best[0], best[2]
-            raise ConvergenceError("bivariate quadrature grid exceeded its work budget "
-                                   "of 4e7 nodes")
+    def level(h, ns, nt):
         s, log_g, poly, bound = _s_line(coef, j0, sigma_s, h, ns)
         tvec, t_edge, t_divisor = _t_collapse(t_block, sigma_s, sigma_t, h, ns, nt, x2)
         fs = np.exp(log_g + s * math.log(x1))
@@ -572,27 +586,10 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
         outer_s, s_divisor = _edge_tail(mag_row, min(8, ns // 2))
         tail = (outer_s / s_divisor + float(fs_mod @ t_edge) / t_divisor) * quadw
         # an oscillatory kernel cannot be summed below its roundoff floor
-        round_floor = 1e-15 * float(mag_row.sum()) * quadw
-        budget_here = max(rel_tol * abs(total), abs_tol, 4.0 * round_floor)
+        return total, abs(total), tail, 1e-15 * float(mag_row.sum()) * quadw
 
-        if tail > 0.25 * budget_here:
-            half_s *= 1.4
-            half_t *= 1.4
-            prev_total = None
-            continue
-        if prev_total is not None:
-            step = abs(total - prev_total)
-            plan = ContourPlan(sigma_s, half_s, 2 * ns + 1,
-                               abscissa_t=sigma_t, half_height_t=half_t,
-                               nodes_t=2 * nt + 1)
-            err = step + tail + round_floor
-            if step <= budget_here:
-                return total, err, plan
-            if best is None or err < best[0]:
-                best = (err, total, plan, budget_here)
-        prev_total = total
-        h *= 0.5
-    raise ConvergenceError("bivariate Mellin-Barnes integral did not converge")
+    osc = max(abs(math.log(x1)), abs(math.log(x2)))
+    return _refine(level, (sigma_s, sigma_t), (dec_s, dec_t), osc, rel_tol, abs_tol)
 
 
 def duplication_split(r: int, u: float) -> tuple[float, ...]:

@@ -111,8 +111,6 @@ class ScenarioConfig:
                                        self.feeder.pointing, self.mu_r)
         if self.gain_mode == "fixed":
             relay_g = self.fixed_gain
-        elif self.hpa.family == "linear":
-            relay_g = 1.0
         else:
             # G^2 (signal + sigma1^2) = P_r, and the relay's mean input signal
             # power over sigma1^2 is trace_term * gbar1 by the definition of

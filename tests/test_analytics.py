@@ -374,7 +374,7 @@ def test_linear_equals_kappa_one_substitution(scenario_factory):
     lin = scenario_factory(hpa_family="linear", ibo_db=None, mu_r_db=45.0)
     twta = scenario_factory(mu_r_db=45.0)
     forced = dataclasses.replace(twta, hpa=lin.hpa)
-    assert forced.kappa == 1.0 and forced.relay_g == 1.0
+    assert forced.kappa == 1.0 and forced.relay_g == twta.relay_g
     for x in (0.5, 3.0, 20.0):
         assert analytics.sndr_cdf_exact(x, lin) == pytest.approx(
             analytics.sndr_cdf_exact(x, forced), rel=1e-9)

@@ -248,6 +248,24 @@ def test_meijer_g_many_touching_families_raise():
         specfun.meijer_g_many((1.0,), (0.0,), 1, 1, [0.5])
 
 
+@pytest.mark.parametrize("a, b, m, n, rel_tol", [
+    ((1.07, -0.78), (0.22, 1.38, 2.14), 2, 2, 1e-8),
+    ((), (2.99, 1.26, 1.91), 2, 0, 1e-10),
+    ((), (0.93, 0.81, -0.2), 2, 0, 1e-10)])
+def test_meijer_g_many_abscissa_clears_reciprocal_gamma_zeros(a, b, m, n, rel_tol):
+    # the log modulus of a reciprocal gamma is -inf at its zeros: the saddle
+    # search once settled on one (sigma = 0.14 for the first shape) or next
+    # to one far left (sigma = -130 and -158), where exp overflowed, and
+    # refinement ran on to the work cap
+    mp = pytest.importorskip("mpmath")
+    z = np.geomspace(0.1, 4.6, 5)
+    vals, _, _ = specfun.meijer_g_many(a, b, m, n, z, rel_tol)
+    with mp.workdps(30):
+        ref = np.array([float(mp.meijerg([a[:n], a[n:]], [b[:m], b[m:]], x))
+                        for x in z])
+    assert np.max(np.abs(vals - ref)) <= rel_tol * np.max(np.abs(ref))
+
+
 def _meijer_g_many_full_contour(a, b, m, n, z, rel_tol):
     # the univariate engine summed over the whole contour with an
     # arguments x nodes kernel, its monitors read from that kernel; returns
@@ -267,20 +285,21 @@ def _meijer_g_many_full_contour(a, b, m, n, z, rel_tol):
     if decay <= 0:
         raise specfun.ConvergenceError("integrand does not decay")
     sigma = specfun._plan_abscissa(a, b, m, n, lnz=float(np.mean(lnz)))
-    half_h = (-math.log(rel_tol * 1e-3) + 8.0) / decay + 0.6 * abs(sigma)
-    osc = max(1.0, float(np.max(np.abs(lnz))))
-    nodes = 1 + 2 ** int(math.ceil(math.log2(max(256.0, 4.0 * half_h * osc / math.pi))))
+    half_h = (-math.log(rel_tol * 1e-3) + 6.0) / decay
+    h = min(math.pi / (3.0 * max(1.0, float(np.max(np.abs(lnz))))), 0.125)
     prev = None
-    for _ in range(24):
-        y = np.linspace(-half_h, half_h, nodes)
+    while True:
+        count = math.ceil(half_h / h)
+        if 2 * count + 1 > 2 ** 22:
+            raise specfun.ConvergenceError("work cap")
+        y = h * np.arange(-count, count + 1)
         s = sigma + 1j * y
         kern = np.exp(specfun._line_log_block(a, b, m, n, s)[None, :]
                       + np.outer(lnz, s))
-        h = y[1] - y[0]
         vals = np.real(kern.sum(axis=1) - 0.5 * (kern[:, 0] + kern[:, -1])) \
             * h / (2.0 * math.pi)
         mags = np.abs(kern)
-        blk = min(8, (nodes - 1) // 4)
+        blk = min(8, count // 2)
         outer = 0.5 * (mags[:, :blk].mean(axis=1) + mags[:, -blk:].mean(axis=1))
         inner = 0.5 * (mags[:, blk:2 * blk].mean(axis=1)
                        + mags[:, -2 * blk:-blk].mean(axis=1))
@@ -291,20 +310,16 @@ def _meijer_g_many_full_contour(a, b, m, n, z, rel_tol):
         budget = max(rel_tol * (float(np.max(np.abs(vals))) + 1e-300),
                      4.0 * round_floor)
         if tail > 0.25 * budget:
-            half_h *= 1.5
-            nodes = 1 + int(1.5 * (nodes - 1))
+            half_h *= 1.4
             prev = None
             continue
         if prev is not None:
             step = float(np.max(np.abs(vals - prev)))
             if step <= budget:
                 return vals, step + tail + round_floor, \
-                    specfun.ContourPlan(sigma, half_h, nodes), round_floor
+                    specfun.ContourPlan(sigma, half_h, 2 * count + 1), round_floor
         prev = vals
-        nodes = 1 + 2 * (nodes - 1)
-        if nodes > 2 ** 22:
-            break
-    raise specfun.ConvergenceError("did not converge")
+        h *= 0.5
 
 
 def test_meijer_g_many_matches_full_contour_sum():
@@ -606,6 +621,32 @@ def test_bivariate_memo_is_bounded():
         assert info.currsize <= info.maxsize
     info = specfun._t_collapse.cache_info()
     assert info.misses >= 300 and info.currsize == info.maxsize
+
+
+def test_bivariate_work_cap_raises_before_any_level(monkeypatch):
+    # |ln x1| = 691 sets the first step to pi / 2072, so the first grid is
+    # already over 4e7 nodes: the call raises without summing a level
+    def no_level(*args):
+        raise AssertionError("a level ran past the work cap")
+
+    monkeypatch.setattr(specfun, "_s_line", no_level)
+    t_block = _cdf_t_block(1, 2.57, 5.36, 1.21)
+    with pytest.raises(specfun.ConvergenceError, match="work budget"):
+        specfun.meijer_g_bivariate_family([0, 1], t_block, 1e-300, 1.0)
+
+
+def test_bivariate_returns_only_converged_totals():
+    # a CDF family at small x2 whose levels do not agree to 1e-9 relative
+    # before the work cap: the engine once returned its best level there,
+    # 21.6 budgets off; a total it returns has met its budget, and a call
+    # that cannot meet it raises
+    t_block = _cdf_t_block(2, 3.81, 1.21, 1.54)
+    try:
+        total, err, _ = specfun.meijer_g_bivariate_family(
+            [0, 1], t_block, 10.0, 1e-3, rel_tol=1e-9)
+    except specfun.ConvergenceError:
+        return
+    assert err <= 1.5e-9 * abs(total)
 
 
 def test_bivariate_rejects_bad_arguments():

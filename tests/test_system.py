@@ -81,7 +81,8 @@ def test_sndr_monotone_and_bounded(scenario_factory):
 def test_linear_family_is_kappa_one(scenario_factory):
     scn = scenario_factory(hpa_family="linear", ibo_db=None)
     assert scn.kappa == 1.0
-    assert scn.relay_g == 1.0
+    # the power-constrained gain, as for every other family
+    assert scn.relay_g == math.sqrt(1.0 / (scn.trace_term * scn.gbar1 + 1.0))
     fixed = scenario_factory(hpa_family="linear", ibo_db=None,
                              gain_mode="fixed", fixed_gain=0.7)
     assert fixed.kappa == 1.0
