@@ -160,8 +160,8 @@ def _sweep_grid(cp, args) -> tuple[str, list[float]]:
         grid = [float(tok) for tok in raw.replace(",", " ").split()]
     else:
         start, stop, step = (sw.getfloat(k) for k in ("start", "stop", "step"))
-        if step == 0:
-            raise ConfigError("sweep step must be nonzero")
+        if step == 0 or not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError("sweep start, stop and step must be finite, step nonzero")
         n = int(round((stop - start) / step)) + 1
         grid = [start + i * step for i in range(n)]
     if not grid:
@@ -235,6 +235,9 @@ def _row(method, point, scn, out) -> tuple:
 def run(args) -> int:
     cp, used_defaults = load_config(args.config)
     variable, grid = _sweep_grid(cp, args)
+    scalars = [args.gamma_th_db, args.mu_r_db, args.ibo_db or 0.0]
+    if not all(map(math.isfinite, grid + scalars)):
+        raise ConfigError("sweep values, --gamma-th-db, --mu-r-db and --ibo-db must be finite")
     methods = [m.strip() for m in args.method.split(",")]
     for i, m in enumerate(methods):
         if (args.metric, m) not in EVALUATORS:
@@ -251,13 +254,9 @@ def run(args) -> int:
         overrides["hpa"] = args.hpa
     if args.ibo_db is not None:
         overrides["ibo_db"] = args.ibo_db
-    # the modulation and the manifest's scenario are built before any output
-    # exists, so an input they reject leaves no output directory behind
     args = argparse.Namespace(
         **vars(args), mod=analytics.modulation(args.modulation, args.mod_order))
     scn0 = _scenario_from_config(cp, args.mu_r_db, overrides)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     points = []
     for point in grid:
@@ -273,6 +272,9 @@ def run(args) -> int:
                                in zip(points, _evaluate(args.metric, m, points))]
             for m in methods}
 
+    # made once every row is computed: a run that fails leaves no directory
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     files = []
     for (metric, method), results in rows.items():
         fname = out_dir / f"{metric}_{method.replace('-', '_')}.csv"

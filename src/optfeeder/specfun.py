@@ -227,23 +227,27 @@ def _line_log_block(a, b, m, n, s):
     return out
 
 
+def _strip(a, b, m, n):
+    """Pole bounds (left, right) of a block's legal strip: right-family poles
+    come from Gamma(b_j - s) at b_j + l, the left family from
+    Gamma(1 - a_j + s) at a_j - 1 - l.  A line must clear each by more than
+    COLLIDE_TOL, else PoleCollisionError; no parameter is perturbed."""
+    left = max(a[:n]) - 1.0 if n else -math.inf
+    right = min(b[:m]) if m else math.inf
+    if left >= right - 2.0 * COLLIDE_TOL:
+        raise PoleCollisionError(f"pole families touch (left {left}, right {right})")
+    return left, right
+
+
 def _plan_abscissa(a, b, m, n, lnz=0.0):
-    """Vertical-line abscissa separating the two pole families.
+    """Vertical-line abscissa near the saddle inside the legal strip.
 
-    Right-family poles come from Gamma(b_j - s) at b_j + l, the left family
-    from Gamma(1 - a_j + s) at a_j - 1 - l.  Families that touch raise
-    PoleCollisionError; no parameter is perturbed.  Within the legal strip
-    the line is placed near the saddle of the integrand (the minimum of its
-    modulus on the real axis); anchoring the quadrature at the scale of the
-    result keeps cancellation from destroying tiny values such as far tails
-    of the transformed densities.  Requires m + n > 0.
+    The saddle is the minimum of the integrand's modulus on the real axis;
+    anchoring the quadrature at the scale of the result keeps cancellation
+    from destroying tiny values such as far tails of the transformed
+    densities.  Requires m + n > 0.
     """
-    right_min = min(b[:m]) if m else math.inf
-    left_max = max(a[:n]) - 1.0 if n else -math.inf
-    if left_max >= right_min - COLLIDE_TOL:
-        raise PoleCollisionError(
-            f"pole families touch (left {left_max}, right {right_min})")
-
+    left_max, right_min = _strip(a, b, m, n)
     # the saddle of an all-right-pole integrand sits near -z^(1/m_eff) with
     # m_eff the net gamma count, so the search bracket must scale with it
     m_eff = max(2.0 * (m + n) - len(a) - len(b), 1)
@@ -358,7 +362,7 @@ def meijer_g_many(a_top, b_bottom, m, n, arguments, rel_tol: float = 1e-10):
     a = tuple(float(v) for v in a_top)
     b = tuple(float(v) for v in b_bottom)
     z = np.atleast_1d(np.asarray(arguments, dtype=float))
-    if np.any(z <= 0):
+    if not np.all(z > 0):     # NaN fails too
         raise ValueError("arguments must be positive")
     lnz = np.log(z)
     # one contour cannot serve arguments of very different magnitude; the
@@ -417,17 +421,15 @@ class GBlock:
 def _plan_bivariate(js, t_block):
     """Contour abscissae for the coupled double integral.
 
-    Constraints: sigma_t must sit right of every t-plane left pole and left
-    of every t-plane right pole; sigma_s right of the coupling poles at
-    -sigma_t and left of min(j, 1), which the smallest j sets for all terms.
+    sigma_t sits inside the t-block's strip, sigma_s right of the coupling
+    poles at -sigma_t and left of min(j, 1), which the smallest j sets for
+    all terms.  Both are fixed, not saddles as in :func:`_plan_abscissa`:
+    sigma_s must not move with x1, or the line memo loses its reuse within
+    a fit, and a metric t-block's own saddle can leave no room for s.
     """
-    t_left = max(t_block.a[:t_block.n]) - 1.0 if t_block.n else -math.inf
-    t_right = min(t_block.b[:t_block.m]) if t_block.m else math.inf
+    t_left, t_right = _strip(t_block.a, t_block.b, t_block.m, t_block.n)
     lo = t_left + COLLIDE_TOL
     hi = t_right - COLLIDE_TOL
-    if hi <= lo:
-        raise PoleCollisionError(
-            f"no t-contour between pole families ({t_left}, {t_right})")
     # keep sigma_t positive so the s-line of the j = 0 terms (right poles
     # starting at the origin) can sit left of zero yet clear the coupling
     target = 0.45 if hi > 0.55 else 0.7 * hi
@@ -557,7 +559,7 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
     toward zero still terminate.  A call that cannot meet its budget within
     the work cap of :func:`_refine` raises ConvergenceError.
     """
-    if x1 <= 0 or x2 <= 0:
+    if not (x1 > 0 and x2 > 0):     # NaN fails too
         raise ValueError("arguments must be positive")
     js = np.asarray(js)
     w = np.ones(len(js)) if weights is None else np.asarray(weights, float)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
-from scipy import linalg
 
 from . import fso_link, rf_link, transponder
 
@@ -31,10 +30,9 @@ class RankDeficientError(ValueError):
 
 
 def trace_bbh_inv(gain_matrix: np.ndarray) -> float:
-    """tr[(B B^H)^(-1)], the noise-amplification constant of the precoder.
-
-    Solve-based (no explicit inverse) with a condition-number guard.
-    """
+    """tr[(B B^H)^(-1)] = sum of sigma_i^-2, the precoder's noise amplification,
+    from the singular values of the conditioning guard: B B^H, whose condition
+    number is the square of B's, is never formed."""
     b = np.asarray(gain_matrix, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("gain matrix must be square")
@@ -42,19 +40,16 @@ def trace_bbh_inv(gain_matrix: np.ndarray) -> float:
     if svals[-1] <= 0 or svals[0] / svals[-1] > CONDITION_LIMIT:
         raise RankDeficientError(
             f"smallest singular value {svals[-1]:.3e} fails the conditioning guard")
-    bbh = b @ b.T
-    return float(np.trace(linalg.solve(bbh, np.eye(b.shape[0]), assume_a="pos")))
+    return float(np.sum(1.0 / svals ** 2))
 
 
 def zf_precoder(gain_matrix: np.ndarray, p_g: float) -> tuple[np.ndarray, float]:
-    """Zero-forcing precoder T = sqrt(c_zf) B^H (B B^H)^(-1), tr(T T^H) = P_g."""
+    """Zero-forcing precoder T = sqrt(c_zf) B^H (B B^H)^(-1), tr(T T^H) = P_g,
+    which is sqrt(c_zf) B^(-1) for the square B that the guard enforces."""
     if p_g <= 0:
         raise ValueError("power budget must be positive")
     c_zf = p_g / trace_bbh_inv(gain_matrix)
-    b = np.asarray(gain_matrix, dtype=float)
-    # rows of solve(BBH, B) are (BBH)^-1 B; transpose gives B^H (BBH)^-1
-    t_unscaled = linalg.solve(b @ b.T, b, assume_a="pos").T
-    return math.sqrt(c_zf) * t_unscaled, c_zf
+    return math.sqrt(c_zf) * np.linalg.inv(np.asarray(gain_matrix, dtype=float)), c_zf
 
 
 def sndr(gamma1, gamma2, scenario: "ScenarioConfig"):

@@ -182,10 +182,20 @@ _HET_BER = ["--metric", "ber", "--detection", "het"]
     ("", _HET_BER + ["--modulation", "mqam", "--mod-order", "2"]),
     ("", _HET_BER + ["--modulation", "mqam", "--mod-order", "32"]),
     ("", _HET_BER + ["--modulation", "mpsk", "--mod-order", "3"]),
+    ("", ["--gamma-th-db", "nan", "--method", "monte-carlo", "--samples", "2000"]),
+    ("[sweep]\ngrid = 10 nan 30\n", ["--method", "monte-carlo", "--samples", "2000"]),
+    ("[sweep]\nstop = inf\n", []),
+    ("", ["--sweep", "gamma_th_db", "--mu-r-db", "nan", "--method", "oracle"]),
+    ("", ["--gamma-th-db", "nan"]),
+    ("", ["--ibo-db", "nan"]),
+    ("", ["--method", "monte-carlo", "--samples", "0"]),
+    ("", ["--metric", "moments", "--order", "0"]),
 ], ids=["zero_step", "no_section_header", "duplicate_section",
         "user_index_past_last_beam", "negative_user_index", "removed_key_a0",
         "removed_key_path_loss_il", "removed_key_eta", "linear_fixed_gain_0",
-        "qam_order_1", "qam_order_2", "qam_order_32", "psk_order_3"])
+        "qam_order_1", "qam_order_2", "qam_order_32", "psk_order_3",
+        "gamma_th_nan_mc", "grid_nan_mc", "sweep_stop_inf", "mu_r_nan_oracle",
+        "gamma_th_nan_exact", "ibo_nan", "samples_0", "order_0"])
 def test_malformed_config_exit_code(tmp_path, capsys, text, argv):
     bad = tmp_path / "malformed.ini"
     bad.write_text(text)

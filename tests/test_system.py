@@ -35,14 +35,42 @@ def test_zf_identity_matrix_case():
     np.testing.assert_allclose(t, math.sqrt(0.4) * np.eye(5), atol=1e-14)
 
 
+def _mp_trace_bbt_inv(b):
+    """tr[(B B^T)^(-1)] in 60-digit mpmath, where the float matrix is exact."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        m = mp.matrix(b.tolist())
+        inv = (m * m.T) ** -1
+        return float(mp.fsum(inv[i, i] for i in range(m.rows)))
+
+
 def test_zf_default_layout_solve_oracle(layout, rf_params):
     b = rf_link.beam_gain_matrix(layout, rf_params)
     t, c_zf = system.zf_precoder(b, 1.0)
-    # independent oracle: explicit-inverse trace via SVD
-    svals = np.linalg.svd(b, compute_uv=False)
-    trace_ref = float(np.sum(1.0 / svals ** 2))
+    # independent oracle: the trace of the inverse Gram matrix in 60 digits
+    trace_ref = _mp_trace_bbt_inv(b)
     assert c_zf == pytest.approx(1.0 / trace_ref, rel=1e-10)
     assert system.trace_bbh_inv(b) == pytest.approx(trace_ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("theta_3db_deg", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, None],
+                         ids=lambda t: "cond_1e8" if t is None else f"theta_{t:g}deg")
+def test_trace_bbh_inv_against_mpmath(layout, rf_params, theta_3db_deg):
+    # wider beams overlap more: cond(B) runs from 1.4e3 at 1 degree to 5.4e7
+    # at 6, inside the guard, where a trace through B B^T (cond squared)
+    # came out 30 % off; None is a seeded 7 x 7 matrix at cond 1e8
+    if theta_3db_deg is None:
+        rng = rng_for(1708)
+        q1, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+        q2, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+        b = q1 @ np.diag(np.geomspace(1.0, 1e-8, 7)) @ q2.T
+        rel = 1e-7
+    else:
+        rf = dataclasses.replace(rf_params, theta_3db_rad=math.radians(theta_3db_deg))
+        b = rf_link.beam_gain_matrix(layout, rf)
+        rel = 1e-10
+    assert np.linalg.cond(b) < system.CONDITION_LIMIT
+    assert system.trace_bbh_inv(b) == pytest.approx(_mp_trace_bbt_inv(b), rel=rel)
 
 
 def test_zf_rank_deficiency_error():
