@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 import scipy.special as sp
@@ -38,22 +37,24 @@ _ORACLE_ABS_TOL = 1e-8  # oracle integral, absolute
 EPS_PERTURB = 1e-6      # joint parameter shift of the expansion at a coincidence
 
 
+# p of the unified conditional BER delta/(2 Gamma(p)) sum_u Gamma(p, q_u gamma)
+# for every modulation in the table: Gamma(1/2, q gamma) / Gamma(1/2) =
+# erfc(sqrt(q gamma)), the conditional BER the Monte Carlo path averages
+BER_P = 0.5
+
+
 @dataclass(frozen=True)
 class ModulationSpec:
-    """Conditional-BER parameters (delta, p, q_u, n) of one modulation."""
+    """Conditional-BER parameters (delta, q_u, n) of one modulation and the
+    detection r it needs (2 IM/DD, 1 heterodyne)."""
     name: str
     delta: float
-    p: float
     q_values: tuple[float, ...]
-    detection: Literal["imdd", "heterodyne"]
+    detection_r: int
 
     @property
     def n_terms(self) -> int:
         return len(self.q_values)
-
-    @property
-    def detection_r(self) -> int:
-        return 2 if self.detection == "imdd" else 1
 
     @property
     def ber_ceiling(self) -> float:
@@ -64,9 +65,9 @@ def modulation(name: str, order: int | None = None) -> ModulationSpec:
     """Parameter table: OOK (IM/DD), BPSK / M-PSK / M-QAM (heterodyne)."""
     key = name.lower()
     if key == "ook":
-        return ModulationSpec("OOK", 1.0, 0.5, (0.5,), "imdd")
+        return ModulationSpec("OOK", 1.0, (0.5,), 2)
     if key == "bpsk":
-        return ModulationSpec("BPSK", 1.0, 0.5, (1.0,), "heterodyne")
+        return ModulationSpec("BPSK", 1.0, (1.0,), 1)
     if order is None:
         raise ValueError(f"{name} needs a constellation order")
     m_ord = int(order)
@@ -80,12 +81,12 @@ def modulation(name: str, order: int | None = None) -> ModulationSpec:
         n = max(m_ord // 4, 1)
         delta = 2.0 / max(math.log2(m_ord), 2.0)
         q = tuple(math.sin((2 * u - 1) * math.pi / m_ord) ** 2 for u in range(1, n + 1))
-        return ModulationSpec(f"{m_ord}-PSK", delta, 0.5, q, "heterodyne")
+        return ModulationSpec(f"{m_ord}-PSK", delta, q, 1)
     if key == "mqam":
         n = int(round(math.sqrt(m_ord))) // 2
         delta = 4.0 / math.log2(m_ord) * (1.0 - 1.0 / math.sqrt(m_ord))
         q = tuple(3.0 * (2 * u - 1) ** 2 / (2.0 * (m_ord - 1)) for u in range(1, n + 1))
-        return ModulationSpec(f"{m_ord}-QAM", delta, 0.5, q, "heterodyne")
+        return ModulationSpec(f"{m_ord}-QAM", delta, q, 1)
     raise ValueError(f"unknown modulation {name!r}")
 
 
@@ -167,13 +168,12 @@ def _family_total(scn: ScenarioConfig, x2: float, rel_tol: float,
            + specfun.duplication_split(r, 1.0 - be)),
         b=bottom + specfun.duplication_split(r, -xi2) + (last,),
         m=len(bottom), n=len(top) + 3 * r)
-    weights = _sum_weights(scn.shadowing)
     abs_tol = 0.5 * rel_tol / max(out_scale, 1e-300)
     x1 = _x1(scn)
     try:
         total, err, _ = specfun.meijer_g_bivariate_family(
-            range(scn.shadowing.m_int), t_block, x1, x2,
-            weights=weights, rel_tol=rel_tol, abs_tol=abs_tol)
+            _sum_weights(scn.shadowing), t_block, x1, x2,
+            rel_tol=rel_tol, abs_tol=abs_tol)
     except (specfun.ConvergenceError, specfun.PoleCollisionError) as exc:
         raise type(exc)(
             f"{exc} (scenario {scn.fingerprint()}, shared-kernel family of "
@@ -277,11 +277,11 @@ def ber_exact(mod: ModulationSpec, scn: ScenarioConfig) -> float:
     """Average BER of the served user for one Gray-coded modulation."""
     check_detection(mod, scn)
     x2b = _x2_base(scn)
-    pref = (mod.delta / (2.0 * sp.gamma(mod.p))) * _prefactor(scn)
+    pref = (mod.delta / (2.0 * sp.gamma(BER_P))) * _prefactor(scn)
     acc = []
     for q_u in mod.q_values:
         total, _ = _family_total(scn, q_u * x2b, _REL_TOL, out_scale=pref,
-                                 bottom=(mod.p,))
+                                 bottom=(BER_P,))
         acc.append(total)
     value = mod.ber_ceiling - pref * math.fsum(acc)
     if not (-1e-6 <= value <= mod.ber_ceiling + 1e-6):
@@ -392,7 +392,7 @@ def ber_asymptotic(mod: ModulationSpec, scn: ScenarioConfig) -> float:
 
     def weight(theta):
         qsum = math.fsum(q ** (-theta) for q in mod.q_values)
-        return sp.gamma(mod.p + theta) * qsum * mod.delta / (2.0 * sp.gamma(mod.p))
+        return sp.gamma(BER_P + theta) * qsum * mod.delta / (2.0 * sp.gamma(BER_P))
 
     return mod.ber_ceiling - _asymptotic_sum(scn, weight)
 

@@ -42,8 +42,9 @@ class AtmosphereConfig:
         if not (0 <= self.zenith_rad < math.pi / 2):
             raise ValueError("zenith angle must lie in [0, pi/2)")
         for name in ("wavelength", "wind_rms", "cn2_ground", "beam_radius_tx"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:     # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"not {getattr(self, name)}")
 
     @property
     def wavenumber(self) -> float:
@@ -65,8 +66,9 @@ class TurbulenceParams:
     sigma_pe: float              # beam-wander pointing jitter, m at the receiver plane
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("Gamma-Gamma shapes must be positive")
+        if not (self.alpha > 0 and self.beta > 0):
+            raise ValueError(f"Gamma-Gamma shapes alpha, beta must be positive, "
+                             f"not {self.alpha}, {self.beta}")
 
     @property
     def scintillation_index(self) -> float:
@@ -79,8 +81,8 @@ class PointingConfig:
     xi: float
 
     def __post_init__(self):
-        if self.xi <= 0:
-            raise ValueError("xi must be positive")
+        if not 0 < self.xi < math.inf:
+            raise ValueError(f"xi must be positive and finite, not {self.xi}")
 
 
 @dataclass(frozen=True)

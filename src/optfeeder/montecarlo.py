@@ -8,10 +8,10 @@ Reproducibility contract: streams are counter-based (Philox keyed by the
 master seed and the batch index), so results for a fixed (scenario, N,
 seed, batch size) are bit-identical no matter how batches are scheduled.
 Within a batch numpy's pairwise summation applies; across batches partial
-sums are combined with exact float summation.  A plan may carry several
+sums are combined with exact float summation.  A plan carries one or more
 scenarios that agree on ``stream_key``: every scenario of the plan reads
 the same draws, so each of its estimates is bit-identical to the one a
-single-scenario plan gives (common random numbers across a sweep).
+plan of that scenario alone gives (common random numbers across a sweep).
 """
 
 from __future__ import annotations
@@ -41,13 +41,12 @@ def stream_key(scn: ScenarioConfig) -> dict:
 
 @dataclass(frozen=True)
 class SimPlan:
-    """Scenario, sample budget, and the deterministic stream layout.
+    """Scenarios, sample budget, and the deterministic stream layout.
 
-    ``scenario`` is one ScenarioConfig, or a tuple of scenarios that share
-    the stream; the estimators return one estimate for the former and a
-    list of one estimate per scenario, in order, for the latter.
+    ``scenarios`` is a tuple of scenarios that share the stream; every
+    estimator returns a list of one estimate per scenario, in order.
     """
-    scenario: ScenarioConfig | tuple[ScenarioConfig, ...]
+    scenarios: tuple[ScenarioConfig, ...]
     n_samples: int
     seed: int
     batch_size: int = DEFAULT_BATCH
@@ -65,12 +64,6 @@ class SimPlan:
                 if value != first[name]:
                     raise ValueError(f"the scenarios of one plan must share "
                                      f"{name}: scenario {i} differs from scenario 0")
-
-    @property
-    def scenarios(self) -> tuple[ScenarioConfig, ...]:
-        if isinstance(self.scenario, ScenarioConfig):
-            return (self.scenario,)
-        return tuple(self.scenario)
 
 
 @dataclass(frozen=True)
@@ -112,11 +105,6 @@ def simulate_sndr(plan: SimPlan):
         index += 1
 
 
-def _per_plan(plan: SimPlan, estimates: list):
-    """One estimate for a single-scenario plan, else the per-scenario list."""
-    return estimates[0] if isinstance(plan.scenario, ScenarioConfig) else estimates
-
-
 def _cdf_hits(plan: SimPlan, thresholds: np.ndarray) -> np.ndarray:
     """Per scenario (row), the samples below each of that row's thresholds."""
     hits = np.zeros(thresholds.shape)
@@ -147,7 +135,7 @@ def _mean_ci(plan: SimPlan, transform):
         mean = math.fsum(s) / count
         var = max(math.fsum(sq) / count - mean * mean, 0.0)
         out.append(MonteCarloEstimate(mean, 3.0 * math.sqrt(var / count), count))
-    return _per_plan(plan, out)
+    return out
 
 
 def empirical_outage(plan: SimPlan, gamma_th):
@@ -160,23 +148,22 @@ def empirical_outage(plan: SimPlan, gamma_th):
     if np.any(th < 0):
         raise ValueError("threshold must be nonnegative")
     hits = _cdf_hits(plan, th[:, None])
-    return _per_plan(plan, [_binomial(row[0], plan.n_samples) for row in hits])
+    return [_binomial(row[0], plan.n_samples) for row in hits]
 
 
 def empirical_cdf(plan: SimPlan, points):
-    """Empirical CDF at several points from one shared sample stream: a list
-    over the points (per scenario, for a plan of several)."""
+    """Empirical CDF at several points from one shared sample stream: per
+    scenario, a list over the points."""
     pts = np.asarray(points, dtype=float)
     hits = _cdf_hits(plan, np.tile(pts, (len(plan.scenarios), 1)))
-    return _per_plan(plan, [[_binomial(h, plan.n_samples) for h in row]
-                            for row in hits])
+    return [[_binomial(h, plan.n_samples) for h in row] for row in hits]
 
 
 def empirical_ber(plan: SimPlan, mod: analytics.ModulationSpec):
     """Average of the exact conditional BER over the SNDR stream.
 
-    For the p = 1/2 family the conditional BER is a finite erfc sum,
-    delta/2 sum_u erfc(sqrt(q_u gamma)), so averaging it is unbiased.
+    With p = ``analytics.BER_P`` = 1/2 the conditional BER is a finite erfc
+    sum, delta/2 sum_u erfc(sqrt(q_u gamma)), so averaging it is unbiased.
     """
     analytics.check_detection(mod, plan.scenarios[0])
 

@@ -41,8 +41,9 @@ class RfLinkParams:
     def __post_init__(self):
         for name in ("carrier_hz", "gain_tx", "gain_rx", "bandwidth_hz",
                      "noise_temp_k", "theta_3db_rad"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:     # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"not {getattr(self, name)}")
 
 
 def beam_centers(radius: float) -> np.ndarray:
@@ -64,8 +65,9 @@ class BeamLayout:
     user_positions: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.beam_radius <= 0 or self.slant_range <= 0:
-            raise ValueError("radius and slant range must be positive")
+        if not (0 < self.beam_radius < math.inf and 0 < self.slant_range < math.inf):
+            raise ValueError(f"beam_radius and slant_range must be positive and finite, "
+                             f"not {self.beam_radius}, {self.slant_range}")
         if self.user_positions is not None:   # (x, y) pairs: == and hash by value
             object.__setattr__(self, "user_positions", tuple(
                 (float(x), float(y)) for x, y in self.user_positions))
@@ -112,10 +114,11 @@ class ShadowedRicianParams:
     omega: float
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("fading severity m must be >= 1")
-        if self.b <= 0 or self.omega < 0:
-            raise ValueError("need b > 0 and Omega >= 0")
+        if not 1 <= self.m < math.inf:     # NaN fails too
+            raise ValueError(f"fading severity m must be finite and >= 1, not {self.m}")
+        if not (0 < self.b < math.inf and 0 <= self.omega < math.inf):
+            raise ValueError(f"need finite b > 0 and omega >= 0, not b = {self.b}, "
+                             f"omega = {self.omega}")
 
     @property
     def m_int(self) -> int:

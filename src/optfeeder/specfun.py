@@ -62,8 +62,8 @@ def exp_scaled_e1(x: float) -> float:
     closed form e^x*E1 cancels catastrophically when used to build
     distortion powers), and through scipy's exp1 below that.
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
+    if not x > 0:     # NaN fails too
+        raise ValueError(f"x must be positive, not {x}")
     if x < 2.0:
         return float(np.exp(x) * sp.exp1(x))
     # modified Lentz on the continued fraction b0 + a1/(b1 + a2/(b2 + ...))
@@ -178,8 +178,9 @@ def gauss_panels(f, edges, tol: float) -> float:
     """Integral of the vectorized f over the panels between ``edges``.
 
     Each level evaluates f once, at the 20- and 40-point Gauss nodes of every
-    live panel, and halves those whose estimates differ by more than ``tol``,
-    at most twelve times; returns the ``math.fsum`` of the 40-point values.
+    live panel, and halves those whose estimates differ by more than ``tol``;
+    returns the ``math.fsum`` of the 40-point values.  A panel still live
+    after twelve halvings raises ConvergenceError.
     """
     pieces = []
     a, b = edges[:-1], edges[1:]
@@ -190,12 +191,16 @@ def gauss_panels(f, edges, tol: float) -> float:
         f_all = f(np.concatenate((x20.ravel(), x40.ravel())))
         v20 = half * (f_all[:x20.size].reshape(x20.shape) @ _WEIGHTS20)
         v40 = half * (f_all[x20.size:].reshape(x40.shape) @ _WEIGHTS40)
-        done = (np.abs(v40 - v20) <= tol) | (depth == 12)
+        done = np.abs(v40 - v20) <= tol     # NaN is never done
         pieces.extend(v40[done].tolist())
+        if done.all():
+            return math.fsum(pieces)
+        if depth == 12:
+            raise ConvergenceError(
+                f"{np.count_nonzero(~done)} Gauss panels, one on "
+                f"[{a[~done][0]:.6g}, {b[~done][0]:.6g}], miss tolerance {tol:.3g} "
+                f"after twelve halvings")
         a, b = np.concatenate((a[~done], mid[~done])), np.concatenate((mid[~done], b[~done]))
-        if not len(a):
-            break
-    return math.fsum(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -418,31 +423,29 @@ class GBlock:
     n: int
 
 
-def _plan_bivariate(js, t_block):
+def _plan_bivariate(t_block):
     """Contour abscissae for the coupled double integral.
 
     sigma_t sits inside the t-block's strip, sigma_s right of the coupling
-    poles at -sigma_t and left of min(j, 1), which the smallest j sets for
-    all terms.  Both are fixed, not saddles as in :func:`_plan_abscissa`:
-    sigma_s must not move with x1, or the line memo loses its reuse within
-    a fit, and a metric t-block's own saddle can leave no room for s.
+    poles at -sigma_t and left of the pole of Gamma(-s) at 0.  Both are
+    fixed, not saddles as in :func:`_plan_abscissa`: sigma_s must not move
+    with x1, or the line memo loses its reuse within a fit, and a metric
+    t-block's own saddle can leave no room for s.
     """
     t_left, t_right = _strip(t_block.a, t_block.b, t_block.m, t_block.n)
     lo = t_left + COLLIDE_TOL
     hi = t_right - COLLIDE_TOL
-    # keep sigma_t positive so the s-line of the j = 0 terms (right poles
-    # starting at the origin) can sit left of zero yet clear the coupling
+    # keep sigma_t positive so the s-line (right poles starting at the
+    # origin) can sit left of zero yet clear the coupling
     target = 0.45 if hi > 0.55 else 0.7 * hi
     pad = 0.02 * min(1.0, hi - lo)
     sigma_t = min(max(target, lo + pad), hi - pad)
     if sigma_t <= 0:
         raise PoleCollisionError("t-contour forced nonpositive; cannot clear coupling")
-
-    s_right = min(min(js), 1.0)
-    lo_s = -sigma_t + COLLIDE_TOL
-    if s_right - lo_s <= COLLIDE_TOL:
+    room = sigma_t - COLLIDE_TOL     # from the coupling poles to the origin
+    if room <= COLLIDE_TOL:
         raise PoleCollisionError("no s-contour clears the coupling poles")
-    return s_right - 0.5 * min(1.0, s_right - lo_s), sigma_t
+    return -0.5 * min(1.0, room), sigma_t
 
 
 # The lines of one refinement level do not depend on x1, and only the
@@ -487,18 +490,18 @@ def _coupling_line(sigma_w, h, n):
 
 
 @functools.lru_cache(maxsize=_LINE_CACHE)
-def _s_line(coef, j0, sigma_s, h, ns):
-    """s-contour points, log Gamma(j0 - s) Gamma(1 - s) on them, and the
+def _s_line(coef, sigma_s, h, ns):
+    """s-contour points, log Gamma(-s) Gamma(1 - s) on them, and the
     Pochhammer polynomial P with its termwise modulus bound, built as
     running products."""
     u = h * np.arange(-ns, ns + 1)
     s = sigma_s + 1j * u
-    log_g = sp.loggamma(j0 - s) + sp.loggamma(1.0 - s)
+    log_g = sp.loggamma(-s) + sp.loggamma(1.0 - s)
     poch = np.ones_like(s)
     poly = np.full_like(s, coef[0])
     bound = np.full(len(s), abs(coef[0]))
     for k in range(1, len(coef)):
-        poch *= j0 + k - 1 - s
+        poch *= k - 1 - s
         poly += coef[k] * poch
         bound += abs(coef[k]) * np.abs(poch)
     return _frozen(s, log_g, poly, bound)
@@ -535,39 +538,34 @@ def _t_collapse(t_block, sigma_s, sigma_t, h, ns, nt, x2):
     return _frozen(tvec, t_edge) + (t_divisor,)
 
 
-def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
+def meijer_g_bivariate_family(weights, t_block, x1, x2,
                               rel_tol: float = 1e-8, abs_tol: float = 0.0):
-    """Weighted sum over integer j of the channel statistics' bivariate G terms.
+    """Sum over j = 0..len(weights)-1 of weights[j] times the channel
+    statistics' bivariate G term j.
 
     Term j is the double Mellin-Barnes integral of
     Gamma(s + t) Gamma(j - s) Gamma(1 - s) Phi_t(t) x1^s x2^t, with Phi_t
     the t-block in classical orientation.  As Gamma(j - s) =
-    Gamma(j0 - s) (j0 - s)_{j - j0} with j0 = min(js), the weighted sum is
-    one double integral whose s-side carries the Pochhammer polynomial
-    P(s) = sum_j w_j (j0 - s)_{j - j0}; the tail and roundoff monitors take
-    sum_j |w_j| |(j0 - s)_{j - j0}| instead, which sees every term before
-    the weights cancel.  On the shared grid the kernel is C[i + k] T[k],
-    the coupling gamma on the antidiagonal sums times the t-block, so the
-    t-collapse is a Hankel product: memory and the exponentials are
-    O(ns + nt), never O(ns nt).  On a fixed grid x1 enters only through
-    x1^s, so each contour line is built once per grid and memoised; a call
-    whose grid and x2 an earlier call shared only adds s ln x1,
-    exponentiates and sums.
+    Gamma(-s) (-s)_j, the weighted sum is one double integral whose s-side
+    carries the Pochhammer polynomial P(s) = sum_j w_j (-s)_j; the tail and
+    roundoff monitors take sum_j |w_j| |(-s)_j| instead, which sees every
+    term before the weights cancel.  On the shared grid the kernel is
+    C[i + k] T[k], the coupling gamma on the antidiagonal sums times the
+    t-block, so the t-collapse is a Hankel product: memory and the
+    exponentials are O(ns + nt), never O(ns nt).  On a fixed grid x1 enters
+    only through x1^s, so each contour line is built once per grid and
+    memoised; a call whose grid and x2 an earlier call shared only adds
+    s ln x1, exponentiates and sums.
 
-    Returns (total, error_estimate, plan).  ``weights`` default to 1.
-    ``abs_tol`` sets an absolute-error floor so that totals which underflow
-    toward zero still terminate.  A call that cannot meet its budget within
-    the work cap of :func:`_refine` raises ConvergenceError.
+    Returns (total, error_estimate, plan).  ``abs_tol`` sets an
+    absolute-error floor so that totals which underflow toward zero still
+    terminate.  A call that cannot meet its budget within the work cap of
+    :func:`_refine` raises ConvergenceError.
     """
     if not (x1 > 0 and x2 > 0):     # NaN fails too
         raise ValueError("arguments must be positive")
-    js = np.asarray(js)
-    w = np.ones(len(js)) if weights is None else np.asarray(weights, float)
-    sigma_s, sigma_t = _plan_bivariate(js, t_block)
-    j0 = int(js.min())
-    coef = np.zeros(int(js.max()) - j0 + 1)
-    np.add.at(coef, js - j0, w)
-    coef = tuple(coef.tolist())
+    sigma_s, sigma_t = _plan_bivariate(t_block)
+    coef = tuple(float(w) for w in weights)
 
     # Gamma(j - s) Gamma(1 - s) decays like exp(-pi |u|); the coupling gamma
     # contributes exp(-pi |u+v| / 2), counted half toward each axis when
@@ -578,7 +576,7 @@ def meijer_g_bivariate_family(js, t_block, x1, x2, weights=None,
         raise ConvergenceError("bivariate integrand does not decay")
 
     def level(h, ns, nt):
-        s, log_g, poly, bound = _s_line(coef, j0, sigma_s, h, ns)
+        s, log_g, poly, bound = _s_line(coef, sigma_s, h, ns)
         tvec, t_edge, t_divisor = _t_collapse(t_block, sigma_s, sigma_t, h, ns, nt, x2)
         fs = np.exp(log_g + s * math.log(x1))
         fs_mod = np.abs(fs) * bound

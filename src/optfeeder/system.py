@@ -93,8 +93,11 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.gain_mode not in ("power_constrained", "fixed"):
             raise ValueError("gain_mode must be 'power_constrained' or 'fixed'")
-        if self.p_g <= 0:
-            raise ValueError("power budget must be positive")
+        explicit = ("gamma_bar2",) if self.gamma2_source == "explicit" else ()
+        for name in ("mu_r", "p_g", "sigma2_sq") + explicit:
+            if not 0 < getattr(self, name) < math.inf:     # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"not {getattr(self, name)}")
         b = rf_link.beam_gain_matrix(self.layout, self.rf)
         if not 0 <= self.user_index < b.shape[0]:
             raise ValueError(f"user_index must lie in [0, {b.shape[0]}), "

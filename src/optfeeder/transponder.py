@@ -66,8 +66,8 @@ def rapp_amam(x, amp_sat: float, smoothness: float = 1.0):
 
 def bussgang_twta(ibo_linear: float) -> tuple[float, float]:
     """(K, sigma_NL^2) for the Saleh-curve amplifier at back-off A^2/P_r."""
-    if ibo_linear <= 0:
-        raise ValueError("back-off must be positive")
+    if not ibo_linear > 0:     # NaN fails too
+        raise ValueError(f"back-off ibo_linear must be positive, not {ibo_linear}")
     q = ibo_linear
     if q > _SERIES_CUTOFF:
         x = 1.0 / q
@@ -84,8 +84,8 @@ def bussgang_twta(ibo_linear: float) -> tuple[float, float]:
 
 def bussgang_sspa(ibo_linear: float) -> tuple[float, float]:
     """(K, sigma_NL^2) for the smooth envelope limiter at back-off A^2/P_r."""
-    if ibo_linear <= 0:
-        raise ValueError("back-off must be positive")
+    if not ibo_linear > 0:     # NaN fails too
+        raise ValueError(f"back-off ibo_linear must be positive, not {ibo_linear}")
     q = ibo_linear
     if q > _SERIES_CUTOFF:
         x = 1.0 / q
@@ -124,10 +124,13 @@ class HpaState:
     def __post_init__(self):
         if self.family not in HPA_FAMILIES:
             raise ValueError(f"family must be one of {HPA_FAMILIES}")
+        if not self.ibo_linear > 0:     # the linear family reads none, yet records it
+            raise ValueError(f"back-off ibo_linear must be positive, not {self.ibo_linear}")
         if not (0 < self.k_gain <= 1.0 + 1e-12):
             raise ValueError("Bussgang gain must lie in (0, 1]")
-        if self.sigma_nl_sq < 0:
-            raise ValueError("distortion power must be nonnegative")
+        if not self.sigma_nl_sq >= 0:
+            raise ValueError(f"distortion power sigma_nl_sq must be nonnegative, "
+                             f"not {self.sigma_nl_sq}")
 
     @property
     def sat_power_tx(self) -> float:
@@ -136,8 +139,8 @@ class HpaState:
 
     def kappa_for_gain(self, relay_g: float) -> float:
         """Distortion ratio 1 + sigma_NL^2 / (K^2 G^2), G in sqrt(P_r)/sigma_1."""
-        if relay_g <= 0:
-            raise ValueError("relay gain must be positive")
+        if not relay_g > 0:     # NaN fails too
+            raise ValueError(f"relay gain must be positive, not {relay_g}")
         return 1.0 + self.sigma_nl_sq / (self.k_gain ** 2 * relay_g ** 2)
 
 

@@ -75,8 +75,8 @@ def test_criterion_3_oracle_chain(scenario_factory):
     for detection, family, ibo in corners:
         scn = scenario_factory(detection=detection, hpa_family=family,
                                ibo_db=ibo, mu_r_db=30.0)
-        ests = montecarlo.empirical_cdf(
-            montecarlo.SimPlan(scn, 1_000_000, seed=303), xs)
+        (ests,) = montecarlo.empirical_cdf(
+            montecarlo.SimPlan((scn,), 1_000_000, seed=303), xs)
         worst = 0.0
         for x, est in zip(xs, ests):
             exact = analytics.sndr_cdf_exact(float(x), scn)
@@ -98,7 +98,7 @@ def test_criterion_4_moments(scenario_factory):
     """Closed-form moments vs PDF quadrature (1e-4) vs Monte Carlo (3 sigma)."""
     from scipy.integrate import quad
     scn = scenario_factory(shadowing=HEAVY_SHADOWING, mu_r_db=30.0)
-    plan = montecarlo.SimPlan(scn, 1_000_000, seed=404)
+    plan = montecarlo.SimPlan((scn,), 1_000_000, seed=404)
     for n in (1, 2):
         closed = analytics.sndr_moments(n, scn)
         quadv, _ = quad(lambda t: math.tan(t) ** n
@@ -106,7 +106,7 @@ def test_criterion_4_moments(scenario_factory):
                         / math.cos(t) ** 2, 1e-6, math.pi / 2 - 1e-8,
                         limit=200)
         assert closed == pytest.approx(quadv, rel=1e-4)
-        est = montecarlo.empirical_moment(plan, n)
+        (est,) = montecarlo.empirical_moment(plan, n)
         assert est.covers(closed)
         _report(f"criterion 4 [n={n}]",
                 f"closed {closed:.6g}, quadrature {quadv:.6g}, "
@@ -298,8 +298,8 @@ def test_criterion_10_figure_match(scenario_factory):
         gaps[mu] = (val - ref) / ref
         assert val == pytest.approx(ref, rel=0.10), (mu, val, ref)
     # and the Monte Carlo arm agrees with the analytic value there
-    est = montecarlo.empirical_outage(
-        montecarlo.SimPlan(scn.at_mu_r_db(50.0), 1_000_000, seed=1001), GTH_5DB)
+    (est,) = montecarlo.empirical_outage(
+        montecarlo.SimPlan((scn.at_mu_r_db(50.0),), 1_000_000, seed=1001), GTH_5DB)
     assert est.covers(FIG2_FIT_TARGET[1])
     _report("criterion 10: figure match",
             f"gamma_bar2* = {fitted:.5g}, gaps "

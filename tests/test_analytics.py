@@ -32,10 +32,11 @@ def scn_het_lin(scenario_factory):
 
 def test_modulation_table():
     ook = analytics.modulation("ook")
-    assert (ook.delta, ook.p, ook.q_values, ook.n_terms) == (1.0, 0.5, (0.5,), 1)
-    assert ook.detection == "imdd" and ook.detection_r == 2
+    assert analytics.BER_P == 0.5
+    assert (ook.delta, ook.q_values, ook.n_terms) == (1.0, (0.5,), 1)
+    assert ook.detection_r == 2
     bpsk = analytics.modulation("bpsk")
-    assert (bpsk.delta, bpsk.q_values) == (1.0, (1.0,))
+    assert (bpsk.delta, bpsk.q_values, bpsk.detection_r) == (1.0, (1.0,), 1)
     psk16 = analytics.modulation("mpsk", 16)
     assert psk16.n_terms == 4
     assert psk16.delta == pytest.approx(0.5)
@@ -404,8 +405,8 @@ def test_ber_detection_mismatch(scn_imdd_twta, scn_het_lin):
 def test_ber_exact_matches_conditional_mc(scn_imdd_twta):
     mod = analytics.modulation("ook")
     exact = analytics.ber_exact(mod, scn_imdd_twta)
-    est = montecarlo.empirical_ber(
-        montecarlo.SimPlan(scn_imdd_twta, 400_000, seed=61), mod)
+    (est,) = montecarlo.empirical_ber(
+        montecarlo.SimPlan((scn_imdd_twta,), 400_000, seed=61), mod)
     assert est.covers(exact)
 
 

@@ -168,40 +168,67 @@ def test_bad_config_exit_code(tmp_path):
 _HET_BER = ["--metric", "ber", "--detection", "het"]
 
 
-@pytest.mark.parametrize("text,argv", [
-    ("[sweep]\nstep = 0\n", []),
-    ("p_g = 2\n[system]\n", []),
-    ("[hpa]\nibo_db = 20\n[hpa]\nibo_db = 21\n", []),
-    ("[system]\nuser_index = 7\n", []),
-    ("[system]\nuser_index = -1\n", []),
-    ("[pointing]\na0 = 1.0\n", []),
-    ("[feeder]\npath_loss_il = 1.0\n", []),
-    ("[feeder]\neta = 1.0\n", []),
-    ("[hpa]\nfamily = linear\n[system]\ngain_mode = fixed\nfixed_gain = 0\n", []),
-    ("", _HET_BER + ["--modulation", "mqam", "--mod-order", "1"]),
-    ("", _HET_BER + ["--modulation", "mqam", "--mod-order", "2"]),
-    ("", _HET_BER + ["--modulation", "mqam", "--mod-order", "32"]),
-    ("", _HET_BER + ["--modulation", "mpsk", "--mod-order", "3"]),
-    ("", ["--gamma-th-db", "nan", "--method", "monte-carlo", "--samples", "2000"]),
-    ("[sweep]\ngrid = 10 nan 30\n", ["--method", "monte-carlo", "--samples", "2000"]),
-    ("[sweep]\nstop = inf\n", []),
-    ("", ["--sweep", "gamma_th_db", "--mu-r-db", "nan", "--method", "oracle"]),
-    ("", ["--gamma-th-db", "nan"]),
-    ("", ["--ibo-db", "nan"]),
-    ("", ["--method", "monte-carlo", "--samples", "0"]),
-    ("", ["--metric", "moments", "--order", "0"]),
+@pytest.mark.parametrize("text,argv,named", [
+    ("[sweep]\nstep = 0\n", [], ""),
+    ("p_g = 2\n[system]\n", [], ""),
+    ("[hpa]\nibo_db = 20\n[hpa]\nibo_db = 21\n", [], ""),
+    ("[system]\nuser_index = 7\n", [], ""),
+    ("[system]\nuser_index = -1\n", [], ""),
+    ("[pointing]\na0 = 1.0\n", [], ""),
+    ("[feeder]\npath_loss_il = 1.0\n", [], ""),
+    ("[feeder]\neta = 1.0\n", [], ""),
+    ("[hpa]\nfamily = linear\n[system]\ngain_mode = fixed\nfixed_gain = 0\n", [], ""),
+    ("", _HET_BER + ["--modulation", "mqam", "--mod-order", "1"], ""),
+    ("", _HET_BER + ["--modulation", "mqam", "--mod-order", "2"], ""),
+    ("", _HET_BER + ["--modulation", "mqam", "--mod-order", "32"], ""),
+    ("", _HET_BER + ["--modulation", "mpsk", "--mod-order", "3"], ""),
+    ("", ["--gamma-th-db", "nan", "--method", "monte-carlo", "--samples", "2000"], ""),
+    ("[sweep]\ngrid = 10 nan 30\n", ["--method", "monte-carlo", "--samples", "2000"], ""),
+    ("[sweep]\nstop = inf\n", [], ""),
+    ("", ["--sweep", "gamma_th_db", "--mu-r-db", "nan", "--method", "oracle"], ""),
+    ("", ["--gamma-th-db", "nan"], ""),
+    ("", ["--ibo-db", "nan"], ""),
+    ("", ["--method", "monte-carlo", "--samples", "0"], ""),
+    ("", ["--metric", "moments", "--order", "0"], ""),
+    # a value that fails its check names the scenario field it reached
+    ("[system]\nsigma2_sq = 0\n", [], "sigma2_sq"),
+    ("[system]\nsigma2_sq = -1\n", [], "sigma2_sq"),
+    ("[system]\nsigma2_sq = nan\n", [], "sigma2_sq"),
+    ("[system]\nsigma2_sq = inf\n", [], "sigma2_sq"),
+    ("[system]\np_g = nan\n", [], "p_g"),
+    ("[system]\ngamma_bar2 = nan\n", [], "gamma_bar2"),
+    ("", ["--sweep", "gamma_th_db", "--mu-r-db", "-4000"], "mu_r"),   # underflows to 0
+    ("[atmosphere]\nwavelength_nm = nan\n", [], "wavelength"),
+    ("[atmosphere]\nwavelength_nm = inf\n", [], "wavelength"),
+    ("[atmosphere]\nbeam_radius_tx_m = nan\n", [], "beam_radius_tx"),
+    ("[atmosphere]\ncn2_ground = nan\n", [], "cn2_ground"),
+    ("[pointing]\nxi = nan\n", [], "xi"),
+    ("[hpa]\nibo_db = nan\n", [], "ibo_linear"),
+    ("[hpa]\nfamily = linear\nibo_db = nan\n", [], "ibo_linear"),
+    ("[rf]\ncarrier_ghz = nan\n", [], "carrier_hz"),
+    ("[rf]\ntheta_3db_deg = nan\n", [], "theta_3db_rad"),
+    ("[shadowing]\nm = nan\n", [], "severity m"),
+    ("[shadowing]\nb = nan\n", [], "b = nan"),
+    ("[shadowing]\nomega = nan\n", [], "omega = nan"),
 ], ids=["zero_step", "no_section_header", "duplicate_section",
         "user_index_past_last_beam", "negative_user_index", "removed_key_a0",
         "removed_key_path_loss_il", "removed_key_eta", "linear_fixed_gain_0",
         "qam_order_1", "qam_order_2", "qam_order_32", "psk_order_3",
         "gamma_th_nan_mc", "grid_nan_mc", "sweep_stop_inf", "mu_r_nan_oracle",
-        "gamma_th_nan_exact", "ibo_nan", "samples_0", "order_0"])
-def test_malformed_config_exit_code(tmp_path, capsys, text, argv):
+        "gamma_th_nan_exact", "ibo_nan", "samples_0", "order_0",
+        "sigma2_sq_0", "sigma2_sq_negative", "sigma2_sq_nan", "sigma2_sq_inf", "p_g_nan",
+        "gamma_bar2_nan", "mu_r_underflow", "wavelength_nan", "wavelength_inf",
+        "beam_radius_tx_nan",
+        "cn2_ground_nan", "xi_nan", "config_ibo_nan", "linear_ibo_nan", "carrier_nan",
+        "theta_3db_nan",
+        "shadowing_m_nan", "shadowing_b_nan", "omega_nan"])
+def test_malformed_config_exit_code(tmp_path, capsys, text, argv, named):
     bad = tmp_path / "malformed.ini"
     bad.write_text(text)
     rc = _run(["--config", str(bad), "--out", str(tmp_path / "x")] + argv)
     assert rc == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
     assert not (tmp_path / "x").exists()    # rejected before any output
 
 
@@ -365,7 +392,7 @@ def test_monte_carlo_rows_match_single_scenario_calls(
         else:
             overrides = {variable: point}
         fresh = cli._scenario_from_config(cp, mu_r_db, overrides)
-        est = call(single, montecarlo.SimPlan(fresh, 3000, 5), args)
+        (est,) = call(single, montecarlo.SimPlan((fresh,), 3000, 5), args)
         assert (row["value"], row["error_estimate"], row["n_samples"]) == (
             f"{est.value:.12e}", f"{est.half_width:.6e}", str(est.n_samples))
 

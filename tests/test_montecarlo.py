@@ -18,7 +18,7 @@ def scenario(scenario_factory):
 
 
 def test_stream_deterministic(scenario):
-    plan = montecarlo.SimPlan(scenario, 300_000, seed=77, batch_size=1 << 16)
+    plan = montecarlo.SimPlan((scenario,), 300_000, seed=77, batch_size=1 << 16)
     a = np.concatenate(list(montecarlo.simulate_sndr(plan)))
     b = np.concatenate(list(montecarlo.simulate_sndr(plan)))
     assert np.array_equal(a, b)
@@ -26,34 +26,34 @@ def test_stream_deterministic(scenario):
 
 def test_stream_schedule_independent(scenario):
     # counter-based keying: processing order cannot change the aggregate
-    plan = montecarlo.SimPlan(scenario, 200_000, seed=78, batch_size=1 << 15)
+    plan = montecarlo.SimPlan((scenario,), 200_000, seed=78, batch_size=1 << 15)
     batches = list(montecarlo.simulate_sndr(plan))
     forward = sum(int(np.count_nonzero(b < 2.0)) for b in batches)
     backward = sum(int(np.count_nonzero(b < 2.0)) for b in reversed(batches))
     assert forward == backward
-    est = montecarlo.empirical_outage(plan, 2.0)
+    (est,) = montecarlo.empirical_outage(plan, 2.0)
     assert est.value == pytest.approx(forward / 200_000, abs=0)
 
 
 def test_seed_changes_stream(scenario):
-    p1 = montecarlo.SimPlan(scenario, 10_000, seed=1)
-    p2 = montecarlo.SimPlan(scenario, 10_000, seed=2)
+    p1 = montecarlo.SimPlan((scenario,), 10_000, seed=1)
+    p2 = montecarlo.SimPlan((scenario,), 10_000, seed=2)
     a = next(iter(montecarlo.simulate_sndr(p1)))
     b = next(iter(montecarlo.simulate_sndr(p2)))
     assert not np.array_equal(a, b)
 
 
 def test_outage_zero_threshold(scenario):
-    est = montecarlo.empirical_outage(
-        montecarlo.SimPlan(scenario, 50_000, seed=5), 0.0)
+    (est,) = montecarlo.empirical_outage(
+        montecarlo.SimPlan((scenario,), 50_000, seed=5), 0.0)
     assert est.value == 0.0
 
 
 def test_ci_shrinks_like_root_n(scenario):
     widths = []
     for n in (10_000, 100_000, 1_000_000):
-        est = montecarlo.empirical_outage(
-            montecarlo.SimPlan(scenario, n, seed=11), 2.0)
+        (est,) = montecarlo.empirical_outage(
+            montecarlo.SimPlan((scenario,), n, seed=11), 2.0)
         widths.append(est.half_width)
     for w_big, w_small in zip(widths, widths[1:]):
         ratio = w_big / w_small
@@ -61,16 +61,16 @@ def test_ci_shrinks_like_root_n(scenario):
 
 
 def test_outage_matches_cdf(scenario):
-    plan = montecarlo.SimPlan(scenario, 400_000, seed=13)
+    plan = montecarlo.SimPlan((scenario,), 400_000, seed=13)
     for x in (0.5, 2.0, 8.0):
-        est = montecarlo.empirical_outage(plan, x)
+        (est,) = montecarlo.empirical_outage(plan, x)
         ref = analytics.sndr_cdf_exact(x, scenario)
         assert est.covers(ref)
 
 
 def test_mean_matches_first_moment(scenario):
-    est = montecarlo.empirical_moment(
-        montecarlo.SimPlan(scenario, 1_000_000, seed=17), 1)
+    (est,) = montecarlo.empirical_moment(
+        montecarlo.SimPlan((scenario,), 1_000_000, seed=17), 1)
     ref = analytics.sndr_moments(1, scenario)
     assert est.covers(ref)
 
@@ -79,8 +79,8 @@ def test_ber_degenerate_snr_limit(scenario_factory):
     # gamma == 0 (vanishing feeder SNR) drives the conditional BER to
     # delta * n / 2; approximate with a tiny operating point
     scn = scenario_factory(mu_r_db=-120.0)
-    est = montecarlo.empirical_ber(
-        montecarlo.SimPlan(scn, 20_000, seed=19), analytics.modulation("ook"))
+    (est,) = montecarlo.empirical_ber(
+        montecarlo.SimPlan((scn,), 20_000, seed=19), analytics.modulation("ook"))
     assert est.value == pytest.approx(0.5, abs=1e-3)
 
 
@@ -89,8 +89,8 @@ def test_ber_improves_with_mu_r(scenario_factory):
     vals = []
     for mu in (10.0, 20.0, 30.0, 40.0):
         scn = scenario_factory(hpa_family="linear", ibo_db=None, mu_r_db=mu)
-        est = montecarlo.empirical_ber(
-            montecarlo.SimPlan(scn, 200_000, seed=23), mod)
+        (est,) = montecarlo.empirical_ber(
+            montecarlo.SimPlan((scn,), 200_000, seed=23), mod)
         vals.append(est.value)
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -98,17 +98,19 @@ def test_ber_improves_with_mu_r(scenario_factory):
 def test_capacity_matches_exact_heavy(scenario_factory):
     scn = scenario_factory(detection="heterodyne", shadowing=HEAVY_SHADOWING,
                            mu_r_db=25.0)
-    est = montecarlo.empirical_capacity(montecarlo.SimPlan(scn, 400_000, seed=29))
+    (est,) = montecarlo.empirical_capacity(montecarlo.SimPlan((scn,), 400_000, seed=29))
     ref = analytics.capacity_exact(scn)
     assert est.covers(ref)
 
 
 def test_plan_validation(scenario):
     with pytest.raises(ValueError):
-        montecarlo.SimPlan(scenario, 0, seed=1)
+        montecarlo.SimPlan((scenario,), 0, seed=1)
+    with pytest.raises(ValueError):
+        montecarlo.SimPlan((), 100, seed=1)
     with pytest.raises(ValueError):
         montecarlo.empirical_ber(
-            montecarlo.SimPlan(scenario, 100, seed=1),
+            montecarlo.SimPlan((scenario,), 100, seed=1),
             analytics.modulation("bpsk"))   # detection mismatch
 
 
@@ -117,7 +119,7 @@ def test_shared_plan_matches_single_plans(scenario):
     # 2^14: three full batches and a partial one
     scns = tuple(scenario.at_mu_r_db(db) for db in (10.0, 30.0, 50.0))
     shared = montecarlo.SimPlan(scns, 50_000, seed=41, batch_size=1 << 14)
-    singles = [montecarlo.SimPlan(s, 50_000, seed=41, batch_size=1 << 14)
+    singles = [montecarlo.SimPlan((s,), 50_000, seed=41, batch_size=1 << 14)
                for s in scns]
     batches = list(montecarlo.simulate_sndr(shared))
     assert len(batches) == 4 * len(scns)
@@ -129,17 +131,17 @@ def test_shared_plan_matches_single_plans(scenario):
     ths = [0.5, 2.0, 8.0]
     ook = analytics.modulation("ook")
     assert montecarlo.empirical_outage(shared, ths) == [
-        montecarlo.empirical_outage(p, th) for p, th in zip(singles, ths)]
+        montecarlo.empirical_outage(p, th)[0] for p, th in zip(singles, ths)]
     assert montecarlo.empirical_outage(shared, 2.0) == [
-        montecarlo.empirical_outage(p, 2.0) for p in singles]
+        montecarlo.empirical_outage(p, 2.0)[0] for p in singles]
     assert montecarlo.empirical_cdf(shared, ths) == [
-        montecarlo.empirical_cdf(p, ths) for p in singles]
+        montecarlo.empirical_cdf(p, ths)[0] for p in singles]
     assert montecarlo.empirical_ber(shared, ook) == [
-        montecarlo.empirical_ber(p, ook) for p in singles]
+        montecarlo.empirical_ber(p, ook)[0] for p in singles]
     assert montecarlo.empirical_capacity(shared) == [
-        montecarlo.empirical_capacity(p) for p in singles]
+        montecarlo.empirical_capacity(p)[0] for p in singles]
     assert montecarlo.empirical_moment(shared, 2) == [
-        montecarlo.empirical_moment(p, 2) for p in singles]
+        montecarlo.empirical_moment(p, 2)[0] for p in singles]
 
 
 @pytest.mark.parametrize("field,change", [

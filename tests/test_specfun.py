@@ -176,6 +176,15 @@ def test_gauss_panels_closed_forms():
     assert len(levels) > 1 and levels[0] == 60
 
 
+def test_gauss_panels_raises_at_its_depth_cap():
+    # 1/sqrt|x - 0.3| has an interior singularity no panel edge meets: the
+    # panel around it never converges, and accepting it at the cap returned
+    # 2.76693 for 2 sqrt(0.3) + 2 sqrt(0.7) = 2.76877
+    with pytest.raises(specfun.ConvergenceError, match="twelve halvings"):
+        specfun.gauss_panels(lambda x: 1.0 / np.sqrt(np.abs(x - 0.3)),
+                             np.array([0.0, 1.0]), 1e-14)
+
+
 # ---------------------------------------------------------------------------
 # univariate Meijer G
 # ---------------------------------------------------------------------------
@@ -407,58 +416,60 @@ def _cdf_t_block(r, alpha, beta, xi2):
 
 
 def test_bivariate_against_double_quadrature():
-    # fixed parameter set: r=1, alpha=2.57, beta=5.36, xi=1.1, j=0, args 1
-    alpha, beta, xi2, j = 2.57, 5.36, 1.21, 0
+    # fixed parameter set: r=1, alpha=2.57, beta=5.36, xi=1.1, args 1; each
+    # term j alone (a unit weight at j), whose Gamma(j - s) the engine
+    # reaches through the Pochhammer polynomial (-s)_j and dblquad directly
+    alpha, beta, xi2 = 2.57, 5.36, 1.21
     t_block = _cdf_t_block(1, alpha, beta, xi2)
-    total, err, plan = specfun.meijer_g_bivariate_family(
-        [j], t_block, 1.0, 1.0, rel_tol=1e-9)
+    for j in (0, 1, 3):
+        total, err, plan = specfun.meijer_g_bivariate_family(
+            [0.0] * j + [1.0], t_block, 1.0, 1.0, rel_tol=1e-9)
+        ss, st = plan.abscissa, plan.abscissa_t
 
-    ss, st = plan.abscissa, plan.abscissa_t
+        def integrand(v, u):
+            s = ss + 1j * u
+            t = st + 1j * v
+            lg = (sp.loggamma(s + t) + sp.loggamma(j - s) + sp.loggamma(1 - s)
+                  + sp.loggamma(xi2 + t) + sp.loggamma(alpha + t)
+                  + sp.loggamma(beta + t)
+                  - sp.loggamma(xi2 + 1 + t) - sp.loggamma(1 + t))
+            return float(np.real(np.exp(lg))) / (4.0 * math.pi ** 2)
 
-    def integrand(v, u):
-        s = ss + 1j * u
-        t = st + 1j * v
-        lg = (sp.loggamma(s + t) + sp.loggamma(j - s) + sp.loggamma(1 - s)
-              + sp.loggamma(xi2 + t) + sp.loggamma(alpha + t)
-              + sp.loggamma(beta + t)
-              - sp.loggamma(xi2 + 1 + t) - sp.loggamma(1 + t))
-        return float(np.real(np.exp(lg))) / (4.0 * math.pi ** 2)
-
-    ref, _ = dblquad(integrand, -40, 40, -40, 40, epsabs=1e-11, epsrel=1e-9)
-    assert total == pytest.approx(ref, rel=1e-8)
-    assert err < 1e-6 * abs(total)
+        ref, _ = dblquad(integrand, -40, 40, -40, 40, epsabs=1e-12, epsrel=1e-9)
+        assert total == pytest.approx(ref, rel=1e-8), j
+        assert err < 1e-6 * abs(total), j
 
 
 def test_bivariate_step_halving_within_error():
     alpha, beta, xi2 = 1.52, 3.29, 1.21
-    args = ([1], _cdf_t_block(2, alpha, beta, xi2), 0.4, 25.0)
+    args = ([0.0, 1.0], _cdf_t_block(2, alpha, beta, xi2), 0.4, 25.0)
     coarse, coarse_err, _ = specfun.meijer_g_bivariate_family(*args, rel_tol=1e-7)
     fine, fine_err, _ = specfun.meijer_g_bivariate_family(*args, rel_tol=1e-10)
     assert abs(coarse - fine) <= coarse_err + fine_err
 
 
 def test_bivariate_family_matches_single_calls():
-    # a single term has the Pochhammer polynomial P = 1, so the family total
-    # checks P against the plain integrals; without j = 0 the whole family's
-    # s-line is planned at min(j, 1) = 1 and the polynomial starts at j0 = 1
+    # the family total against the weighted sum of single-term calls (a unit
+    # weight at j each); the second family has no j = 0 term
     from optfeeder import analytics
     t_block = _cdf_t_block(1, 2.57, 5.36, 1.21)
     w19 = analytics._sum_weights(
         rf_link.ShadowedRicianParams(m=19, b=0.158, omega=1.29))
-    for js, w in ((range(19), w19), ([1, 2, 3], [0.5, 2.0, 0.25])):
+    for w in (w19, [0.0, 0.5, 2.0, 0.25]):
         total, _, _ = specfun.meijer_g_bivariate_family(
-            js, t_block, 0.7, 3.0, weights=w, rel_tol=1e-9)
+            w, t_block, 0.7, 3.0, rel_tol=1e-9)
         singles = [specfun.meijer_g_bivariate_family(
-            [j], t_block, 0.7, 3.0, rel_tol=1e-9)[0] for j in js]
+            [0.0] * j + [1.0], t_block, 0.7, 3.0, rel_tol=1e-9)[0]
+            for j in range(len(w))]
         assert total == pytest.approx(float(np.dot(w, singles)), rel=1e-7)
 
 
-def _bivariate_dense(js, t_block, x1, x2, w, rel_tol):
+def _bivariate_dense(t_block, x1, x2, w, rel_tol):
     # the bivariate engine with its (2ns+1) x (2nt+1) kernel built in full
     # and its weighted s-kernel summed from per-term Gamma(j - s), without
     # the Pochhammer product; returns (total, error, plan, round-off floor),
     # the error being step + tail + round-off floor
-    sigma_s, sigma_t = specfun._plan_bivariate(js, t_block)
+    sigma_s, sigma_t = specfun._plan_bivariate(t_block)
     dec_s = 1.25 * math.pi
     dec_t = specfun._decay_rate(len(t_block.a), len(t_block.b), t_block.m,
                                 t_block.n) + 0.25 * math.pi
@@ -491,7 +502,7 @@ def _bivariate_dense(js, t_block, x1, x2, w, rel_tol):
         t_cont = 1.0 / edge_tail(mag_t.sum(axis=0), blk_t)[1]
         tvec = kernel.sum(axis=1)
         terms = [wj * np.exp(sp.loggamma(j - s) + sp.loggamma(1.0 - s)
-                             + s * math.log(x1)) for j, wj in zip(js, w)]
+                             + s * math.log(x1)) for j, wj in enumerate(w)]
         fs = np.sum(terms, axis=0)
         fs_mod = np.sum(np.abs(terms), axis=0)
         row, mag_row = fs * tvec, fs_mod * np.abs(tvec)
@@ -549,13 +560,12 @@ def test_bivariate_hankel_matches_dense_kernel():
     rng = rng_for(32)
     for case in range(40):
         t_block, w = _seeded_family(rng, case)
-        js = range(len(w))
         x1, x2 = np.exp(rng.uniform(-12.0, 1.0)), np.exp(rng.uniform(-4.0, 9.0))
         rel_tol = float(rng.choice([1e-9, 1e-7]))
         ref_total, ref_err, ref_plan, floor = _bivariate_dense(
-            js, t_block, x1, x2, w, rel_tol)
+            t_block, x1, x2, w, rel_tol)
         total, err, plan = specfun.meijer_g_bivariate_family(
-            js, t_block, x1, x2, weights=w, rel_tol=rel_tol)
+            w, t_block, x1, x2, rel_tol=rel_tol)
         assert plan == ref_plan, case
         assert abs(total - ref_total) <= max(1e-11 * abs(ref_total), floor), case
         assert abs(err - ref_err) <= 1e-6 * ref_err + floor, case
@@ -578,30 +588,28 @@ def test_bivariate_memo_warm_equals_cold():
     rng = rng_for(33)
     for case in range(16):
         t_block, w = _seeded_family(rng, case)
-        js = range(len(w))
         # |ln x1| and |ln x2| below 8 hold the first level's step at its cap,
         # so every x1 starts on the same grid
         x2 = np.exp(rng.uniform(-4.0, 8.0))
         x1s = np.exp(rng.uniform(-8.0, 1.0, 3))
         rel_tol = float(rng.choice([1e-9, 1e-7]))
         _clear_line_caches()
-        cold = specfun.meijer_g_bivariate_family(js, t_block, x1s[-1], x2,
-                                                 weights=w, rel_tol=rel_tol)
+        cold = specfun.meijer_g_bivariate_family(w, t_block, x1s[-1], x2,
+                                                 rel_tol=rel_tol)
         _clear_line_caches()
         for x1 in x1s[:-1]:
-            specfun.meijer_g_bivariate_family(js, t_block, x1, x2,
-                                              weights=w, rel_tol=rel_tol)
+            specfun.meijer_g_bivariate_family(w, t_block, x1, x2, rel_tol=rel_tol)
         hits = specfun._t_collapse.cache_info().hits
-        warm = specfun.meijer_g_bivariate_family(js, t_block, x1s[-1], x2,
-                                                 weights=w, rel_tol=rel_tol)
+        warm = specfun.meijer_g_bivariate_family(w, t_block, x1s[-1], x2,
+                                                 rel_tol=rel_tol)
         assert warm == cold, case
         assert specfun._t_collapse.cache_info().hits > hits, case
 
-    sigma_s, sigma_t = specfun._plan_bivariate(js, t_block)
+    sigma_s, sigma_t = specfun._plan_bivariate(t_block)
     coef = tuple(w.tolist())
     lines = (specfun._t_line(t_block, sigma_t, 0.125, 40)
              + specfun._coupling_line(sigma_s + sigma_t, 0.125, 80)
-             + specfun._s_line(coef, 0, sigma_s, 0.125, 40)
+             + specfun._s_line(coef, sigma_s, 0.125, 40)
              + specfun._t_collapse(t_block, sigma_s, sigma_t, 0.125, 40, 40, x2))
     arrays = [arr for arr in lines if isinstance(arr, np.ndarray)]
     assert len(arrays) == 10
@@ -615,7 +623,7 @@ def test_bivariate_memo_is_bounded():
     _clear_line_caches()
     t_block = _cdf_t_block(1, 2.57, 5.36, 1.21)
     for x2 in np.geomspace(1e-1, 1e3, 300):
-        specfun.meijer_g_bivariate_family([0, 1], t_block, 0.5, x2)
+        specfun.meijer_g_bivariate_family([1.0, 1.0], t_block, 0.5, x2)
     for cached in _LINE_CACHES:
         info = cached.cache_info()
         assert info.currsize <= info.maxsize
@@ -632,7 +640,7 @@ def test_bivariate_work_cap_raises_before_any_level(monkeypatch):
     monkeypatch.setattr(specfun, "_s_line", no_level)
     t_block = _cdf_t_block(1, 2.57, 5.36, 1.21)
     with pytest.raises(specfun.ConvergenceError, match="work budget"):
-        specfun.meijer_g_bivariate_family([0, 1], t_block, 1e-300, 1.0)
+        specfun.meijer_g_bivariate_family([1.0, 1.0], t_block, 1e-300, 1.0)
 
 
 def test_bivariate_returns_only_converged_totals():
@@ -643,7 +651,7 @@ def test_bivariate_returns_only_converged_totals():
     t_block = _cdf_t_block(2, 3.81, 1.21, 1.54)
     try:
         total, err, _ = specfun.meijer_g_bivariate_family(
-            [0, 1], t_block, 10.0, 1e-3, rel_tol=1e-9)
+            [1.0, 1.0], t_block, 10.0, 1e-3, rel_tol=1e-9)
     except specfun.ConvergenceError:
         return
     assert err <= 1.5e-9 * abs(total)
@@ -652,7 +660,7 @@ def test_bivariate_returns_only_converged_totals():
 def test_bivariate_rejects_bad_arguments():
     t_block = _cdf_t_block(1, 2.57, 5.36, 1.21)
     with pytest.raises(ValueError):
-        specfun.meijer_g_bivariate_family([0], t_block, -1.0, 1.0)
+        specfun.meijer_g_bivariate_family([1.0], t_block, -1.0, 1.0)
 
 
 def test_duplication_split():
