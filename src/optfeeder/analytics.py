@@ -187,8 +187,8 @@ def _family_total(scn: ScenarioConfig, x2: float, rel_tol: float,
 
 def sndr_cdf_exact(x: float, scn: ScenarioConfig) -> float:
     """CDF of the end-to-end SNDR from the bivariate closed form."""
-    if x <= 0:
-        raise ValueError("x must be positive")
+    if not x > 0:     # NaN fails too
+        raise ValueError(f"x must be positive, not {x}")
     pref = _prefactor(scn)
     total, err = _family_total(scn, _x2_base(scn) / x, _REL_TOL, out_scale=pref)
     raw = 1.0 - pref * total
@@ -201,8 +201,8 @@ def sndr_cdf_exact(x: float, scn: ScenarioConfig) -> float:
 
 def sndr_pdf_exact(x: float, scn: ScenarioConfig) -> float:
     """Density of the end-to-end SNDR (derivative of the closed-form CDF)."""
-    if x <= 0:
-        raise ValueError("x must be positive")
+    if not x > 0:     # NaN fails too
+        raise ValueError(f"x must be positive, not {x}")
     pref = _prefactor(scn) / x
     total, _ = _family_total(scn, _x2_base(scn) / x, _PDF_REL_TOL,
                              out_scale=pref, last=1.0)
@@ -234,8 +234,8 @@ def sndr_cdf_oracle(x: float, scn: ScenarioConfig) -> float:
     ``_ORACLE_ABS_TOL / 121``; each refinement level evaluates the densities
     of all its panels in one batch.
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
+    if not x > 0:     # NaN fails too
+        raise ValueError(f"x must be positive, not {x}")
     cap_x = scn.b_row_norm_sq * x
     c_over_g2 = scn.noise_amp_c * cap_x / scn.gamma_bar2
     shift = scn.kappa * cap_x
@@ -381,8 +381,8 @@ def outage_asymptotic(gamma_th: float, scn: ScenarioConfig) -> float:
     Accurate only at large mu_r; values are reported unclamped so the
     low-SNR breakdown of the expansion stays visible.
     """
-    if gamma_th <= 0:
-        raise ValueError("threshold must be positive")
+    if not gamma_th > 0:     # NaN fails too
+        raise ValueError(f"threshold gamma_th must be positive, not {gamma_th}")
     return 1.0 - _asymptotic_sum(scn, lambda th: gamma_th ** th)
 
 

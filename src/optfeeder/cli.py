@@ -59,7 +59,7 @@ DEFAULTS = {
     },
     "shadowing": {"m": "19", "b": "0.158", "omega": "1.29"},
     "hpa": {"family": "twta", "ibo_db": "25.0"},
-    "system": {"p_g": "1.0", "sigma2_sq": "1.0", "user_index": "0",
+    "system": {"sigma2_sq": "1.0", "user_index": "0",
                "gain_mode": "power_constrained", "fixed_gain": "1.0",
                "gamma_bar2": ""},
     "sweep": {"variable": "mu_r_db", "start": "0", "stop": "80", "step": "5",
@@ -122,8 +122,8 @@ def _scenario_from_config(cp: configparser.ConfigParser, mu_r_db: float,
     r = cp["rf"]
     rf = rf_link.RfLinkParams(
         carrier_hz=r.getfloat("carrier_ghz") * 1e9,
-        gain_tx=10.0 ** (r.getfloat("gain_tx_dbi") / 10.0),
-        gain_rx=10.0 ** (r.getfloat("gain_rx_dbi") / 10.0),
+        gain_tx=specfun.db_to_linear("gain_tx_dbi", r.getfloat("gain_tx_dbi")),
+        gain_rx=specfun.db_to_linear("gain_rx_dbi", r.getfloat("gain_rx_dbi")),
         bandwidth_hz=r.getfloat("bandwidth_mhz") * 1e6,
         noise_temp_k=r.getfloat("noise_temp_k"),
         theta_3db_rad=math.radians(r.getfloat("theta_3db_deg")))
@@ -142,7 +142,7 @@ def _scenario_from_config(cp: configparser.ConfigParser, mu_r_db: float,
     return system.build_scenario(
         feeder, layout, rf, shadow, hpa, mu_r_db,
         gamma_bar2=float(g2_raw) if g2_raw else None,
-        p_g=sysc.getfloat("p_g"), sigma2_sq=sysc.getfloat("sigma2_sq"),
+        sigma2_sq=sysc.getfloat("sigma2_sq"),
         user_index=sysc.getint("user_index"),
         gain_mode=sysc.get("gain_mode"),
         fixed_gain=sysc.getfloat("fixed_gain"))
@@ -171,37 +171,32 @@ def _sweep_grid(cp, args) -> tuple[str, list[float]]:
 # metric evaluation
 # ---------------------------------------------------------------------------
 
-def _gamma_th(args) -> float:
-    return 10.0 ** (args.gamma_th_db / 10.0)
-
-
 def _sim(scns, args) -> montecarlo.SimPlan:
     return montecarlo.SimPlan(scns, args.samples, args.seed)
 
 
 # (metric, method) -> evaluator.  A deterministic method's takes one point,
-# f(scenario, args), and returns its value.  A Monte Carlo one takes a run
-# of consecutive points that share one sample stream, f(scenarios, args of
-# each point), and returns one estimate per point, each carrying its own
-# half width and sample count.  The lambdas look the functions up at call
-# time, so wrappers installed on the modules apply.
+# f(scenario, gamma_th, args), and returns its value.  A Monte Carlo one
+# takes a run of consecutive points that share one sample stream,
+# f(scenarios, thresholds, args), and returns one estimate per point, each
+# carrying its own half width and sample count.  The lambdas look the
+# functions up at call time, so wrappers installed on the modules apply.
 EVALUATORS = {
-    ("outage", "exact"): lambda scn, a: analytics.outage_exact(_gamma_th(a), scn),
-    ("outage", "asymptotic"):
-        lambda scn, a: analytics.outage_asymptotic(_gamma_th(a), scn),
-    ("outage", "oracle"): lambda scn, a: analytics.sndr_cdf_oracle(_gamma_th(a), scn),
-    ("outage", "monte-carlo"): lambda scns, pa: montecarlo.empirical_outage(
-        _sim(scns, pa[0]), [_gamma_th(a) for a in pa]),
-    ("ber", "exact"): lambda scn, a: analytics.ber_exact(a.mod, scn),
-    ("ber", "asymptotic"): lambda scn, a: analytics.ber_asymptotic(a.mod, scn),
+    ("outage", "exact"): lambda scn, th, a: analytics.outage_exact(th, scn),
+    ("outage", "asymptotic"): lambda scn, th, a: analytics.outage_asymptotic(th, scn),
+    ("outage", "oracle"): lambda scn, th, a: analytics.sndr_cdf_oracle(th, scn),
+    ("outage", "monte-carlo"):
+        lambda scns, ths, a: montecarlo.empirical_outage(_sim(scns, a), ths),
+    ("ber", "exact"): lambda scn, th, a: analytics.ber_exact(a.mod, scn),
+    ("ber", "asymptotic"): lambda scn, th, a: analytics.ber_asymptotic(a.mod, scn),
     ("ber", "monte-carlo"):
-        lambda scns, pa: montecarlo.empirical_ber(_sim(scns, pa[0]), pa[0].mod),
-    ("capacity", "exact"): lambda scn, a: analytics.capacity_exact(scn),
+        lambda scns, ths, a: montecarlo.empirical_ber(_sim(scns, a), a.mod),
+    ("capacity", "exact"): lambda scn, th, a: analytics.capacity_exact(scn),
     ("capacity", "monte-carlo"):
-        lambda scns, pa: montecarlo.empirical_capacity(_sim(scns, pa[0])),
-    ("moments", "exact"): lambda scn, a: analytics.sndr_moments(a.order, scn),
+        lambda scns, ths, a: montecarlo.empirical_capacity(_sim(scns, a)),
+    ("moments", "exact"): lambda scn, th, a: analytics.sndr_moments(a.order, scn),
     ("moments", "monte-carlo"):
-        lambda scns, pa: montecarlo.empirical_moment(_sim(scns, pa[0]), pa[0].order),
+        lambda scns, ths, a: montecarlo.empirical_moment(_sim(scns, a), a.order),
 }
 # what the CLI supports, in table order
 METRICS = tuple(dict.fromkeys(metric for metric, _ in EVALUATORS))
@@ -210,17 +205,17 @@ METHODS = tuple(dict.fromkeys(method for _, method in EVALUATORS))
 FIXED_ERROR = {"exact": 1e-9, "oracle": 1e-8, "asymptotic": math.nan}
 
 
-def _evaluate(metric, method, points) -> list:
-    """The method's value or estimate at each (sweep value, scenario, args)
-    point: a Monte Carlo method runs once per run of consecutive points
-    with equal ``montecarlo.stream_key``, any other once per point."""
+def _evaluate(metric, method, points, args) -> list:
+    """The method's value or estimate at each (sweep value, scenario,
+    gamma_th) point: a Monte Carlo method runs once per run of consecutive
+    points with equal ``montecarlo.stream_key``, any other once per point."""
     evaluate = EVALUATORS[(metric, method)]
     if method != "monte-carlo":
-        return [evaluate(scn, a) for _, scn, a in points]
+        return [evaluate(scn, th, args) for _, scn, th in points]
     out = []
     for _, run in itertools.groupby(points, key=lambda p: montecarlo.stream_key(p[1])):
-        _, scns, point_args = zip(*run)
-        out += evaluate(scns, point_args)
+        _, scns, ths = zip(*run)
+        out += evaluate(scns, ths, args)
     return out
 
 
@@ -261,16 +256,13 @@ def run(args) -> int:
 
     points = []
     for point in grid:
-        mu_db, point_over, point_args = args.mu_r_db, overrides, args
-        if variable == "mu_r_db":
-            mu_db = point
-        elif variable == "gamma_th_db":
-            point_args = argparse.Namespace(**{**vars(args), "gamma_th_db": point})
-        else:   # cn2, xi, ibo_db
-            point_over = {**overrides, variable: point}
-        points.append((point, _scenario_from_config(cp, mu_db, point_over), point_args))
+        point_over = {**overrides, variable: point}
+        mu_db = point_over.pop("mu_r_db", args.mu_r_db)
+        th_db = point_over.pop("gamma_th_db", args.gamma_th_db)
+        points.append((point, _scenario_from_config(cp, mu_db, point_over),
+                       specfun.db_to_linear("gamma_th_db", th_db)))
     rows = {(args.metric, m): [_row(m, point, scn, out) for (point, scn, _), out
-                               in zip(points, _evaluate(args.metric, m, points))]
+                               in zip(points, _evaluate(args.metric, m, points, args))]
             for m in methods}
 
     # made once every row is computed: a run that fails leaves no directory

@@ -150,10 +150,8 @@ def rytov_variance(cfg: AtmosphereConfig) -> float:
     return 2.25 * k ** (7.0 / 6.0) * dh ** (5.0 / 6.0) * sec ** (11.0 / 6.0) * integral
 
 
-def beam_wander_sigma_pe(cfg: AtmosphereConfig, r0: float | None = None) -> float:
-    """Beam-wander-induced pointing jitter sigma_pe (std dev, m)."""
-    if r0 is None:
-        r0 = fried_r0(cfg)
+def beam_wander_sigma_pe(cfg: AtmosphereConfig, r0: float) -> float:
+    """Beam-wander-induced pointing jitter sigma_pe (std dev, m); r0 = fried_r0(cfg)."""
     dh = cfg.altitude_sat - cfg.altitude_ground
     sec = 1.0 / math.cos(cfg.zenith_rad)
     w0 = cfg.beam_radius_tx

@@ -138,15 +138,12 @@ def _mean_ci(plan: SimPlan, transform):
     return out
 
 
-def empirical_outage(plan: SimPlan, gamma_th):
-    """Fraction of SNDR samples below the threshold, with binomial 3-sigma.
-
-    ``gamma_th`` is one threshold for every scenario of the plan, or a
-    sequence of one per scenario.
-    """
-    th = np.broadcast_to(np.asarray(gamma_th, dtype=float), (len(plan.scenarios),))
-    if np.any(th < 0):
-        raise ValueError("threshold must be nonnegative")
+def empirical_outage(plan: SimPlan, thresholds):
+    """Per scenario, the fraction of its SNDR samples below its own entry of
+    ``thresholds`` (one per scenario of the plan), with binomial 3-sigma."""
+    th = np.asarray(thresholds, dtype=float)
+    if th.shape != (len(plan.scenarios),) or not np.all(th >= 0):     # NaN fails too
+        raise ValueError(f"need one nonnegative threshold per scenario, not {th}")
     hits = _cdf_hits(plan, th[:, None])
     return [_binomial(row[0], plan.n_samples) for row in hits]
 
@@ -155,6 +152,8 @@ def empirical_cdf(plan: SimPlan, points):
     """Empirical CDF at several points from one shared sample stream: per
     scenario, a list over the points."""
     pts = np.asarray(points, dtype=float)
+    if not np.all(pts >= 0):    # NaN fails too
+        raise ValueError(f"points must be nonnegative, not {pts}")
     hits = _cdf_hits(plan, np.tile(pts, (len(plan.scenarios), 1)))
     return [[_binomial(h, plan.n_samples) for h in row] for row in hits]
 

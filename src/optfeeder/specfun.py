@@ -54,6 +54,17 @@ COLLIDE_TOL = 1e-8     # distance at which two poles count as colliding
 # scalar special functions and real-line quadrature
 # ---------------------------------------------------------------------------
 
+def db_to_linear(name: str, value_db: float) -> float:
+    """10^(value_db/10), or a ValueError naming ``name`` where that is not finite."""
+    try:
+        value = 10.0 ** (value_db / 10.0)
+    except OverflowError:     # past about 3,083 dB
+        value = math.inf
+    if not math.isfinite(value):     # NaN in, or the overflow
+        raise ValueError(f"{name} = {value_db} dB has no finite linear value")
+    return value
+
+
 def exp_scaled_e1(x: float) -> float:
     """e^x * E1(x) = -e^x * Ei(-x) for x > 0, stable at large x.
 

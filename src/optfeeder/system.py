@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from . import fso_link, rf_link, transponder
+from . import fso_link, rf_link, specfun, transponder
 
 CONDITION_LIMIT = 1e10
 
@@ -94,7 +94,7 @@ class ScenarioConfig:
         if self.gain_mode not in ("power_constrained", "fixed"):
             raise ValueError("gain_mode must be 'power_constrained' or 'fixed'")
         explicit = ("gamma_bar2",) if self.gamma2_source == "explicit" else ()
-        for name in ("mu_r", "p_g", "sigma2_sq") + explicit:
+        for name in ("mu_r", "p_g", "sigma2_sq", "fixed_gain") + explicit:
             if not 0 < getattr(self, name) < math.inf:     # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"not {getattr(self, name)}")
@@ -141,7 +141,7 @@ class ScenarioConfig:
         return replace(self, mu_r=mu_r)
 
     def at_mu_r_db(self, mu_r_db: float) -> "ScenarioConfig":
-        return self.at_mu_r(10.0 ** (mu_r_db / 10.0))
+        return self.at_mu_r(specfun.db_to_linear("mu_r_db", mu_r_db))
 
     def with_gamma_bar2(self, gamma_bar2: float) -> "ScenarioConfig":
         return replace(self, gamma_bar2=gamma_bar2, gamma2_source="explicit")
@@ -194,7 +194,7 @@ def build_scenario(feeder: fso_link.FeederConfig,
         turbulence = fso_link.scintillation_params(feeder.atmosphere)
     return ScenarioConfig(
         feeder=feeder, turbulence=turbulence, layout=layout, rf=rf,
-        shadowing=shadowing, hpa=hpa, mu_r=10.0 ** (mu_r_db / 10.0),
+        shadowing=shadowing, hpa=hpa, mu_r=specfun.db_to_linear("mu_r_db", mu_r_db),
         gamma_bar2=gamma_bar2, p_g=p_g, sigma2_sq=sigma2_sq,
         user_index=user_index, gain_mode=gain_mode, fixed_gain=fixed_gain,
         gamma2_source="physical" if gamma_bar2 is None else "explicit")

@@ -28,14 +28,13 @@ at large back-off, so the implementation switches to asymptotic series there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.special as sp
 
-from .specfun import exp_scaled_e1
+from .specfun import db_to_linear, exp_scaled_e1
 
-HPA_FAMILIES = ("twta", "sspa", "linear")
 # Crossover balancing the closed forms (whose distortion power loses
 # ~q^4 * eps to cancellation) against the 1/ibo series (truncation error
 # ~100/ibo^2); both sides stay within ~1e-4 of the true sigma_NL^2 here.
@@ -102,35 +101,32 @@ def bussgang_sspa(ibo_linear: float) -> tuple[float, float]:
     return float(k), max(snl, 0.0)
 
 
-def bussgang_pair(family: str, ibo_linear: float) -> tuple[float, float]:
-    """Dispatch on amplifier family; 'linear' is the identity device."""
-    if family == "twta":
-        return bussgang_twta(ibo_linear)
-    if family == "sspa":
-        return bussgang_sspa(ibo_linear)
-    if family == "linear":
-        return 1.0, 0.0
-    raise ValueError(f"unknown amplifier family {family!r}")
+# family -> (K, sigma_NL^2) at a back-off; 'linear' is the identity device
+_BUSSGANG = {"twta": bussgang_twta, "sspa": bussgang_sspa, "linear": lambda ibo: (1.0, 0.0)}
+HPA_FAMILIES = tuple(_BUSSGANG)
 
 
 @dataclass(frozen=True)
 class HpaState:
-    """Amplifier family, back-off, and the derived linearization pair."""
+    """Amplifier family and back-off, and the linearization pair they fix."""
     family: str
     ibo_linear: float
-    k_gain: float
-    sigma_nl_sq: float
+    k_gain: float = field(init=False)
+    sigma_nl_sq: float = field(init=False)
 
     def __post_init__(self):
         if self.family not in HPA_FAMILIES:
             raise ValueError(f"family must be one of {HPA_FAMILIES}")
         if not self.ibo_linear > 0:     # the linear family reads none, yet records it
             raise ValueError(f"back-off ibo_linear must be positive, not {self.ibo_linear}")
-        if not (0 < self.k_gain <= 1.0 + 1e-12):
+        k_gain, sigma_nl_sq = _BUSSGANG[self.family](self.ibo_linear)
+        if not (0 < k_gain <= 1.0 + 1e-12):
             raise ValueError("Bussgang gain must lie in (0, 1]")
-        if not self.sigma_nl_sq >= 0:
+        if not sigma_nl_sq >= 0:
             raise ValueError(f"distortion power sigma_nl_sq must be nonnegative, "
-                             f"not {self.sigma_nl_sq}")
+                             f"not {sigma_nl_sq}")
+        object.__setattr__(self, "k_gain", k_gain)
+        object.__setattr__(self, "sigma_nl_sq", sigma_nl_sq)
 
     @property
     def sat_power_tx(self) -> float:
@@ -139,15 +135,16 @@ class HpaState:
 
     def kappa_for_gain(self, relay_g: float) -> float:
         """Distortion ratio 1 + sigma_NL^2 / (K^2 G^2), G in sqrt(P_r)/sigma_1."""
-        if not relay_g > 0:     # NaN fails too
-            raise ValueError(f"relay gain must be positive, not {relay_g}")
-        return 1.0 + self.sigma_nl_sq / (self.k_gain ** 2 * relay_g ** 2)
+        # the floor keeps a K^2 G^2 that underflows from dividing by zero
+        kappa = 1.0 + self.sigma_nl_sq / max(self.k_gain ** 2 * relay_g ** 2, math.ulp(0.0))
+        if not (relay_g > 0 and kappa < math.inf):     # NaN fails too
+            raise ValueError(f"relay gain relay_g = {relay_g} must be positive and leave "
+                             f"kappa = 1 + sigma_NL^2 / (K^2 G^2) finite")
+        return kappa
 
 
 def hpa_state(family: str, ibo_db: float | None = None) -> HpaState:
     """Build an HpaState from a back-off in dB ('linear' needs no back-off)."""
     if ibo_db is None and family != "linear":
         raise ValueError("nonlinear families need a back-off")
-    ibo = math.inf if ibo_db is None else 10.0 ** (ibo_db / 10.0)
-    k_gain, snl = bussgang_pair(family, ibo)
-    return HpaState(family, ibo, k_gain, snl)
+    return HpaState(family, math.inf if ibo_db is None else db_to_linear("ibo_db", ibo_db))

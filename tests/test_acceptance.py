@@ -212,7 +212,7 @@ def test_criterion_7_bussgang_limits():
     a_sat = math.sqrt(ibo)
     for family, curve in (("twta", transponder.saleh_amam),
                           ("sspa", lambda x, a: transponder.rapp_amam(x, a, 1.0))):
-        k, _ = transponder.bussgang_pair(family, ibo)
+        k = transponder.HpaState(family, ibo).k_gain
         resid = curve(rho, a_sat) - k * rho
         corr = float(np.mean(resid * rho))
         se = float(np.std(resid * rho)) / math.sqrt(n)
@@ -299,7 +299,7 @@ def test_criterion_10_figure_match(scenario_factory):
         assert val == pytest.approx(ref, rel=0.10), (mu, val, ref)
     # and the Monte Carlo arm agrees with the analytic value there
     (est,) = montecarlo.empirical_outage(
-        montecarlo.SimPlan((scn.at_mu_r_db(50.0),), 1_000_000, seed=1001), GTH_5DB)
+        montecarlo.SimPlan((scn.at_mu_r_db(50.0),), 1_000_000, seed=1001), [GTH_5DB])
     assert est.covers(FIG2_FIT_TARGET[1])
     _report("criterion 10: figure match",
             f"gamma_bar2* = {fitted:.5g}, gaps "

@@ -94,6 +94,17 @@ def test_cdf_boundaries(scn_imdd_twta):
         analytics.sndr_cdf_exact(0.0, scn_imdd_twta)
 
 
+@pytest.mark.parametrize("fn,name", [
+    (analytics.sndr_cdf_exact, "x"), (analytics.sndr_pdf_exact, "x"),
+    (analytics.sndr_cdf_oracle, "x"), (analytics.outage_asymptotic, "gamma_th")])
+def test_threshold_checks_reject_nan(scn_imdd_twta, fn, name):
+    # a NaN threshold raises at once, naming the argument, instead of
+    # reaching the engine or the expansion
+    for bad in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"{name} must be positive, not {bad}"):
+            fn(bad, scn_imdd_twta)
+
+
 def test_cdf_monotone(scn_imdd_twta):
     xs = np.geomspace(0.05, 200.0, 12)
     vals = [analytics.sndr_cdf_exact(x, scn_imdd_twta) for x in xs]

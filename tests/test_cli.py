@@ -170,7 +170,7 @@ _HET_BER = ["--metric", "ber", "--detection", "het"]
 
 @pytest.mark.parametrize("text,argv,named", [
     ("[sweep]\nstep = 0\n", [], ""),
-    ("p_g = 2\n[system]\n", [], ""),
+    ("sigma2_sq = 2\n[system]\n", [], ""),
     ("[hpa]\nibo_db = 20\n[hpa]\nibo_db = 21\n", [], ""),
     ("[system]\nuser_index = 7\n", [], ""),
     ("[system]\nuser_index = -1\n", [], ""),
@@ -195,7 +195,7 @@ _HET_BER = ["--metric", "ber", "--detection", "het"]
     ("[system]\nsigma2_sq = -1\n", [], "sigma2_sq"),
     ("[system]\nsigma2_sq = nan\n", [], "sigma2_sq"),
     ("[system]\nsigma2_sq = inf\n", [], "sigma2_sq"),
-    ("[system]\np_g = nan\n", [], "p_g"),
+    ("[system]\np_g = nan\n", [], "unknown key 'p_g'"),     # the key is gone
     ("[system]\ngamma_bar2 = nan\n", [], "gamma_bar2"),
     ("", ["--sweep", "gamma_th_db", "--mu-r-db", "-4000"], "mu_r"),   # underflows to 0
     ("[atmosphere]\nwavelength_nm = nan\n", [], "wavelength"),
@@ -203,13 +203,25 @@ _HET_BER = ["--metric", "ber", "--detection", "het"]
     ("[atmosphere]\nbeam_radius_tx_m = nan\n", [], "beam_radius_tx"),
     ("[atmosphere]\ncn2_ground = nan\n", [], "cn2_ground"),
     ("[pointing]\nxi = nan\n", [], "xi"),
-    ("[hpa]\nibo_db = nan\n", [], "ibo_linear"),
-    ("[hpa]\nfamily = linear\nibo_db = nan\n", [], "ibo_linear"),
+    ("[hpa]\nibo_db = nan\n", [], "ibo_db = nan"),
+    ("[hpa]\nfamily = linear\nibo_db = nan\n", [], "ibo_db = nan"),
     ("[rf]\ncarrier_ghz = nan\n", [], "carrier_hz"),
     ("[rf]\ntheta_3db_deg = nan\n", [], "theta_3db_rad"),
     ("[shadowing]\nm = nan\n", [], "severity m"),
     ("[shadowing]\nb = nan\n", [], "b = nan"),
     ("[shadowing]\nomega = nan\n", [], "omega = nan"),
+    # a dB input whose linear value overflows names the input
+    ("", ["--mu-r-db", "4000"], "mu_r_db"),
+    ("", ["--ibo-db", "4000"], "ibo_db"),
+    ("[hpa]\nibo_db = 4000\n", [], "ibo_db"),
+    ("", ["--gamma-th-db", "4000"], "gamma_th_db"),
+    ("", ["--gamma-th-db", "4000", "--method", "monte-carlo", "--samples", "2000"],
+     "gamma_th_db"),
+    ("[rf]\ngain_tx_dbi = 4000\n", [], "gain_tx_dbi"),
+    # a fixed gain must leave kappa finite
+    ("[system]\ngain_mode = fixed\nfixed_gain = inf\n", [], "fixed_gain"),
+    ("[system]\ngain_mode = fixed\nfixed_gain = 1e-160\n", [], "relay_g = 1e-160"),
+    ("[system]\ngain_mode = fixed\nfixed_gain = 1e-200\n", [], "relay_g = 1e-200"),
 ], ids=["zero_step", "no_section_header", "duplicate_section",
         "user_index_past_last_beam", "negative_user_index", "removed_key_a0",
         "removed_key_path_loss_il", "removed_key_eta", "linear_fixed_gain_0",
@@ -221,7 +233,10 @@ _HET_BER = ["--metric", "ber", "--detection", "het"]
         "beam_radius_tx_nan",
         "cn2_ground_nan", "xi_nan", "config_ibo_nan", "linear_ibo_nan", "carrier_nan",
         "theta_3db_nan",
-        "shadowing_m_nan", "shadowing_b_nan", "omega_nan"])
+        "shadowing_m_nan", "shadowing_b_nan", "omega_nan",
+        "mu_r_db_overflow", "ibo_db_overflow", "config_ibo_db_overflow",
+        "gamma_th_db_overflow_exact", "gamma_th_db_overflow_mc", "gain_tx_dbi_overflow",
+        "fixed_gain_inf", "fixed_gain_1e-160", "fixed_gain_1e-200"])
 def test_malformed_config_exit_code(tmp_path, capsys, text, argv, named):
     bad = tmp_path / "malformed.ini"
     bad.write_text(text)
@@ -275,9 +290,11 @@ def test_method_dispatch(tmp_path, metric, method):
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):
-    # p_r and sigma1_sq were absorbed by sigma2_sq and fixed_gain
+    # p_r and sigma1_sq were absorbed by sigma2_sq and fixed_gain; p_g set
+    # only the reported precoder constant c_zf (test_p_g_sets_only_c_zf)
     bad = tmp_path / "bad2.ini"
-    for section, key in [("hpa", "wattage"), ("hpa", "p_r"), ("feeder", "sigma1_sq")]:
+    for section, key in [("hpa", "wattage"), ("hpa", "p_r"), ("feeder", "sigma1_sq"),
+                         ("system", "p_g")]:
         bad.write_text(f"[{section}]\n{key} = 11\n")
         rc = _run(["--config", str(bad), "--out", str(tmp_path / "x")])
         assert rc == 1
@@ -345,7 +362,7 @@ _MC_SWEEPS = [
 # metric -> (estimator, CLI arguments, its call on a plan and the point's args)
 _MC_METRICS = {
     "outage": ("empirical_outage", ["--gamma-th-db", "5"],
-               lambda fn, plan, a: fn(plan, cli._gamma_th(a))),
+               lambda fn, plan, a: fn(plan, [10.0 ** (a.gamma_th_db / 10.0)])),
     "ber": ("empirical_ber", ["--modulation", "ook"],
             lambda fn, plan, a: fn(plan, a.mod)),
     "capacity": ("empirical_capacity", [], lambda fn, plan, a: fn(plan)),
@@ -431,9 +448,6 @@ def _moves(cp, section, key, value):
 
 
 def test_every_config_key_reaches_a_metric_input():
-    # p_g sets only the reported precoder constant c_zf = p_g / tr[(B B^H)^-1];
-    # the metrics see the feeder through mu_r, which is given directly
-    inert = {("system", "p_g")}
     # fixed_gain is the gain of the fixed mode and acts only there
     fixed_only = {("system", "fixed_gain")}
     # index 0 scaled is 0 again and 100 lies past the last beam
@@ -446,9 +460,4 @@ def test_every_config_key_reaches_a_metric_input():
             if (section, key) in fixed_only:
                 cp["system"]["gain_mode"] = "fixed"
             value = legal.get((section, key), _perturbed(default))
-            if (section, key) in inert:
-                before = cli._scenario_from_config(cp, 50.0, {}).c_zf
-                assert not _moves(cp, section, key, value)
-                assert cli._scenario_from_config(cp, 50.0, {}).c_zf != before
-            else:
-                assert _moves(cp, section, key, value), f"[{section}] {key}"
+            assert _moves(cp, section, key, value), f"[{section}] {key}"

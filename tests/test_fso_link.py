@@ -124,8 +124,10 @@ def test_turbulence_pipeline_matches_quad_reference(monkeypatch):
 
 def test_beam_wander_vanishes_for_wide_beams():
     # the bracket tends to zero as W0/r0 grows, faster than the prefactor
-    narrow = fso_link.beam_wander_sigma_pe(make_atmosphere(1e-12, w0=0.02))
-    wide = fso_link.beam_wander_sigma_pe(make_atmosphere(1e-12, w0=5.0))
+    narrow_atm = make_atmosphere(1e-12, w0=0.02)
+    wide_atm = make_atmosphere(1e-12, w0=5.0)
+    narrow = fso_link.beam_wander_sigma_pe(narrow_atm, fso_link.fried_r0(narrow_atm))
+    wide = fso_link.beam_wander_sigma_pe(wide_atm, fso_link.fried_r0(wide_atm))
     assert wide < 0.05 * narrow
 
 

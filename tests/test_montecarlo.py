@@ -31,7 +31,7 @@ def test_stream_schedule_independent(scenario):
     forward = sum(int(np.count_nonzero(b < 2.0)) for b in batches)
     backward = sum(int(np.count_nonzero(b < 2.0)) for b in reversed(batches))
     assert forward == backward
-    (est,) = montecarlo.empirical_outage(plan, 2.0)
+    (est,) = montecarlo.empirical_outage(plan, [2.0])
     assert est.value == pytest.approx(forward / 200_000, abs=0)
 
 
@@ -45,7 +45,7 @@ def test_seed_changes_stream(scenario):
 
 def test_outage_zero_threshold(scenario):
     (est,) = montecarlo.empirical_outage(
-        montecarlo.SimPlan((scenario,), 50_000, seed=5), 0.0)
+        montecarlo.SimPlan((scenario,), 50_000, seed=5), [0.0])
     assert est.value == 0.0
 
 
@@ -53,7 +53,7 @@ def test_ci_shrinks_like_root_n(scenario):
     widths = []
     for n in (10_000, 100_000, 1_000_000):
         (est,) = montecarlo.empirical_outage(
-            montecarlo.SimPlan((scenario,), n, seed=11), 2.0)
+            montecarlo.SimPlan((scenario,), n, seed=11), [2.0])
         widths.append(est.half_width)
     for w_big, w_small in zip(widths, widths[1:]):
         ratio = w_big / w_small
@@ -63,7 +63,7 @@ def test_ci_shrinks_like_root_n(scenario):
 def test_outage_matches_cdf(scenario):
     plan = montecarlo.SimPlan((scenario,), 400_000, seed=13)
     for x in (0.5, 2.0, 8.0):
-        (est,) = montecarlo.empirical_outage(plan, x)
+        (est,) = montecarlo.empirical_outage(plan, [x])
         ref = analytics.sndr_cdf_exact(x, scenario)
         assert est.covers(ref)
 
@@ -114,6 +114,18 @@ def test_plan_validation(scenario):
             analytics.modulation("bpsk"))   # detection mismatch
 
 
+def test_thresholds_are_checked(scenario):
+    # one nonnegative threshold per scenario, and nonnegative CDF points;
+    # a NaN raises instead of counting no sample below it
+    plan = montecarlo.SimPlan((scenario, scenario.at_mu_r_db(40.0)), 1000, seed=1)
+    for bad in (2.0, [2.0], [2.0, 2.0, 2.0], [[2.0, 2.0]], [2.0, math.nan], [-1.0, 2.0]):
+        with pytest.raises(ValueError, match="threshold"):
+            montecarlo.empirical_outage(plan, bad)
+    for bad in ([math.nan], [1.0, -1.0]):
+        with pytest.raises(ValueError, match="points"):
+            montecarlo.empirical_cdf(plan, bad)
+
+
 def test_shared_plan_matches_single_plans(scenario):
     # three operating points on one stream, 50_000 samples in batches of
     # 2^14: three full batches and a partial one
@@ -131,9 +143,7 @@ def test_shared_plan_matches_single_plans(scenario):
     ths = [0.5, 2.0, 8.0]
     ook = analytics.modulation("ook")
     assert montecarlo.empirical_outage(shared, ths) == [
-        montecarlo.empirical_outage(p, th)[0] for p, th in zip(singles, ths)]
-    assert montecarlo.empirical_outage(shared, 2.0) == [
-        montecarlo.empirical_outage(p, 2.0)[0] for p in singles]
+        montecarlo.empirical_outage(p, [th])[0] for p, th in zip(singles, ths)]
     assert montecarlo.empirical_cdf(shared, ths) == [
         montecarlo.empirical_cdf(p, ths)[0] for p in singles]
     assert montecarlo.empirical_ber(shared, ook) == [
@@ -171,6 +181,6 @@ def test_shared_plan_memory_does_not_grow_with_scenarios(scenario):
 
     many = tuple(scenario.at_mu_r_db(db) for db in range(0, 85, 5))
     assert len(many) == 17
-    for estimate in (lambda p: montecarlo.empirical_outage(p, 2.0),
+    for estimate in (lambda p: montecarlo.empirical_outage(p, [2.0] * len(p.scenarios)),
                      montecarlo.empirical_capacity):
         assert peak(many, estimate) <= 1.5 * peak((scenario,), estimate)

@@ -227,6 +227,26 @@ def test_scenario_equality_and_hash(scenario_factory):
     assert clone.describe() == direct.describe()
 
 
+def test_p_g_sets_only_c_zf(scenario_factory):
+    # the zero-forcing budget scales only the reported precoder constant
+    # c_zf = p_g / tr[(B B^H)^-1]; the metrics see the feeder through mu_r
+    scn = scenario_factory(gamma_bar2=None)
+    doubled = scenario_factory(gamma_bar2=None, p_g=2.0)
+    assert doubled.c_zf == pytest.approx(2.0 * scn.c_zf, rel=1e-15)
+    for name in ("mu_r", "gbar1", "relay_g", "kappa", "noise_amp_c",
+                 "b_row_norm_sq", "gamma_bar2"):
+        assert getattr(doubled, name) == getattr(scn, name), name
+    with pytest.raises(ValueError, match="p_g"):
+        scenario_factory(p_g=math.nan)
+
+
+def test_mu_r_db_past_overflow_is_named(scenario_factory):
+    with pytest.raises(ValueError, match="mu_r_db = 4000"):
+        scenario_factory(mu_r_db=4000.0)
+    with pytest.raises(ValueError, match="mu_r_db = 4000"):
+        scenario_factory().at_mu_r_db(4000.0)
+
+
 @pytest.mark.parametrize("user_index", [7, -1])
 def test_user_index_out_of_range(scenario_factory, user_index):
     with pytest.raises(ValueError, match=r"\[0, 7\)"):

@@ -148,7 +148,7 @@ def test_bussgang_residual_uncorrelated():
     for family, curve in (("twta", transponder.saleh_amam),
                           ("sspa", lambda x, a: transponder.rapp_amam(x, a, 1.0))):
         ibo = 10 ** 2.5
-        k, _ = transponder.bussgang_pair(family, ibo)
+        k = transponder.HpaState(family, ibo).k_gain
         resid = curve(rho, math.sqrt(ibo)) - k * rho
         corr = np.mean(resid * rho)
         se = np.std(resid * rho) / math.sqrt(n)
@@ -160,25 +160,26 @@ def test_bussgang_residual_uncorrelated():
 # ---------------------------------------------------------------------------
 
 def test_kappa_values():
-    def kappa(k, snl, g):
-        return transponder.HpaState("twta", 1.0, k, snl).kappa_for_gain(g)
-
-    assert kappa(1.0, 0.0, 1.0) == 1.0
-    # doubling the gain cuts the excess by four
-    k1 = kappa(0.9, 0.02, 1.0) - 1.0
-    k2 = kappa(0.9, 0.02, 2.0) - 1.0
-    assert k1 == pytest.approx(4 * k2, rel=1e-12)
-    # composition golden from the audited pair
+    assert transponder.HpaState("linear", math.inf).kappa_for_gain(1.0) == 1.0
+    # the state's pair is the audited closed form at its back-off
     k, snl = transponder.bussgang_twta(10 ** 2.5)
-    expect = 1.0 + snl / k ** 2
-    assert kappa(k, snl, 1.0) == pytest.approx(expect, rel=1e-12)
+    hpa = transponder.HpaState("twta", 10 ** 2.5)
+    assert (hpa.k_gain, hpa.sigma_nl_sq) == (k, snl)
+    kappa = hpa.kappa_for_gain
+    # doubling the gain cuts the excess by four
+    assert kappa(1.0) - 1.0 == pytest.approx(4 * (kappa(2.0) - 1.0), rel=1e-12)
+    # composition golden from the audited pair
+    assert kappa(1.0) == pytest.approx(1.0 + snl / k ** 2, rel=1e-12)
     # a gain-block output power P_r scales the distortion power to P_r snl;
     # with gain G and feeder noise sigma1^2 that ratio is kappa at the gain
     # G sigma1 / sqrt(P_r) in units of P_r
     p_r, sigma1_sq, g = 4.0, 2.0, 0.7
     physical = 1.0 + p_r * snl / (k ** 2 * g ** 2 * sigma1_sq)
-    assert kappa(k, snl, g * math.sqrt(sigma1_sq / p_r)) == pytest.approx(
-        physical, rel=1e-14)
+    assert kappa(g * math.sqrt(sigma1_sq / p_r)) == pytest.approx(physical, rel=1e-14)
+    # a gain so small that K^2 G^2 underflows leaves no finite kappa
+    for tiny in (1e-160, 1e-200):
+        with pytest.raises(ValueError, match="kappa"):
+            kappa(tiny)
 
 
 def test_relay_gain(scenario_factory):
@@ -224,3 +225,29 @@ def test_hpa_state_construction():
         transponder.hpa_state("sspa")       # back-off required
     with pytest.raises(ValueError):
         transponder.hpa_state("klystron", 20.0)
+    with pytest.raises(ValueError, match="ibo_db"):
+        transponder.hpa_state("twta", 4000.0)     # overflows to linear
+
+
+def test_hpa_state_derives_its_pair(monkeypatch):
+    assert transponder.HPA_FAMILIES == ("twta", "sspa", "linear")
+    # the record keeps its fields and their order; the pair is not an input
+    names = [f.name for f in dataclasses.fields(transponder.HpaState)]
+    assert names == ["family", "ibo_linear", "k_gain", "sigma_nl_sq"]
+    with pytest.raises(TypeError):
+        transponder.HpaState("twta", 10.0, 0.9, 0.01)
+    for family, pair in (("twta", transponder.bussgang_twta),
+                         ("sspa", transponder.bussgang_sspa)):
+        for ibo in (0.5, 10.0, 1e4):
+            hpa = transponder.HpaState(family, ibo)
+            assert (hpa.k_gain, hpa.sigma_nl_sq) == pair(ibo)
+    # the linear family reads no back-off, yet a NaN one is not recorded
+    for family in transponder.HPA_FAMILIES:
+        with pytest.raises(ValueError, match="ibo_linear"):
+            transponder.HpaState(family, math.nan)
+    # the derived pair keeps its range checks
+    for bad, match in (((1.5, 0.0), "Bussgang gain"), ((0.0, 0.0), "Bussgang gain"),
+                       ((0.9, math.nan), "sigma_nl_sq")):
+        monkeypatch.setitem(transponder._BUSSGANG, "twta", lambda ibo, bad=bad: bad)
+        with pytest.raises(ValueError, match=match):
+            transponder.HpaState("twta", 10.0)

@@ -4,7 +4,7 @@
     PYTHONPATH=src python3 tools/output_digest.py OUT_DIR --against LISTING
     python3 tools/output_digest.py --values OLD_DIR NEW_DIR
 
-Runs thirteen sweeps over each config in ``configs/`` in-process through
+Runs seventeen sweeps over each config in ``configs/`` in-process through
 ``optfeeder.cli.main``, each into its own subdirectory of OUT_DIR, and
 prints one line per output file: run name, exit code, file name, SHA-256.
 ``manifest.json`` records the output paths, so it is hashed with the run's
@@ -61,6 +61,14 @@ RUNS = {
     "moments_exact": ["--metric", "moments", "--order", "2", "--method", "exact"],
     "ber_bpsk_sspa": ["--metric", "ber", "--modulation", "bpsk", "--hpa", "sspa",
                       "--detection", "het", "--method", "exact,asymptotic"],
+    # the other sweep variables: each point carries its own threshold or
+    # back-off, which a mu_r sweep leaves at the run's value
+    "gamma_th_exact": ["--sweep", "gamma_th_db", "--metric", "outage",
+                       "--method", "exact"],
+    "gamma_th_mc": ["--sweep", "gamma_th_db", "--metric", "outage"] + MC,
+    "ibo_exact": ["--sweep", "ibo_db", "--metric", "outage", "--method", "exact"],
+    "ibo_sspa_exact_mc": ["--sweep", "ibo_db", "--metric", "outage", "--hpa", "sspa",
+                          "--method", "exact,monte-carlo", "--samples", "200000"],
 }
 
 
