@@ -9,12 +9,12 @@ closed forms, and simple four-term expansions cover the high-SNR regime.
 
 Sum handling: for integer severity m the k-sum weights are binomial and
 positive, so the (k, j) double sum is regrouped as one weight per j, and
-the closed forms, the moments and the expansions all share these per-j
-weights.  Only the s-side gamma Gamma(j - s) changes with j, and
-Gamma(j - s) = Gamma(-s) (-s)_j, so the evaluator integrates the whole
-weighted sum at once, with the Pochhammer polynomial sum_j w_j (-s)_j on
-the s-side.  A moment is the feeder moment E[gamma_1^n] times the user-link
-sum over j.  The moments and the expansions, which sum their terms one by
+the closed forms and the expansions share these per-j weights.  Only the
+s-side gamma Gamma(j - s) changes with j, and Gamma(j - s) = Gamma(-s) (-s)_j,
+so the evaluator integrates the whole weighted sum at once, with the
+Pochhammer polynomial sum_j w_j (-s)_j on the s-side.  The links are
+independent, so a moment is the feeder moment E[gamma_1^n] in closed form
+times one gamma_2 quadrature.  The expansions, which sum their terms one by
 one, use compensated summation because the term magnitudes span many orders.
 """
 
@@ -28,7 +28,7 @@ import numpy as np
 import scipy.special as sp
 from scipy.optimize import brentq
 
-from . import fso_link, rf_link, specfun
+from . import fso_link, rf_link, specfun, system
 from .system import ScenarioConfig
 
 _REL_TOL = 1e-9         # closed-form CDF, BER and capacity families
@@ -96,6 +96,13 @@ def check_detection(mod: ModulationSpec, scn: ScenarioConfig):
         raise ValueError(
             f"{mod.name} requires detection r={mod.detection_r}, "
             f"scenario uses r={scn.detection_r}")
+
+
+def check_moment_order(order) -> int:
+    """order as an int, or a ValueError unless it is a positive integer."""
+    if not (order >= 1 and float(order).is_integer()):     # NaN fails too
+        raise ValueError(f"moment order must be a positive integer, not {order}")
+    return int(order)
 
 
 def capacity_tau(scn: ScenarioConfig) -> float:
@@ -210,19 +217,20 @@ def sndr_pdf_exact(x: float, scn: ScenarioConfig) -> float:
 
 
 def sndr_moments(order: int, scn: ScenarioConfig) -> float:
-    """n-th moment of the end-to-end SNDR in terms of a single G function."""
-    if order < 1 or order != int(order):
-        raise ValueError("moment order must be a positive integer")
-    n = int(order)
-    x1 = _x1(scn)
-    # gamma_1 and gamma_2 are independent: E[gamma_1^n] times the user-link sum
+    """n-th moment of the end-to-end SNDR: E[gamma_1^n] in closed form times one
+    quadrature in ln gamma_2 of a(gamma_2)^n, a(g) = sndr(1, g) < (|b|^2 kappa)^-1."""
+    n = check_moment_order(order)
     g1_moment = fso_link.gamma1_moment(n, scn.detection_r, scn.turbulence,
                                        scn.feeder.pointing, scn.mu_r)
-    pref = (g1_moment / ((scn.kappa * scn.b_row_norm_sq) ** n * sp.gamma(n))
-            * scn.shadowing.power_ratio ** (scn.shadowing.m_int - 1))
-    terms = [w_j * specfun.meijer_g_2_1_1_2(x1, 1.0 - n, float(j), 1.0)
-             for j, w_j in enumerate(_sum_weights(scn.shadowing))]
-    return float(pref * math.fsum(terms))
+
+    def integrand(u):
+        g2 = np.exp(u)
+        return (g2 * rf_link.gamma2_pdf(g2, scn.shadowing, scn.gamma_bar2)
+                * system.sndr(1.0, g2, scn) ** n)
+
+    edges = math.log(scn.gamma_bar2) + np.arange(-60.0, 7.0)
+    tol = 1e-15 / (scn.b_row_norm_sq * scn.kappa) ** n / (len(edges) - 1)
+    return g1_moment * specfun.gauss_panels(integrand, edges, tol)
 
 
 def sndr_cdf_oracle(x: float, scn: ScenarioConfig) -> float:

@@ -183,6 +183,5 @@ def empirical_capacity(plan: SimPlan):
 
 def empirical_moment(plan: SimPlan, order: int):
     """Sample moment E[gamma^order]."""
-    if order < 1:
-        raise ValueError("order must be a positive integer")
+    order = analytics.check_moment_order(order)
     return _mean_ci(plan, lambda g: g ** order)

@@ -107,6 +107,8 @@ class ScenarioConfig:
         b_row_norm_sq = float(row @ row)
         gbar1 = fso_link.gamma1_moment(1, self.detection_r, self.turbulence,
                                        self.feeder.pointing, self.mu_r)
+        if not math.isfinite(trace_term * gbar1):
+            raise ValueError(f"mu_r = {self.mu_r} overflows tr[(B B^H)^-1] gbar1")
         if self.gain_mode == "fixed":
             relay_g = self.fixed_gain
         else:

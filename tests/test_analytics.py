@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from optfeeder import analytics, cli, montecarlo, specfun
-from conftest import rng_for
+from conftest import HEAVY_SHADOWING, rng_for
 
 
 
@@ -207,14 +207,24 @@ def test_moments_against_pdf_quadrature(scn_imdd_twta):
         assert closed == pytest.approx(val, rel=1e-4)
 
 
-@pytest.mark.parametrize("detection", ["imdd", "heterodyne"])
-def test_moments_against_mpmath_term_sum(detection):
-    # deep user link (x1 ~ 1e-10): E[gamma_1^n] / ((kappa |b|^2)^n Gamma(n))
-    # times sum_j w_j G^{2,1}_{1,2}(x1 | 1-n; j, 1), every factor in mpmath
+@pytest.mark.parametrize("config,mu_r_db,detection,shadowing", [
+    pytest.param("floor_phenomenology", 10.0, "imdd", None, id="imdd"),
+    pytest.param("floor_phenomenology", 10.0, "heterodyne", None, id="heterodyne"),
+    pytest.param("floor_phenomenology", 10.0, "imdd", HEAVY_SHADOWING, id="m_1"),
+    pytest.param("outage_strong_turbulence", 0.0, "imdd", None, id="calibrated_0dB"),
+    pytest.param("outage_strong_turbulence", 80.0, "imdd", None, id="calibrated_80dB"),
+])
+def test_moments_against_mpmath_term_sum(config, mu_r_db, detection, shadowing):
+    # the paper's moment, E[gamma_1^n] / ((kappa |b|^2)^n Gamma(n)) times
+    # sum_j w_j G^{2,1}_{1,2}(x1 | 1-n; j, 1), every factor in mpmath: on the
+    # deep user link of floor_phenomenology (x1 ~ 1e-10), with one term (m = 1),
+    # and on the calibrated scale, where x1 reaches 0.33 at 80 dB
     mp = pytest.importorskip("mpmath")
-    cfg = Path(__file__).resolve().parent.parent / "configs" / "floor_phenomenology.ini"
+    cfg = Path(__file__).resolve().parent.parent / "configs" / f"{config}.ini"
     cp, _ = cli.load_config(str(cfg))
-    scn = cli._scenario_from_config(cp, 10.0, {"detection": detection})
+    scn = cli._scenario_from_config(cp, mu_r_db, {"detection": detection})
+    if shadowing is not None:
+        scn = dataclasses.replace(scn, shadowing=shadowing)
     al, be = scn.turbulence.alpha, scn.turbulence.beta
     xi2 = scn.feeder.pointing.xi ** 2
     r = scn.detection_r
@@ -233,6 +243,20 @@ def test_moments_against_mpmath_term_sum(detection):
             assert analytics.sndr_moments(n, scn) == pytest.approx(float(ref), rel=1e-12)
 
 
+def test_moments_use_no_meijer_g(scn_imdd_twta, monkeypatch):
+    # criterion 4 and test_moments_against_pdf_quadrature check the moment
+    # against a quadrature of sndr_pdf_exact, which runs on the bivariate
+    # engine, so the moment must use no Meijer G evaluator of its own
+    expected = analytics.sndr_moments(2, scn_imdd_twta)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sndr_moments called a Meijer G evaluator")
+
+    for name in ("meijer_g_bivariate_family", "meijer_g_2_1_1_2", "tricomi_u"):
+        monkeypatch.setattr(specfun, name, forbidden)
+    assert analytics.sndr_moments(2, scn_imdd_twta) == expected
+
+
 def test_moments_jensen(scn_imdd_twta):
     m1 = analytics.sndr_moments(1, scn_imdd_twta)
     m2 = analytics.sndr_moments(2, scn_imdd_twta)
@@ -240,8 +264,9 @@ def test_moments_jensen(scn_imdd_twta):
 
 
 def test_moments_validation(scn_imdd_twta):
-    with pytest.raises(ValueError):
-        analytics.sndr_moments(0, scn_imdd_twta)
+    for bad in (0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="order"):
+            analytics.sndr_moments(bad, scn_imdd_twta)
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ _HET_BER = ["--metric", "ber", "--detection", "het"]
     ("", ["--gamma-th-db", "nan"], ""),
     ("", ["--ibo-db", "nan"], ""),
     ("", ["--method", "monte-carlo", "--samples", "0"], ""),
-    ("", ["--metric", "moments", "--order", "0"], ""),
+    ("", ["--metric", "moments", "--order", "0"], "order"),
     # a value that fails its check names the scenario field it reached
     ("[system]\nsigma2_sq = 0\n", [], "sigma2_sq"),
     ("[system]\nsigma2_sq = -1\n", [], "sigma2_sq"),
@@ -198,6 +198,8 @@ _HET_BER = ["--metric", "ber", "--detection", "het"]
     ("[system]\np_g = nan\n", [], "unknown key 'p_g'"),     # the key is gone
     ("[system]\ngamma_bar2 = nan\n", [], "gamma_bar2"),
     ("", ["--sweep", "gamma_th_db", "--mu-r-db", "-4000"], "mu_r"),   # underflows to 0
+    # finite, but tr[(B B^H)^-1] gbar1 overflows before the relay gain
+    ("", ["--sweep", "gamma_th_db", "--mu-r-db", "3080"], "mu_r = 1e+308 overflows"),
     ("[atmosphere]\nwavelength_nm = nan\n", [], "wavelength"),
     ("[atmosphere]\nwavelength_nm = inf\n", [], "wavelength"),
     ("[atmosphere]\nbeam_radius_tx_m = nan\n", [], "beam_radius_tx"),
@@ -229,7 +231,7 @@ _HET_BER = ["--metric", "ber", "--detection", "het"]
         "gamma_th_nan_mc", "grid_nan_mc", "sweep_stop_inf", "mu_r_nan_oracle",
         "gamma_th_nan_exact", "ibo_nan", "samples_0", "order_0",
         "sigma2_sq_0", "sigma2_sq_negative", "sigma2_sq_nan", "sigma2_sq_inf", "p_g_nan",
-        "gamma_bar2_nan", "mu_r_underflow", "wavelength_nan", "wavelength_inf",
+        "gamma_bar2_nan", "mu_r_underflow", "mu_r_db_3080", "wavelength_nan", "wavelength_inf",
         "beam_radius_tx_nan",
         "cn2_ground_nan", "xi_nan", "config_ibo_nan", "linear_ibo_nan", "carrier_nan",
         "theta_3db_nan",

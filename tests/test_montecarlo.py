@@ -112,6 +112,9 @@ def test_plan_validation(scenario):
         montecarlo.empirical_ber(
             montecarlo.SimPlan((scenario,), 100, seed=1),
             analytics.modulation("bpsk"))   # detection mismatch
+    for bad in (0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="order"):
+            montecarlo.empirical_moment(montecarlo.SimPlan((scenario,), 100, seed=1), bad)
 
 
 def test_thresholds_are_checked(scenario):

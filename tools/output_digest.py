@@ -4,7 +4,7 @@
     PYTHONPATH=src python3 tools/output_digest.py OUT_DIR --against LISTING
     python3 tools/output_digest.py --values OLD_DIR NEW_DIR
 
-Runs seventeen sweeps over each config in ``configs/`` in-process through
+Runs eighteen sweeps over each config in ``configs/`` in-process through
 ``optfeeder.cli.main``, each into its own subdirectory of OUT_DIR, and
 prints one line per output file: run name, exit code, file name, SHA-256.
 ``manifest.json`` records the output paths, so it is hashed with the run's
@@ -59,6 +59,8 @@ RUNS = {
     "capacity_het_exact": ["--metric", "capacity", "--detection", "het",
                            "--method", "exact"],
     "moments_exact": ["--metric", "moments", "--order", "2", "--method", "exact"],
+    "moments_het_exact": ["--metric", "moments", "--order", "3", "--detection", "het",
+                          "--method", "exact"],
     "ber_bpsk_sspa": ["--metric", "ber", "--modulation", "bpsk", "--hpa", "sspa",
                       "--detection", "het", "--method", "exact,asymptotic"],
     # the other sweep variables: each point carries its own threshold or
