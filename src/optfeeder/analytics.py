@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sp
-from scipy.optimize import brentq
 
 from . import fso_link, rf_link, specfun, system
 from .system import ScenarioConfig
@@ -218,17 +217,24 @@ def sndr_pdf_exact(x: float, scn: ScenarioConfig) -> float:
 
 def sndr_moments(order: int, scn: ScenarioConfig) -> float:
     """n-th moment of the end-to-end SNDR: E[gamma_1^n] in closed form times one
-    quadrature in ln gamma_2 of a(gamma_2)^n, a(g) = sndr(1, g) < (|b|^2 kappa)^-1."""
+    quadrature in ln(gamma_2/gbar2) of a(gamma_2)^n, a(g) = sndr(1, g) < (|b|^2 kappa)^-1."""
     n = check_moment_order(order)
     g1_moment = fso_link.gamma1_moment(n, scn.detection_r, scn.turbulence,
                                        scn.feeder.pointing, scn.mu_r)
 
-    def integrand(u):
-        g2 = np.exp(u)
-        return (g2 * rf_link.gamma2_pdf(g2, scn.shadowing, scn.gamma_bar2)
+    # in v = ln(gamma_2/gbar2) the density t f(t; 1) cannot overflow or go
+    # subnormal; past 2^60 C/kappa, sndr(1, gamma_2) = 1/(|b|^2 kappa) to double
+    # precision, so gamma_2 stops there and kappa gamma_2 stays finite
+    ln_gbar2 = math.log(scn.gamma_bar2)
+    ln_g2_max = math.log(2.0 ** 60 * scn.noise_amp_c / scn.kappa)
+
+    def integrand(v):
+        t = np.exp(v)
+        g2 = np.exp(np.minimum(v + ln_gbar2, ln_g2_max))
+        return (t * rf_link.gamma2_pdf(t, scn.shadowing, 1.0)
                 * system.sndr(1.0, g2, scn) ** n)
 
-    edges = math.log(scn.gamma_bar2) + np.arange(-60.0, 7.0)
+    edges = np.arange(-60.0, 7.0)
     tol = 1e-15 / (scn.b_row_norm_sq * scn.kappa) ** n / (len(edges) - 1)
     return g1_moment * specfun.gauss_panels(integrand, edges, tol)
 
@@ -414,13 +420,14 @@ def fit_gamma_bar2(scn: ScenarioConfig, target_outage: float, gamma_th: float,
     """One-scalar fit of the user-link SNR scale to a reference outage value.
 
     The outage is monotone decreasing and smooth in ln gamma_bar2 at fixed
-    everything else, so Brent's method on the bracket [lo, hi] finds the
-    root in about ten evaluations.  It stops once ln gamma_bar2 is known to
-    the closed form's relative tolerance, which moves the fitted outage by
-    far less than its own error.  gamma_bar2 enters the closed form only
-    through x1, so the steps share one bivariate t-collapse per grid and
-    each step only multiplies in x1^s.  The fitted value is meant to be
-    frozen into a documented configuration afterwards.
+    everything else, so Brent's method on [lo, hi] (:func:`specfun.brent_root`,
+    the steps of scipy's ``brentq``) finds the root in about ten evaluations
+    after the two bracket checks.  It stops once ln gamma_bar2 is known to the
+    closed form's relative tolerance, which moves the fitted outage by far
+    less than its own error.  gamma_bar2 enters the closed form only through
+    x1, so the steps share one bivariate t-collapse per grid and each step
+    only multiplies in x1^s.  The fitted value is meant to be frozen into a
+    documented configuration afterwards.
     """
     if not (0.0 < target_outage < 1.0):
         raise ValueError("target outage must lie in (0, 1)")
@@ -429,12 +436,10 @@ def fit_gamma_bar2(scn: ScenarioConfig, target_outage: float, gamma_th: float,
     if not (f_hi <= target_outage <= f_lo):
         raise ValueError(
             f"target {target_outage} outside attainable range [{f_hi}, {f_lo}]")
-    # the bracket ends are already known; brentq starts by asking for them
-    known = {math.log(lo): f_lo - target_outage, math.log(hi): f_hi - target_outage}
 
     def excess(log_g):
-        if log_g in known:
-            return known[log_g]
         return outage_exact(gamma_th, scn.with_gamma_bar2(math.exp(log_g))) - target_outage
 
-    return math.exp(brentq(excess, math.log(lo), math.log(hi), xtol=_REL_TOL))
+    return math.exp(specfun.brent_root(excess, math.log(lo), math.log(hi),
+                                       f_lo - target_outage, f_hi - target_outage,
+                                       _REL_TOL))

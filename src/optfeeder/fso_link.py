@@ -70,10 +70,6 @@ class TurbulenceParams:
             raise ValueError(f"Gamma-Gamma shapes alpha, beta must be positive, "
                              f"not {self.alpha}, {self.beta}")
 
-    @property
-    def scintillation_index(self) -> float:
-        return 1.0 / self.alpha + 1.0 / self.beta + 1.0 / (self.alpha * self.beta)
-
 
 @dataclass(frozen=True)
 class PointingConfig:

@@ -133,34 +133,6 @@ class ShadowedRicianParams:
         return 2.0 * self.b * self.m / (2.0 * self.b * self.m + self.omega)
 
 
-def shadowed_rician_pdf(y, p: ShadowedRicianParams):
-    """Amplitude density of the shadowed Rician fading gain |d|.
-
-    The confluent factor overflows on its own deep in the tail while the
-    Gaussian envelope kills the product, so the two are combined in log
-    space, with the large-argument asymptotic of 1F1 past the overflow
-    threshold.
-    """
-    yy = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(yy < 0):
-        raise ValueError("amplitude must be nonnegative")
-    two_bm = 2.0 * p.b * p.m
-    log_pref = p.m * math.log(two_bm / (two_bm + p.omega)) - math.log(p.b)
-    arg = p.omega * yy ** 2 / (2.0 * p.b * (two_bm + p.omega))
-    log_f = np.empty_like(arg)
-    small = arg < 600.0
-    log_f[small] = np.log(sp.hyp1f1(p.m, 1.0, arg[small]))
-    if np.any(~small):
-        # 1F1(a,b,z) ~ Gamma(b)/Gamma(a) e^z z^(a-b) for large z
-        za = arg[~small]
-        log_f[~small] = za + (p.m - 1.0) * np.log(za) - sp.gammaln(p.m)
-    out = np.zeros_like(yy)
-    pos = yy > 0
-    out[pos] = np.exp(log_pref + np.log(yy[pos])
-                      - yy[pos] ** 2 / (2.0 * p.b) + log_f[pos])
-    return out if np.ndim(y) else float(out[0])
-
-
 def series_coeffs(p: ShadowedRicianParams) -> np.ndarray:
     """C(m-1, k) (Omega/(2 b m))^k, k < m: the finite-sum weights
     (-1)^k (1-m)_k / k! z^k of integer severity, all nonnegative."""
@@ -202,15 +174,6 @@ def gamma2_ccdf(x, p: ShadowedRicianParams, gbar2: float):
         acc += coeffs[k] * partial
     out = p.power_ratio ** (m - 1) * np.exp(-ratio) * acc
     return out if np.ndim(x) else float(out[0])
-
-
-def gamma2_mean(p: ShadowedRicianParams, gbar2: float) -> float:
-    """E[gamma_2] = gbar2 (2b + Omega)/(2bm + Omega).
-
-    The scale gbar2 absorbs (2bm + Omega) rather than the physical mean
-    power 2b + Omega, so the two differ unless m = 1.
-    """
-    return gbar2 * (2.0 * p.b + p.omega) / (2.0 * p.b * p.m + p.omega)
 
 
 def sample_shadowed_rician(p: ShadowedRicianParams, rng: np.random.Generator, n: int):

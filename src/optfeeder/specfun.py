@@ -181,6 +181,51 @@ def meijer_g_2_1_1_2(z: float, a1: float, b1: float, b2: float) -> float:
                  * math.exp(sp.gammaln(g1) + sp.gammaln(g2) + b1 * math.log(z)) * u)
 
 
+def brent_root(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4), given fa = f(a)
+    and fb = f(b): step for step scipy's ``brentq`` (brentq.c) at its default
+    rtol = 4 eps, so it asks for the same points in the same order.  A step is
+    secant or inverse quadratic when short enough, else a bisection, and at
+    least (xtol + 4 eps |x|)/2.  An end where f is 0 is returned at once; ends
+    of one sign or a NaN value raise ValueError; 100 steps raise ConvergenceError."""
+    if fa == 0 or fb == 0:
+        return a if fa == 0 else b
+    if not (fa < 0 < fb or fb < 0 < fa):     # NaN fails too
+        raise ValueError(f"f({a}) = {fa} and f({b}) = {fb} must differ in sign")
+    xpre, fpre, xcur, fcur = a, fa, b, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0) != (fcur < 0):         # the root lies between xpre and xcur
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):            # keep the smaller value at xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 4.0 * math.ulp(1.0) * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:                 # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                            # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"f({xcur}) is NaN")
+    raise ConvergenceError(f"Brent's method on [{a}, {b}] did not converge in 100 steps")
+
+
 _NODES20, _WEIGHTS20 = np.polynomial.legendre.leggauss(20)
 _NODES40, _WEIGHTS40 = np.polynomial.legendre.leggauss(40)
 

@@ -13,6 +13,7 @@ from the linear-amplifier decay.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -50,6 +51,15 @@ def zf_precoder(gain_matrix: np.ndarray, p_g: float) -> tuple[np.ndarray, float]
         raise ValueError("power budget must be positive")
     c_zf = p_g / trace_bbh_inv(gain_matrix)
     return math.sqrt(c_zf) * np.linalg.inv(np.asarray(gain_matrix, dtype=float)), c_zf
+
+
+@functools.lru_cache(maxsize=8)
+def _zf_geometry(layout: rf_link.BeamLayout, rf: rf_link.RfLinkParams) -> tuple:
+    """(tr[(B B^H)^(-1)], |b_i|^2 of every user row i) of the gain matrix B,
+    which depends on the frozen (layout, rf) alone, so clones of a scenario
+    share them; a failed guard raises, and an exception is never cached."""
+    b = rf_link.beam_gain_matrix(layout, rf)
+    return trace_bbh_inv(b), tuple(float(row @ row) for row in b)
 
 
 def sndr(gamma1, gamma2, scenario: "ScenarioConfig"):
@@ -98,13 +108,11 @@ class ScenarioConfig:
             if not 0 < getattr(self, name) < math.inf:     # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"not {getattr(self, name)}")
-        b = rf_link.beam_gain_matrix(self.layout, self.rf)
-        if not 0 <= self.user_index < b.shape[0]:
-            raise ValueError(f"user_index must lie in [0, {b.shape[0]}), "
+        trace_term, row_norms_sq = _zf_geometry(self.layout, self.rf)
+        if not 0 <= self.user_index < len(row_norms_sq):
+            raise ValueError(f"user_index must lie in [0, {len(row_norms_sq)}), "
                              f"not {self.user_index}")
-        trace_term = trace_bbh_inv(b)
-        row = b[self.user_index]
-        b_row_norm_sq = float(row @ row)
+        b_row_norm_sq = row_norms_sq[self.user_index]
         gbar1 = fso_link.gamma1_moment(1, self.detection_r, self.turbulence,
                                        self.feeder.pointing, self.mu_r)
         if not math.isfinite(trace_term * gbar1):

@@ -1,5 +1,5 @@
-"""Onboard amplifier chain: fixed-gain block, memoryless AM/AM curves, and
-their Gaussian-input linearization.
+"""Onboard amplifier chain: fixed-gain block and the Gaussian-input
+linearization of its memoryless AM/AM curve.
 
 For a circularly symmetric Gaussian input of power P the memoryless envelope
 nonlinearity f splits into a scaled replica plus uncorrelated distortion
@@ -39,24 +39,6 @@ from .specfun import db_to_linear, exp_scaled_e1
 # ~q^4 * eps to cancellation) against the 1/ibo series (truncation error
 # ~100/ibo^2); both sides stay within ~1e-4 of the true sigma_NL^2 here.
 _SERIES_CUTOFF = 1e3
-
-
-# ---------------------------------------------------------------------------
-# waveform-level AM/AM characteristics
-# ---------------------------------------------------------------------------
-
-def saleh_amam(x, amp_sat: float):
-    """Saleh amplitude response A_sat^2 x / (x^2 + A_sat^2)."""
-    x = np.asarray(x, dtype=float)
-    return amp_sat ** 2 * x / (x ** 2 + amp_sat ** 2)
-
-
-def rapp_amam(x, amp_sat: float, smoothness: float = 1.0):
-    """Rapp amplitude response x / (1 + (x/A_sat)^(2v))^(1/(2v))."""
-    if smoothness <= 0:
-        raise ValueError("smoothness must be positive")
-    x = np.asarray(x, dtype=float)
-    return x / (1.0 + (x / amp_sat) ** (2.0 * smoothness)) ** (1.0 / (2.0 * smoothness))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from optfeeder import analytics, fso_link, montecarlo, rf_link, system, transpon
 
 from conftest import (CALIBRATED_GAMMA_BAR2, DEEP_GAMMA_BAR2, HEAVY_SHADOWING,
                       LIGHT_SHADOWING, make_atmosphere, rng_for)
+from oracles import rapp_amam, saleh_amam
 
 GTH_5DB = 10.0 ** 0.5
 
@@ -210,8 +211,8 @@ def test_criterion_7_bussgang_limits():
     rho = np.sqrt(rng.exponential(1.0, n))
     ibo = 10.0 ** 2.5
     a_sat = math.sqrt(ibo)
-    for family, curve in (("twta", transponder.saleh_amam),
-                          ("sspa", lambda x, a: transponder.rapp_amam(x, a, 1.0))):
+    for family, curve in (("twta", saleh_amam),
+                          ("sspa", lambda x, a: rapp_amam(x, a, 1.0))):
         k = transponder.HpaState(family, ibo).k_gain
         resid = curve(rho, a_sat) - k * rho
         corr = float(np.mean(resid * rho))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from optfeeder import analytics, cli, montecarlo, specfun
+from optfeeder import analytics, cli, fso_link, montecarlo, specfun
 from conftest import HEAVY_SHADOWING, rng_for
 
 
@@ -255,6 +255,24 @@ def test_moments_use_no_meijer_g(scn_imdd_twta, monkeypatch):
     for name in ("meijer_g_bivariate_family", "meijer_g_2_1_1_2", "tricomi_u"):
         monkeypatch.setattr(specfun, name, forbidden)
     assert analytics.sndr_moments(2, scn_imdd_twta) == expected
+
+
+def test_moments_saturate_at_huge_gamma_bar2():
+    # past gbar2 ~ 1e300 the user link no longer limits the SNDR, so the
+    # moment is E[gamma_1^n] / (|b|^2 kappa)^n; the quadrature in ln gamma_2
+    # raised ConvergenceError from 1e303 (a subnormal density times gamma_2)
+    # and from 2.2e305 (gamma_2 overflowed on the top panel)
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "floor_phenomenology.ini"
+    cp, _ = cli.load_config(str(cfg))
+    scn = cli._scenario_from_config(cp, 40.0, {})
+    limit = (fso_link.gamma1_moment(2, scn.detection_r, scn.turbulence,
+                                    scn.feeder.pointing, scn.mu_r)
+             / (scn.b_row_norm_sq * scn.kappa) ** 2)
+    saturated = analytics.sndr_moments(2, scn.with_gamma_bar2(1e300))
+    assert saturated == pytest.approx(limit, rel=1e-12)
+    for gbar2 in (1e303, 1e305, 1e306, 1e308):
+        assert analytics.sndr_moments(2, scn.with_gamma_bar2(gbar2)) == pytest.approx(
+            saturated, rel=1e-12)
 
 
 def test_moments_jensen(scn_imdd_twta):
@@ -512,6 +530,14 @@ def test_fit_gamma_bar2_evaluation_count(scenario_factory, monkeypatch, detectio
     assert len(calls) <= 20
     check = outage(10 ** 0.5, scn.with_gamma_bar2(fitted))
     assert check == pytest.approx(0.105, rel=1e-9)
+    # the library's Brent search takes the steps of scipy's brentq
+    from scipy.optimize import brentq
+
+    def excess(log_g):
+        return outage(10 ** 0.5, scn.with_gamma_bar2(math.exp(log_g))) - 0.105
+
+    ref = brentq(excess, math.log(1.0), math.log(1e13), xtol=analytics._REL_TOL)
+    assert fitted == math.exp(ref)
 
 
 @pytest.mark.parametrize("detection", ["imdd", "heterodyne"])

