@@ -25,7 +25,8 @@ has taken it below the tolerance, the lines widen while the tail monitor
 sees mass at the cut, and the step halves until two successive estimates
 agree to tolerance; the reported error bounds the last refinement step,
 the truncated tail and the round-off floor.  A level past the work cap
-raises ConvergenceError.
+raises ConvergenceError.  The bivariate engine's lines keep their log gammas
+from level to level, and its t-axis collapses by an FFT correlation.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sp
+from numpy.fft import fft, ifft
 from numpy.lib.stride_tricks import sliding_window_view
 
 
@@ -517,7 +519,12 @@ def _plan_bivariate(t_block):
 # level under the 4e7-node cap has at most about 9,400 s and 8,200 t nodes,
 # and one entry holds at most 0.53 MB (s-line), 0.26 MB (t-line), 0.33 MB
 # (coupling line) and 0.23 MB (t-collapse): 43 MB for all four caches full.
+# Under the memo, _LINE_STORE keeps each line's log gammas at the finest step
+# seen, keyed by block and abscissa: _LINE_CACHE entries of at most
+# _STORE_NODES complex values, 16.8 MB full.
 _LINE_CACHE = 32
+_STORE_NODES = 2 ** 15
+_LINE_STORE = {}
 
 
 def _frozen(*arrays):
@@ -526,20 +533,48 @@ def _frozen(*arrays):
     return arrays
 
 
+def _stored_line(f, key, sigma, h, n):
+    """f(sigma + i h k), |k| <= n, from the store entry (step, values at step j,
+    NaN where not yet computed) of line ``key``: only the missing nodes are
+    computed, each at the point its own step gives (step 2^k j is exact), so
+    every value keeps its bits.  A step no power of two from the held one, or
+    an entry past _STORE_NODES values, starts afresh."""
+    key += (sigma,)
+    step, held = _LINE_STORE.pop(key, (h, np.full(1, np.nan + 0j)))
+    up = round(math.log2(h / step))
+    spread = 1 << max(-up, 0)     # a finer step spreads the held values out
+    half = max(len(held) // 2 * spread, n << max(up, 0))
+    if math.ldexp(step, up) != h or 2 * half + 1 > _STORE_NODES:
+        step, held, up, spread, half = h, np.full(1, np.nan + 0j), 0, 1, n
+    step, up, mid = min(step, h), max(up, 0), len(held) // 2 * spread
+    grid = np.full(2 * half + 1, np.nan + 0j)
+    grid[half - mid:half + mid + 1:spread] = held
+    idx = half + (np.arange(-n, n + 1) << up)
+    vals = grid[idx]
+    new = np.isnan(vals)
+    if new.any():
+        vals[new] = grid[idx[new]] = f(sigma + 1j * (step * (idx[new] - half)))
+    if len(grid) <= _STORE_NODES:
+        _LINE_STORE[key] = step, grid
+        if len(_LINE_STORE) > _LINE_CACHE:
+            del _LINE_STORE[next(iter(_LINE_STORE))]
+    return vals
+
+
 @functools.lru_cache(maxsize=_LINE_CACHE)
 def _t_line(t_block, sigma_t, h, nt):
     """t-contour points and the t-block's log gammas on them."""
     v = h * np.arange(-nt, nt + 1)
     t = sigma_t + 1j * v
-    return _frozen(t, _line_log_block(t_block.a, t_block.b, t_block.m, t_block.n, t))
+    blk = functools.partial(_line_log_block, t_block.a, t_block.b, t_block.m, t_block.n)
+    return _frozen(t, _stored_line(blk, ("t", t_block), sigma_t, h, nt))
 
 
 @functools.lru_cache(maxsize=_LINE_CACHE)
 def _coupling_line(sigma_w, h, n):
     """Coupling gamma on the antidiagonal sums s + t (abscissa ``sigma_w``),
     scaled by its largest modulus: (log of that scale, values, moduli)."""
-    w_sum = sigma_w + 1j * h * np.arange(-n, n + 1)
-    log_c = sp.loggamma(w_sum)
+    log_c = _stored_line(sp.loggamma, ("w",), sigma_w, h, n)
     c_max = float(np.max(log_c.real))
     c_n = np.exp(log_c - c_max)
     return (c_max,) + _frozen(c_n, np.abs(c_n))
@@ -552,7 +587,8 @@ def _s_line(coef, sigma_s, h, ns):
     running products."""
     u = h * np.arange(-ns, ns + 1)
     s = sigma_s + 1j * u
-    log_g = sp.loggamma(-s) + sp.loggamma(1.0 - s)
+    log_g = _stored_line(lambda pts: sp.loggamma(-pts) + sp.loggamma(1.0 - pts),
+                         ("s",), sigma_s, h, ns)
     poch = np.ones_like(s)
     poly = np.full_like(s, coef[0])
     bound = np.full(len(s), abs(coef[0]))
@@ -565,8 +601,8 @@ def _s_line(coef, sigma_s, h, ns):
 
 @functools.lru_cache(maxsize=_LINE_CACHE)
 def _t_collapse(t_block, sigma_s, sigma_t, h, ns, nt, x2):
-    """The t-integral at every s node, as a Hankel product, with the t-tail
-    monitor's edge magnitudes per s node and its tail divisor."""
+    """The t-integral at every s node, a correlation taken by FFT, with the
+    t-tail monitor's edge magnitudes per s node and its tail divisor."""
     t, log_blk = _t_line(t_block, sigma_t, h, nt)
     log_t = log_blk + t * math.log(x2)
     # the kernel C[i + k] T[k] is a Hankel matrix times a diagonal, never
@@ -578,7 +614,11 @@ def _t_collapse(t_block, sigma_s, sigma_t, h, ns, nt, x2):
     t_n[0] *= 0.5      # trapezoid weights on the t edges
     t_n[-1] *= 0.5
     lead = math.exp(c_max + t_max)
-    tvec = lead * (sliding_window_view(c_n, 2 * nt + 1) @ t_n)
+    # tvec[i] = sum_k C[i + k] T[k] is C convolved with T reversed, at 2nt + i;
+    # a length >= len(C) wraps only into the outputs below 2nt, dropped here
+    size = 1 << (len(c_n) - 1).bit_length()
+    conv = ifft(fft(c_n, size) * fft(t_n[::-1], size))
+    tvec = lead * conv[2 * nt:2 * nt + 2 * ns + 1]
     tvec[[0, -1]] *= 0.5   # and on the s edges
     # t-tail monitor: edge blocks of |kernel| per s node, and the edge
     # column sums |T[k]| sum_i |C[i + k]| over the whole s-line, summed
@@ -607,11 +647,12 @@ def meijer_g_bivariate_family(weights, t_block, x1, x2,
     roundoff monitors take sum_j |w_j| |(-s)_j| instead, which sees every
     term before the weights cancel.  On the shared grid the kernel is
     C[i + k] T[k], the coupling gamma on the antidiagonal sums times the
-    t-block, so the t-collapse is a Hankel product: memory and the
-    exponentials are O(ns + nt), never O(ns nt).  On a fixed grid x1 enters
-    only through x1^s, so each contour line is built once per grid and
-    memoised; a call whose grid and x2 an earlier call shared only adds
-    s ln x1, exponentiates and sums.
+    t-block, so the t-collapse is a correlation, an FFT in O((ns + nt) log):
+    memory and the exponentials are O(ns + nt), never O(ns nt).  On a fixed
+    grid x1 enters only through x1^s, so each contour line is built once per
+    grid and memoised; a call whose grid and x2 an earlier call shared only
+    adds s ln x1, exponentiates and sums.  A finer or wider level computes
+    log gammas only at its new nodes, and every value keeps its bits.
 
     Returns (total, error_estimate, plan).  ``abs_tol`` sets an
     absolute-error floor so that totals which underflow toward zero still

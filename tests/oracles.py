@@ -1,15 +1,16 @@
 """Closed forms that only the tests read: the waveform AM/AM curves behind the
 brute-force Bussgang estimators, the shadowed-Rician amplitude density, the
-mean user-link SNR and the scintillation index.  The library computes none of
-them, so keeping them here leaves each check independent of the code it
-checks."""
+mean user-link SNR, the scintillation index, and the bivariate engine's
+t-collapse as a direct Hankel product.  The library computes none of them, so
+keeping them here leaves each check independent of the code it checks."""
 
 import math
 
 import numpy as np
 import scipy.special as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
-from optfeeder import fso_link, rf_link
+from optfeeder import fso_link, rf_link, specfun
 
 
 def saleh_amam(x, amp_sat: float):
@@ -66,3 +67,19 @@ def gamma2_mean(p: rf_link.ShadowedRicianParams, gbar2: float) -> float:
 def scintillation_index(turb: fso_link.TurbulenceParams) -> float:
     """1/alpha + 1/beta + 1/(alpha beta), the irradiance variance of unit mean."""
     return 1.0 / turb.alpha + 1.0 / turb.beta + 1.0 / (turb.alpha * turb.beta)
+
+
+def hankel_t_collapse(t_block, sigma_s, sigma_t, h, ns, nt, x2):
+    """The t-integral at every s node of the bivariate engine's grid, summed
+    directly as the Hankel product tvec[i] = sum_k C[i + k] T[k] in
+    O(ns nt), with the engine's own lines, scaling and trapezoid edge
+    weights: the reference for the FFT correlation of ``specfun._t_collapse``."""
+    t, log_blk = specfun._t_line(t_block, sigma_t, h, nt)
+    log_t = log_blk + t * math.log(x2)
+    c_max, c_n, _ = specfun._coupling_line(sigma_s + sigma_t, h, ns + nt)
+    t_max = float(np.max(log_t.real))
+    t_n = np.exp(log_t - t_max)
+    t_n[[0, -1]] *= 0.5
+    tvec = math.exp(c_max + t_max) * (sliding_window_view(c_n, 2 * nt + 1) @ t_n)
+    tvec[[0, -1]] *= 0.5
+    return tvec

@@ -12,6 +12,7 @@ from scipy.integrate import dblquad, quad
 
 from optfeeder import analytics, rf_link, specfun
 from conftest import rng_for
+from oracles import hankel_t_collapse
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +622,38 @@ def test_bivariate_hankel_matches_dense_kernel():
         assert abs(err - ref_err) <= 1e-6 * ref_err + floor, case
 
 
+def test_t_collapse_fft_matches_hankel_product(monkeypatch):
+    # the FFT correlation against the direct Hankel product, to 1e-13 of
+    # max |tvec|, on seeded families of every metric's t-block under both
+    # detections: at the smallest counts _refine plans (the first level of a
+    # call at rel_tol 1e-7 with |ln x| small), at ns > nt, ns < nt and
+    # ns = nt, and where len(C) = 2(ns + nt) + 1 is one more than a power of
+    # two, which doubles the transform length
+    first = []
+    collapse = specfun._t_collapse
+
+    def recorded(*args):
+        first.append(args[3:6])
+        return collapse(*args)
+
+    rng = rng_for(35)
+    counts = [(30, 90), (90, 30), (40, 40), (20, 12), (12, 20), (300, 212), (700, 300)]
+    for case in range(8):
+        t_block, w = _seeded_family(rng, case)
+        x2 = np.exp(rng.uniform(-4.0, 8.0))
+        sigma_s, sigma_t = specfun._plan_bivariate(t_block)
+        first.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "_t_collapse", recorded)
+            specfun.meijer_g_bivariate_family(w, t_block, 0.5, x2, rel_tol=1e-7)
+        assert first[0][0] == 0.125, case
+        for h, ns, nt in [first[0]] + [(0.125,) + c for c in counts]:
+            tvec = collapse(t_block, sigma_s, sigma_t, h, ns, nt, x2)[0]
+            ref = hankel_t_collapse(t_block, sigma_s, sigma_t, h, ns, nt, x2)
+            scale = float(np.max(np.abs(ref)))
+            assert float(np.max(np.abs(tvec - ref))) <= 1e-13 * scale, (case, ns, nt)
+
+
 _LINE_CACHES = (specfun._t_line, specfun._coupling_line, specfun._s_line,
                 specfun._t_collapse)
 
@@ -628,6 +661,7 @@ _LINE_CACHES = (specfun._t_line, specfun._coupling_line, specfun._s_line,
 def _clear_line_caches():
     for cached in _LINE_CACHES:
         cached.cache_clear()
+    specfun._LINE_STORE.clear()
 
 
 def test_bivariate_memo_warm_equals_cold():
@@ -679,6 +713,52 @@ def test_bivariate_memo_is_bounded():
         assert info.currsize <= info.maxsize
     info = specfun._t_collapse.cache_info()
     assert info.misses >= 300 and info.currsize == info.maxsize
+    # 40 t-blocks more than fill the log-gamma store, which keeps its
+    # _LINE_CACHE entries of at most _STORE_NODES values each
+    for alpha in np.linspace(2.0, 3.0, 40):
+        specfun.meijer_g_bivariate_family(
+            [1.0, 1.0], _cdf_t_block(1, alpha, 5.36, 1.21), 0.5, 3.0)
+    assert len(specfun._LINE_STORE) == specfun._LINE_CACHE
+    assert all(len(held) <= specfun._STORE_NODES
+               for _, held in specfun._LINE_STORE.values())
+
+
+def test_bivariate_levels_compute_only_new_log_gammas(scenario_factory, monkeypatch):
+    # one gamma_bar2 fit on the reference scenario and two seeded families at
+    # three x1 each: with the log-gamma store, the lines evaluate at most 0.65
+    # of the log-gamma points that the levels plan (the points evaluated with
+    # the store disabled), and every total keeps its bits
+    scn = scenario_factory(mu_r_db=50.0, gamma_bar2=None)
+    rng = rng_for(36)
+    families = [_seeded_family(rng, case) for case in (0, 5)]
+
+    class Counted:
+        points = 0
+
+        def __getattr__(self, name):
+            return getattr(sp, name)
+
+        def loggamma(self, z):
+            Counted.points += np.size(z)
+            return sp.loggamma(z)
+
+    monkeypatch.setattr(specfun, "sp", Counted())
+
+    def run():
+        _clear_line_caches()
+        Counted.points = 0
+        totals = [analytics.fit_gamma_bar2(scn, 0.105, 10 ** 0.5, lo=1.0, hi=1e13)]
+        for t_block, w in families:
+            totals += [specfun.meijer_g_bivariate_family(w, t_block, x1, 20.0, rel_tol=1e-9)
+                       for x1 in (0.01, 0.1, 1.0)]
+        return totals, Counted.points
+
+    totals, computed = run()
+    monkeypatch.setattr(specfun, "_STORE_NODES", 0)
+    planned_totals, planned = run()
+    _clear_line_caches()
+    assert computed <= 0.65 * planned, (computed, planned)
+    assert totals == planned_totals
 
 
 def test_bivariate_work_cap_raises_before_any_level(monkeypatch):
