@@ -6,6 +6,8 @@ ergodic capacity all reduce to the same family with different t-side blocks
 and arguments.  An independent single-integral form (complementary user-link
 CDF against the feeder density) serves as the numerical oracle for the
 closed forms, and simple four-term expansions cover the high-SNR regime.
+All of them take the feeder law from one record, :class:`fso_link.FeederLaw`
+(``scn.feeder_law``; the expansion builds a perturbed one at a coincidence).
 
 Sum handling: for integer severity m the k-sum weights are binomial and
 positive, so the (k, j) double sum is regrouped as one weight per j, and
@@ -129,12 +131,10 @@ def _sum_weights(shadow: rf_link.ShadowedRicianParams) -> np.ndarray:
 
 
 def _prefactor(scn: ScenarioConfig) -> float:
-    al, be = scn.turbulence.alpha, scn.turbulence.beta
-    xi2 = scn.feeder.pointing.xi ** 2
-    r = scn.detection_r
+    law = scn.feeder_law
     m = scn.shadowing.m_int
-    return (xi2 * r ** (al + be - 2.0)
-            / (sp.gamma(al) * sp.gamma(be) * (2.0 * math.pi) ** (r - 1))
+    return (law.xi2 * law.r ** (law.alpha + law.beta - 2.0)
+            / (law.gamma_alpha * law.gamma_beta * (2.0 * math.pi) ** (law.r - 1))
             * scn.shadowing.power_ratio ** (m - 1))
 
 
@@ -145,11 +145,9 @@ def _x1(scn: ScenarioConfig) -> float:
 def _x2_base(scn: ScenarioConfig) -> float:
     """r^{2r} (xi^2+1)^r mu_r / ((al be xi^2)^r kappa |b|^2); divide by x
     for the distribution arguments, multiply by q_u or tau for the others."""
-    al, be = scn.turbulence.alpha, scn.turbulence.beta
-    xi2 = scn.feeder.pointing.xi ** 2
-    r = scn.detection_r
-    return (r ** (2 * r) * (xi2 + 1.0) ** r * scn.mu_r
-            / ((al * be * xi2) ** r * scn.kappa * scn.b_row_norm_sq))
+    law = scn.feeder_law
+    return (law.r ** (2 * law.r) * (law.xi2 + 1.0) ** law.r * scn.mu_r
+            / (law.abx ** law.r * scn.kappa * scn.b_row_norm_sq))
 
 
 def _family_total(scn: ScenarioConfig, x2: float, rel_tol: float,
@@ -165,15 +163,9 @@ def _family_total(scn: ScenarioConfig, x2: float, rel_tol: float,
     the absolute convergence floor is set so the assembled metric carries
     roughly ``rel_tol`` absolute error even when the total underflows.
     """
-    al, be = scn.turbulence.alpha, scn.turbulence.beta
-    xi2 = scn.feeder.pointing.xi ** 2
-    r = scn.detection_r
-    t_block = specfun.GBlock(
-        a=(top + specfun.duplication_split(r, 1.0 - xi2)
-           + specfun.duplication_split(r, 1.0 - al)
-           + specfun.duplication_split(r, 1.0 - be)),
-        b=bottom + specfun.duplication_split(r, -xi2) + (last,),
-        m=len(bottom), n=len(top) + 3 * r)
+    law = scn.feeder_law
+    t_block = specfun.GBlock(a=top + law.t_upper, b=bottom + law.t_lower + (last,),
+                             m=len(bottom), n=len(top) + len(law.t_upper))
     abs_tol = 0.5 * rel_tol / max(out_scale, 1e-300)
     x1 = _x1(scn)
     try:
@@ -253,22 +245,18 @@ def sndr_cdf_oracle(x: float, scn: ScenarioConfig) -> float:
     cap_x = scn.b_row_norm_sq * x
     c_over_g2 = scn.noise_amp_c * cap_x / scn.gamma_bar2
     shift = scn.kappa * cap_x
-    turb, point = scn.turbulence, scn.feeder.pointing
-    r = scn.detection_r
 
     def integrand(z):
         cc = rf_link.gamma2_ccdf(scn.noise_amp_c * cap_x / z, scn.shadowing,
                                  scn.gamma_bar2)
-        fg = fso_link.gamma1_pdf(shift + z, r, turb, point, scn.mu_r)
+        fg = fso_link.gamma1_pdf(shift + z, scn.detection_r, scn.turbulence,
+                                 scn.feeder.pointing, scn.mu_r)
         return cc * fg
 
     # panel edges must bracket both active scales: the user-link transition
     # (z ~ C X / gbar2) and the feeder density support (z ~ mu_r); the upper
     # end stops where the feeder density tail has fallen below relevance
-    al, be = turb.alpha, turb.beta
-    xi2 = point.xi ** 2
-    w_density = al * be * xi2 / (xi2 + 1.0)
-    gamma1_cut = scn.mu_r * (1e4 / w_density) ** r
+    gamma1_cut = scn.mu_r * (1e4 / scn.feeder_law.scale) ** scn.detection_r
     anchors = [c_over_g2, scn.mu_r, shift + scn.mu_r]
     lo = min(anchors) * 1e-10
     hi = max(gamma1_cut, 1e4 * c_over_g2)
@@ -343,16 +331,14 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
     the result as indicative; away from exact coincidences no perturbation
     occurs and the expansion is quantitative.
     """
-    al, be = scn.turbulence.alpha, scn.turbulence.beta
-    xi2 = scn.feeder.pointing.xi ** 2
-    r = scn.detection_r
+    law = base = scn.feeder_law
     m = scn.shadowing.m_int
-    if _collides(xi2, al, be, r):
+    if _collides(law.xi2, law.alpha, law.beta, law.r):
         for k in range(1, 4):
-            xi2 = scn.feeder.pointing.xi ** 2 + k * EPS_PERTURB
-            al = scn.turbulence.alpha + 2 * k * EPS_PERTURB
-            be = scn.turbulence.beta + 3 * k * EPS_PERTURB
-            if not _collides(xi2, al, be, r):
+            law = fso_link.feeder_law(base.r, base.alpha + 2 * k * EPS_PERTURB,
+                                      base.beta + 3 * k * EPS_PERTURB,
+                                      base.xi2 + k * EPS_PERTURB)
+            if not _collides(law.xi2, law.alpha, law.beta, law.r):
                 break
         else:
             raise specfun.PoleCollisionError(
@@ -362,6 +348,7 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
             "expansion omits the logarithmic corrections of that degenerate "
             "case, so the perturbed value is indicative only (the exact and "
             "oracle paths remain valid)", RuntimeWarning, stacklevel=3)
+    al, be, xi2, r = law.alpha, law.beta, law.xi2, law.r
     x1 = _x1(scn)
     a_const = r ** (2 * r) * scn.mu_r / _x2_base(scn)
 
@@ -385,7 +372,7 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
             bracket = sp.gamma(j - theta) * x1 ** theta + g212 / sp.gamma(1.0 - theta)
             total.append(w_j * lead[key] * a_const ** theta * bracket
                          * exponent_weight(theta) / scn.mu_r ** theta)
-    pref = xi2 / (sp.gamma(al) * sp.gamma(be)) * scn.shadowing.power_ratio ** (m - 1)
+    pref = xi2 / (law.gamma_alpha * law.gamma_beta) * scn.shadowing.power_ratio ** (m - 1)
     return pref * math.fsum(total)
 
 

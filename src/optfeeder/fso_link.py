@@ -193,6 +193,31 @@ def scintillation_params(cfg: AtmosphereConfig) -> TurbulenceParams:
 # irradiance and electrical-SNR statistics
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class FeederLaw:
+    """Law of gamma_1 under detection order r, by its Mellin transform E[gamma_1^s]
+    = mu_r^s xi^2/(xi^2+rs) Gamma(al+rs) Gamma(be+rs) / (Gamma(al) Gamma(be) scale^rs)."""
+    r: int
+    alpha: float
+    beta: float
+    xi2: float
+    gamma_alpha: float           # Gamma(al)
+    gamma_beta: float            # Gamma(be)
+    abx: float                   # al be xi^2
+    scale: float                 # al be xi^2 / (xi^2+1)
+    t_upper: tuple[float, ...]   # the feeder gammas' upper and lower parameters
+    t_lower: tuple[float, ...]   # in a bivariate t-block, duplication-split
+
+
+def feeder_law(r: int, alpha: float, beta: float, xi2: float) -> FeederLaw:
+    """The law of detection order r, Gamma-Gamma shapes alpha, beta and xi^2."""
+    abx = alpha * beta * xi2
+    split = lambda u: specfun.duplication_split(r, u)  # noqa: E731
+    upper = split(1.0 - xi2) + split(1.0 - alpha) + split(1.0 - beta)
+    return FeederLaw(r, alpha, beta, xi2, sp.gamma(alpha), sp.gamma(beta), abx,
+                     abx / (xi2 + 1.0), upper, split(-xi2))
+
+
 def gamma1_moment(order: float, r: int, turb: TurbulenceParams,
                   pointing: PointingConfig, mu_r: float) -> float:
     """E[gamma_1^order] of the feeder electrical SNR under detection order r.
@@ -203,10 +228,10 @@ def gamma1_moment(order: float, r: int, turb: TurbulenceParams,
     At order 1 this is the average SNR gbar1; with r = 1 and
     mu_r = E[I] = xi^2/(xi^2+1) it is the irradiance moment E[I^order].
     """
-    al, be, xi2 = turb.alpha, turb.beta, pointing.xi ** 2
+    law = feeder_law(r, turb.alpha, turb.beta, pointing.xi ** 2)
     k = r * order
-    num = (xi2 + k) * (al * be * xi2) ** k * sp.gamma(al) * sp.gamma(be)
-    den = xi2 * (xi2 + 1.0) ** k * sp.gamma(al + k) * sp.gamma(be + k)
+    num = (law.xi2 + k) * law.abx ** k * law.gamma_alpha * law.gamma_beta
+    den = law.xi2 * (law.xi2 + 1.0) ** k * sp.gamma(law.alpha + k) * sp.gamma(law.beta + k)
     return mu_r ** order / float(num / den)
 
 
@@ -214,15 +239,16 @@ def gamma1_pdf(gamma1, r: int, turb: TurbulenceParams, pointing: PointingConfig,
                mu_r: float):
     """Density of the feeder electrical SNR gamma_1 under detection order r."""
     g = np.atleast_1d(np.asarray(gamma1, dtype=float))
-    if np.any(g <= 0) or mu_r <= 0:
+    if not (np.all(g > 0) and mu_r > 0):     # NaN fails too
         raise ValueError("gamma1 and mu_r must be positive")
-    al, be, xi2 = turb.alpha, turb.beta, pointing.xi ** 2
-    arg = (al * be * xi2 / (xi2 + 1.0)) * (g / mu_r) ** (1.0 / r)
+    law = feeder_law(r, turb.alpha, turb.beta, pointing.xi ** 2)
+    arg = law.scale * (g / mu_r) ** (1.0 / law.r)
     out = np.zeros_like(g)
     keep = arg <= _G_ARG_CUTOFF
     if np.any(keep):
-        vals, _, _ = specfun.meijer_g_many((xi2 + 1.0,), (xi2, al, be), 3, 0, arg[keep])
-        out[keep] = xi2 / (r * sp.gamma(al) * sp.gamma(be) * g[keep]) * vals
+        vals, _, _ = specfun.meijer_g_many((law.xi2 + 1.0,), (law.xi2, law.alpha, law.beta),
+                                           3, 0, arg[keep])
+        out[keep] = law.xi2 / (law.r * law.gamma_alpha * law.gamma_beta * g[keep]) * vals
     return out if np.ndim(gamma1) else float(out[0])
 
 

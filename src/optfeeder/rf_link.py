@@ -140,17 +140,21 @@ def series_coeffs(p: ShadowedRicianParams) -> np.ndarray:
     return np.array([math.comb(p.m_int - 1, k) * z ** k for k in range(p.m_int)])
 
 
+def _series_terms(x, p: ShadowedRicianParams, gbar2: float):
+    """(m, series_coeffs(p), m x / gbar2): the terms of the user-link SNR's sums."""
+    m = p.m_int
+    if not 0 < gbar2 < math.inf:     # NaN fails too
+        raise ValueError(f"gbar2 must be positive and finite, not {gbar2}")
+    xx = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(xx >= 0):     # NaN fails too
+        raise ValueError("the user-link SNR must be nonnegative")
+    return m, series_coeffs(p), m * xx / gbar2
+
+
 def gamma2_pdf(gamma2, p: ShadowedRicianParams, gbar2: float):
     """User-link SNR density for integer severity (finite-sum form)."""
-    m = p.m_int
-    if gbar2 <= 0:
-        raise ValueError("gbar2 must be positive")
-    g = np.atleast_1d(np.asarray(gamma2, dtype=float))
-    if np.any(g < 0):
-        raise ValueError("gamma2 must be nonnegative")
-    coeffs = series_coeffs(p)
-    ratio = m * g / gbar2
-    acc = np.zeros_like(g)
+    m, coeffs, ratio = _series_terms(gamma2, p, gbar2)
+    acc = np.zeros_like(ratio)
     for k in range(m):
         acc += coeffs[k] * ratio ** k / math.factorial(k)
     out = (m / gbar2) * p.power_ratio ** (m - 1) * np.exp(-ratio) * acc
@@ -159,16 +163,9 @@ def gamma2_pdf(gamma2, p: ShadowedRicianParams, gbar2: float):
 
 def gamma2_ccdf(x, p: ShadowedRicianParams, gbar2: float):
     """Complementary CDF of the user-link SNR, integer severity."""
-    m = p.m_int
-    if gbar2 <= 0:
-        raise ValueError("gbar2 must be positive")
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xx < 0):
-        raise ValueError("x must be nonnegative")
-    coeffs = series_coeffs(p)
-    ratio = m * xx / gbar2
-    acc = np.zeros_like(xx)
-    partial = np.zeros_like(xx)   # sum_{j<=k} ratio^j / j!
+    m, coeffs, ratio = _series_terms(x, p, gbar2)
+    acc = np.zeros_like(ratio)
+    partial = np.zeros_like(ratio)   # sum_{j<=k} ratio^j / j!
     for k in range(m):
         partial = partial + ratio ** k / math.factorial(k)
         acc += coeffs[k] * partial

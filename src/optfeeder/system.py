@@ -146,6 +146,11 @@ class ScenarioConfig:
     def detection_r(self) -> int:
         return self.feeder.detection_r
 
+    @functools.cached_property
+    def feeder_law(self) -> fso_link.FeederLaw:
+        return fso_link.feeder_law(self.detection_r, self.turbulence.alpha,
+                                   self.turbulence.beta, self.feeder.pointing.xi ** 2)
+
     def at_mu_r(self, mu_r: float) -> "ScenarioConfig":
         """Same system at another feeder operating point."""
         return replace(self, mu_r=mu_r)

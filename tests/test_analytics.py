@@ -60,6 +60,47 @@ def test_modulation_table():
 
 
 # ---------------------------------------------------------------------------
+# the feeder law
+# ---------------------------------------------------------------------------
+
+def _feeder_sites(scn):
+    ook = analytics.modulation("ook")
+    return {
+        "sndr_cdf_exact": analytics.sndr_cdf_exact(2.0, scn),
+        "sndr_pdf_exact": analytics.sndr_pdf_exact(2.0, scn),
+        "ber_exact": analytics.ber_exact(ook, scn),
+        "capacity_exact": analytics.capacity_exact(scn),
+        "sndr_moments": analytics.sndr_moments(2, scn),
+        "sndr_cdf_oracle": analytics.sndr_cdf_oracle(2.0, scn),
+        "outage_asymptotic": analytics.outage_asymptotic(2.0, scn),
+        "ber_asymptotic": analytics.ber_asymptotic(ook, scn),
+    }
+
+
+@pytest.mark.parametrize("field", ["gamma_alpha", "xi2"])
+def test_feeder_law_is_the_only_home(scenario_factory, monkeypatch, field):
+    # a record with one field nudged reaches every gamma_1 site, so no site
+    # computes the law from the Gamma-Gamma shapes on its own
+    before = _feeder_sites(scenario_factory(mu_r_db=30.0))
+    gbar1 = scenario_factory(mu_r_db=30.0).gbar1
+    # built before the patch: its gbar1, kappa and C stay as they were, and
+    # only its record (built on first use) carries the nudge
+    scn = scenario_factory(mu_r_db=30.0)
+    real = fso_link.feeder_law
+
+    def nudged(*args):
+        law = real(*args)
+        return dataclasses.replace(law, **{field: getattr(law, field) * (1.0 + 1e-4)})
+
+    monkeypatch.setattr(fso_link, "feeder_law", nudged)
+    after = _feeder_sites(scn)
+    assert scn.gbar1 == gbar1
+    for name, value in before.items():
+        assert not math.isclose(after[name], value, rel_tol=1e-7), name
+    assert not math.isclose(scenario_factory(mu_r_db=30.0).gbar1, gbar1, rel_tol=1e-7)
+
+
+# ---------------------------------------------------------------------------
 # sum regrouping
 # ---------------------------------------------------------------------------
 

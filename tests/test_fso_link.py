@@ -303,3 +303,8 @@ def test_feeder_config_validation(turb):
     with pytest.raises(ValueError):
         fso_link.AtmosphereConfig(
             0.0, 10.0, 0.0, 1550e-9, 21.0, 1e-13, 0.02)
+    # NaN fails the density's checks too, in gamma_1 and in mu_r
+    point = fso_link.PointingConfig(1.1)
+    for g, mu_r in ((math.nan, 1.0), ([1.0, math.nan], 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            fso_link.gamma1_pdf(g, 2, turb, point, mu_r)

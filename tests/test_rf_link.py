@@ -167,6 +167,18 @@ def test_gamma2_sampler_mean():
     assert np.mean(draws) == pytest.approx(gamma2_mean(p, gbar2), abs=3 * se)
 
 
+def test_gamma2_law_rejects_nan_and_infinity():
+    # gbar2 must be positive and finite and every x nonnegative; NaN fails
+    # both checks instead of coming back as a NaN or a value near 1
+    p = LIGHT_SHADOWING
+    for fn in (rf_link.gamma2_pdf, rf_link.gamma2_ccdf):
+        for x, gbar2 in ((1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -2.0),
+                         (math.nan, 1.0), ([0.5, math.nan], 1.0), (-1.0, 1.0)):
+            with pytest.raises(ValueError):
+                fn(x, p, gbar2)
+        assert np.isfinite(fn(np.array([0.0, 1.0, 1e3]), p, 1e300)).all()
+
+
 def test_non_integer_severity_rejected():
     p = rf_link.ShadowedRicianParams(m=2.5, b=0.1, omega=0.5)
     with pytest.raises(rf_link.NonIntegerShadowingError):

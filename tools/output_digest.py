@@ -5,8 +5,11 @@
     python3 tools/output_digest.py --values OLD_DIR NEW_DIR
 
 Runs eighteen sweeps over each config in ``configs/`` in-process through
-``optfeeder.cli.main``, each into its own subdirectory of OUT_DIR, and
-prints one line per output file: run name, exit code, file name, SHA-256.
+``optfeeder.cli.main``, then four along ``cn2`` and four along ``xi``, each
+into its own subdirectory of OUT_DIR, and prints one line per output file:
+run name, exit code, file name, SHA-256.  The ``cn2`` and ``xi`` grids reach
+the runs through copies of the config with a ``[sweep] grid``, written to a
+temporary directory.
 ``manifest.json`` records the output paths, so it is hashed with the run's
 directory replaced by a fixed token; listings made from two source trees
 into different directories can then be compared with ``diff``.  The CLI's
@@ -30,12 +33,14 @@ changed, or if a CSV is missing on one side or its rows do not line up.
 from __future__ import annotations
 
 import argparse
+import configparser
 import contextlib
 import csv
 import hashlib
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -73,26 +78,67 @@ RUNS = {
                           "--method", "exact,monte-carlo", "--samples", "200000"],
 }
 
+# Both shipped configs hold one atmosphere (cn2 = 1e-12) and one xi (1.1), so
+# the runs above see the feeder law at one (alpha, beta, xi) per detection.
+# These sweep the feeder's own inputs; xi = 1 sits on an integer coincidence,
+# where the high-SNR expansion perturbs its parameters.
+FEEDER_GRIDS = {
+    "cn2": (1e-15, 1e-14, 1e-13, 3e-13, 1e-12, 3e-12),
+    "xi": (0.6, 0.8, 1.0, 1.3, 1.7, 2.2, 3.0),
+}
+OUTAGE_ALL = ["--metric", "outage", "--method", "exact,oracle,asymptotic"]
+FEEDER_RUNS = {
+    "outage_imdd": OUTAGE_ALL + ["--detection", "imdd"],
+    "outage_het": OUTAGE_ALL + ["--detection", "het"],
+    "ber_16qam_het": ["--metric", "ber", "--modulation", "mqam", "--mod-order", "16",
+                      "--detection", "het", "--method", "exact,asymptotic"],
+    "moments_het": ["--metric", "moments", "--order", "3", "--detection", "het",
+                    "--method", "exact"],
+}
+
+
+def _with_grid(src: Path, grid, dst: Path) -> Path:
+    """Copy a config with an explicit sweep grid."""
+    cp = configparser.ConfigParser()
+    cp.read(src)
+    if not cp.has_section("sweep"):
+        cp.add_section("sweep")
+    cp["sweep"]["grid"] = " ".join(repr(float(g)) for g in grid)
+    with open(dst, "w") as fh:
+        cp.write(fh)
+    return dst
+
+
+def _runs(config: Path, grid_dir: Path):
+    """(run name, argv) of every sweep over one config."""
+    for name, argv in RUNS.items():
+        yield name, ["--config", str(config)] + argv
+    for variable, grid in FEEDER_GRIDS.items():
+        copy = _with_grid(config, grid, grid_dir / f"{config.stem}_{variable}.ini")
+        for name, argv in FEEDER_RUNS.items():
+            yield f"{variable}_{name}", ["--config", str(copy), "--sweep", variable] + argv
+
 
 def listing(out_root: str):
     """Run every sweep into OUT_ROOT and yield one listing line per file."""
     from optfeeder import cli   # --values needs only the standard library
-    for config in sorted(CONFIGS.glob("*.ini")):
-        for name, argv in RUNS.items():
-            run = f"{config.stem}/{name}"
-            out = Path(out_root) / config.stem / name
-            with contextlib.redirect_stdout(sys.stderr):
-                code = cli.main(["--config", str(config), "--out", str(out)] + argv)
-            files = sorted(out.glob("*")) if out.is_dir() else []
-            if not files:
-                yield f"{run} {code} - -"
-            for path in files:
-                data = path.read_bytes()
-                if path.name == "manifest.json":
-                    # the path as json.dump wrote it, escapes included
-                    data = data.replace(json.dumps(str(out))[1:-1].encode(),
-                                        b"<OUT_DIR>")
-                yield f"{run} {code} {path.name} {hashlib.sha256(data).hexdigest()}"
+    with tempfile.TemporaryDirectory() as grid_dir:
+        for config in sorted(CONFIGS.glob("*.ini")):
+            for name, argv in _runs(config, Path(grid_dir)):
+                run = f"{config.stem}/{name}"
+                out = Path(out_root) / config.stem / name
+                with contextlib.redirect_stdout(sys.stderr):
+                    code = cli.main(argv + ["--out", str(out)])
+                files = sorted(out.glob("*")) if out.is_dir() else []
+                if not files:
+                    yield f"{run} {code} - -"
+                for path in files:
+                    data = path.read_bytes()
+                    if path.name == "manifest.json":
+                        # the path as json.dump wrote it, escapes included
+                        data = data.replace(json.dumps(str(out))[1:-1].encode(),
+                                            b"<OUT_DIR>")
+                    yield f"{run} {code} {path.name} {hashlib.sha256(data).hexdigest()}"
 
 
 def _entries(lines) -> dict:
