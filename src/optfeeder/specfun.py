@@ -517,8 +517,9 @@ def _plan_bivariate(t_block):
 # and 1,211 of the 1,248 line reuses of tools/output_digest.py's sweeps.
 # Worst case: the metric families here have ns/nt between 0.6 and 2.2, so a
 # level under the 4e7-node cap has at most about 9,400 s and 8,200 t nodes,
-# and one entry holds at most 0.53 MB (s-line), 0.26 MB (t-line), 0.33 MB
-# (coupling line) and 0.23 MB (t-collapse): 43 MB for all four caches full.
+# and one entry holds at most 0.53 MB (s-line), 0.26 MB (t-line), 0.95 MB
+# (coupling line: 17,601 values and moduli, and a 32,768-point transform)
+# and 0.23 MB (t-collapse): 63 MB for all four caches full.
 # Under the memo, _LINE_STORE keeps each line's log gammas at the finest step
 # seen, keyed by block and abscissa: _LINE_CACHE entries of at most
 # _STORE_NODES complex values, 16.8 MB full.
@@ -573,11 +574,12 @@ def _t_line(t_block, sigma_t, h, nt):
 @functools.lru_cache(maxsize=_LINE_CACHE)
 def _coupling_line(sigma_w, h, n):
     """Coupling gamma on the antidiagonal sums s + t (abscissa ``sigma_w``),
-    scaled by its largest modulus: (log of that scale, values, moduli)."""
+    scaled by its largest modulus: (log of that scale, values, moduli, and
+    their transform at the next power of two, which the t-collapse takes)."""
     log_c = _stored_line(sp.loggamma, ("w",), sigma_w, h, n)
     c_max = float(np.max(log_c.real))
     c_n = np.exp(log_c - c_max)
-    return (c_max,) + _frozen(c_n, np.abs(c_n))
+    return (c_max,) + _frozen(c_n, np.abs(c_n), fft(c_n, 1 << (len(c_n) - 1).bit_length()))
 
 
 @functools.lru_cache(maxsize=_LINE_CACHE)
@@ -608,7 +610,7 @@ def _t_collapse(t_block, sigma_s, sigma_t, h, ns, nt, x2):
     # the kernel C[i + k] T[k] is a Hankel matrix times a diagonal, never
     # formed; both maxima are factored out so nothing overflows, and
     # restored in tvec
-    c_max, c_n, abs_c = _coupling_line(sigma_s + sigma_t, h, ns + nt)
+    c_max, _, abs_c, c_fft = _coupling_line(sigma_s + sigma_t, h, ns + nt)
     t_max = float(np.max(log_t.real))
     t_n = np.exp(log_t - t_max)
     t_n[0] *= 0.5      # trapezoid weights on the t edges
@@ -616,8 +618,7 @@ def _t_collapse(t_block, sigma_s, sigma_t, h, ns, nt, x2):
     lead = math.exp(c_max + t_max)
     # tvec[i] = sum_k C[i + k] T[k] is C convolved with T reversed, at 2nt + i;
     # a length >= len(C) wraps only into the outputs below 2nt, dropped here
-    size = 1 << (len(c_n) - 1).bit_length()
-    conv = ifft(fft(c_n, size) * fft(t_n[::-1], size))
+    conv = ifft(c_fft * fft(t_n[::-1], len(c_fft)))
     tvec = lead * conv[2 * nt:2 * nt + 2 * ns + 1]
     tvec[[0, -1]] *= 0.5   # and on the s edges
     # t-tail monitor: edge blocks of |kernel| per s node, and the edge

@@ -76,7 +76,7 @@ def hankel_t_collapse(t_block, sigma_s, sigma_t, h, ns, nt, x2):
     weights: the reference for the FFT correlation of ``specfun._t_collapse``."""
     t, log_blk = specfun._t_line(t_block, sigma_t, h, nt)
     log_t = log_blk + t * math.log(x2)
-    c_max, c_n, _ = specfun._coupling_line(sigma_s + sigma_t, h, ns + nt)
+    c_max, c_n, *_ = specfun._coupling_line(sigma_s + sigma_t, h, ns + nt)
     t_max = float(np.max(log_t.real))
     t_n = np.exp(log_t - t_max)
     t_n[[0, -1]] *= 0.5

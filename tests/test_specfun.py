@@ -696,7 +696,7 @@ def test_bivariate_memo_warm_equals_cold():
              + specfun._s_line(coef, sigma_s, 0.125, 40)
              + specfun._t_collapse(t_block, sigma_s, sigma_t, 0.125, 40, 40, x2))
     arrays = [arr for arr in lines if isinstance(arr, np.ndarray)]
-    assert len(arrays) == 10
+    assert len(arrays) == 11
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr *= 1.0
