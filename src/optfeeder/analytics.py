@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sp
 
 from . import fso_link, rf_link, specfun, system
 from .system import ScenarioConfig
@@ -279,7 +278,7 @@ def ber_exact(mod: ModulationSpec, scn: ScenarioConfig) -> float:
     """Average BER of the served user for one Gray-coded modulation."""
     check_detection(mod, scn)
     x2b = _x2_base(scn)
-    pref = (mod.delta / (2.0 * sp.gamma(BER_P))) * _prefactor(scn)
+    pref = (mod.delta / (2.0 * specfun.gamma(BER_P))) * _prefactor(scn)
     acc = []
     for q_u in mod.q_values:
         total, _ = _family_total(scn, q_u * x2b, _REL_TOL, out_scale=pref,
@@ -354,22 +353,22 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
 
     theta_tail = {"xi": xi2 / r, "al": al / r, "be": be / r}
     lead = {
-        "xi": sp.gamma(al - xi2) * sp.gamma(be - xi2) / r,
-        "al": sp.gamma(be - al) / r * (1.0 / (xi2 - al)),
-        "be": sp.gamma(al - be) / r * (1.0 / (xi2 - be)),
+        "xi": specfun.gamma(al - xi2) * specfun.gamma(be - xi2) / r,
+        "al": specfun.gamma(be - al) / r * (1.0 / (xi2 - al)),
+        "be": specfun.gamma(al - be) / r * (1.0 / (xi2 - be)),
     }
 
     # the (k, j) double sum regrouped: term j carries the shared weight w_j
     total = []
     for j, w_j in enumerate(_sum_weights(scn.shadowing)):
         # J1: exponent j
-        j1 = (sp.gamma(al - r * j) * sp.gamma(be - r * j)
+        j1 = (specfun.gamma(al - r * j) * specfun.gamma(be - r * j)
               * (1.0 / (xi2 - r * j)) * (x1 * a_const) ** j)
         total.append(w_j * j1 * exponent_weight(float(j)) / scn.mu_r ** j)
         # J2..J4: exponents xi^2/r, al/r, be/r
         for key, theta in theta_tail.items():
             g212 = specfun.meijer_g_2_1_1_2(x1, 1.0 + theta, float(j), 1.0)
-            bracket = sp.gamma(j - theta) * x1 ** theta + g212 / sp.gamma(1.0 - theta)
+            bracket = specfun.gamma(j - theta) * x1 ** theta + g212 / specfun.gamma(1.0 - theta)
             total.append(w_j * lead[key] * a_const ** theta * bracket
                          * exponent_weight(theta) / scn.mu_r ** theta)
     pref = xi2 / (law.gamma_alpha * law.gamma_beta) * scn.shadowing.power_ratio ** (m - 1)
@@ -393,7 +392,7 @@ def ber_asymptotic(mod: ModulationSpec, scn: ScenarioConfig) -> float:
 
     def weight(theta):
         qsum = math.fsum(q ** (-theta) for q in mod.q_values)
-        return sp.gamma(BER_P + theta) * qsum * mod.delta / (2.0 * sp.gamma(BER_P))
+        return specfun.gamma(BER_P + theta) * qsum * mod.delta / (2.0 * specfun.gamma(BER_P))
 
     return mod.ber_ceiling - _asymptotic_sum(scn, weight)
 
@@ -418,15 +417,13 @@ def fit_gamma_bar2(scn: ScenarioConfig, target_outage: float, gamma_th: float,
     """
     if not (0.0 < target_outage < 1.0):
         raise ValueError("target outage must lie in (0, 1)")
-    f_lo = outage_exact(gamma_th, scn.with_gamma_bar2(lo))
-    f_hi = outage_exact(gamma_th, scn.with_gamma_bar2(hi))
-    if not (f_hi <= target_outage <= f_lo):
-        raise ValueError(
-            f"target {target_outage} outside attainable range [{f_hi}, {f_lo}]")
 
     def excess(log_g):
         return outage_exact(gamma_th, scn.with_gamma_bar2(math.exp(log_g))) - target_outage
 
-    return math.exp(specfun.brent_root(excess, math.log(lo), math.log(hi),
-                                       f_lo - target_outage, f_hi - target_outage,
-                                       _REL_TOL))
+    # the bracket ends as the search sees them: exp(ln hi) need not be hi
+    f_lo, f_hi = excess(math.log(lo)), excess(math.log(hi))
+    if not (f_hi <= 0.0 <= f_lo):
+        raise ValueError(f"target {target_outage} outside attainable range "
+                         f"[{f_hi + target_outage}, {f_lo + target_outage}]")
+    return math.exp(specfun.brent_root(excess, math.log(lo), math.log(hi), f_lo, f_hi, _REL_TOL))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sp
 
 from . import specfun
 
@@ -214,7 +213,7 @@ def feeder_law(r: int, alpha: float, beta: float, xi2: float) -> FeederLaw:
     abx = alpha * beta * xi2
     split = lambda u: specfun.duplication_split(r, u)  # noqa: E731
     upper = split(1.0 - xi2) + split(1.0 - alpha) + split(1.0 - beta)
-    return FeederLaw(r, alpha, beta, xi2, sp.gamma(alpha), sp.gamma(beta), abx,
+    return FeederLaw(r, alpha, beta, xi2, specfun.gamma(alpha), specfun.gamma(beta), abx,
                      abx / (xi2 + 1.0), upper, split(-xi2))
 
 
@@ -231,7 +230,8 @@ def gamma1_moment(order: float, r: int, turb: TurbulenceParams,
     law = feeder_law(r, turb.alpha, turb.beta, pointing.xi ** 2)
     k = r * order
     num = (law.xi2 + k) * law.abx ** k * law.gamma_alpha * law.gamma_beta
-    den = law.xi2 * (law.xi2 + 1.0) ** k * sp.gamma(law.alpha + k) * sp.gamma(law.beta + k)
+    den = (law.xi2 * (law.xi2 + 1.0) ** k * specfun.gamma(law.alpha + k)
+           * specfun.gamma(law.beta + k))
     return mu_r ** order / float(num / den)
 
 

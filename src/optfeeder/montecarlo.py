@@ -20,9 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from numpy.random import Generator, Philox
 
 from . import analytics, fso_link, rf_link, system
+from .specfun import erfc
 from .system import ScenarioConfig
 
 DEFAULT_BATCH = 1 << 19
@@ -78,7 +79,7 @@ class MonteCarloEstimate:
 
 def _batch_rng(plan: SimPlan, index: int) -> np.random.Generator:
     key = np.array([plan.seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 def simulate_sndr(plan: SimPlan):

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sp
+
+from . import specfun
 
 SPEED_OF_LIGHT = 299792458.0   # m/s
 BOLTZMANN = 1.380649e-23       # J/K
@@ -85,12 +86,7 @@ class BeamLayout:
 
 def _pattern(u):
     """Tapered-aperture pattern J1(u)/(2u) + 36 J3(u)/u^3, peak 1 at u=0."""
-    u = np.asarray(u, dtype=float)
-    out = np.ones_like(u)
-    nz = np.abs(u) > 1e-7
-    un = u[nz]
-    out[nz] = sp.jv(1, un) / (2.0 * un) + 36.0 * sp.jv(3, un) / un ** 3
-    return out
+    return 0.5 * specfun.bessel_j_scaled(1, u) + 36.0 * specfun.bessel_j_scaled(3, u)
 
 
 def beam_gain_matrix(layout: BeamLayout, rf: RfLinkParams) -> np.ndarray:

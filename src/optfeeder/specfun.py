@@ -1,32 +1,28 @@
-"""Scalar special functions and Mellin-Barnes evaluation of Meijer G functions.
+"""Special functions on numpy and math alone, and Mellin-Barnes evaluation of
+Meijer G functions.
 
-The univariate evaluator handles the parameter shapes that show up in
-Gamma-Gamma / pointing-error channel statistics (G_{1,3}^{3,0}, G_{0,2}^{2,0},
-G_{1,2}^{2,1}, ...).  The bivariate evaluator computes the weighted sum of
-the double Mellin-Barnes integrals behind the channel statistics,
+The special functions are the ones the library needs: a vectorised complex
+log-gamma, erfc and erfcx, J_n(u)/u^n, e^x E1(x), Tricomi's U.  The univariate
+evaluator handles the parameter shapes of Gamma-Gamma / pointing-error channel
+statistics (G_{1,3}^{3,0}, G_{0,2}^{2,0}, G_{1,2}^{2,1}, ...).  The bivariate
+evaluator computes the weighted sum of the double Mellin-Barnes integrals
 
     (1/(2*pi*i))^2  *  integral integral  Gamma(s + t) Gamma(j - s) Gamma(1 - s)
         * Phi_t(t) * x1^s * x2^t  ds dt,    j = 0, 1, 2, ...
 
 as one integral over vertical contours, all terms sharing one t-block Phi_t
-in the classical single-variable orientation (numerator factors
-Gamma(b_j - t) for the first ``m`` lower parameters and Gamma(1 - a_j + t)
-for the first ``n`` upper parameters, the remaining parameters contributing
-reciprocal gammas).  These are two-variable G functions of Agarwal's family
-as they appear in cascaded fading analyses; only real parameters and
-positive arguments are supported.
+in the classical single-variable orientation (numerator factors Gamma(b_j - t)
+for the first ``m`` lower parameters and Gamma(1 - a_j + t) for the first ``n``
+upper ones, the others reciprocal gammas): two-variable G functions of
+Agarwal's family, for real parameters and positive arguments only.
 
-Quadrature is a uniform trapezoidal rule on the truncated contour.  The
-integrand decays exponentially along the imaginary direction for every shape
-accepted here, so the rule converges geometrically (Trefethen & Weideman,
-SIAM Review 56(3), 2014).  Both engines refine under one policy,
-:func:`_refine`: each line is cut where the integrand's exponential decay
-has taken it below the tolerance, the lines widen while the tail monitor
-sees mass at the cut, and the step halves until two successive estimates
-agree to tolerance; the reported error bounds the last refinement step,
-the truncated tail and the round-off floor.  A level past the work cap
-raises ConvergenceError.  The bivariate engine's lines keep their log gammas
-from level to level, and its t-axis collapses by an FFT correlation.
+Quadrature is a uniform trapezoidal rule on the truncated contour, which
+converges geometrically as the integrand decays exponentially (Trefethen &
+Weideman, SIAM Review 56(3), 2014).  Both engines refine under one policy,
+:func:`_refine`, and report an error that bounds the last refinement step, the
+truncated tail and the round-off floor; a level past the work cap raises
+ConvergenceError.  The bivariate engine's lines keep their log gammas from
+level to level, and its t-axis collapses by an FFT correlation.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sp
 from numpy.fft import fft, ifft
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -50,6 +45,112 @@ class PoleCollisionError(RuntimeError):
 
 
 COLLIDE_TOL = 1e-8     # distance at which two poles count as colliding
+
+
+# ---------------------------------------------------------------------------
+# special functions on numpy and math alone
+# ---------------------------------------------------------------------------
+
+# B_2k / (2k (2k - 1)) for k = 11 down to 1: the Stirling series of log Gamma
+_STIRLING = (77683 / 5796, -174611 / 125400, 43867 / 244188, -3617 / 122400, 1 / 156,
+             -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+
+
+def loggamma(z):
+    """log Gamma(z) modulo 2 pi i at an array of complex z off the poles, each value
+    from its own point: z + 7 by one product and one log, then eleven Stirling
+    terms.  Re z < 0 reflects, log sin(pi z) = -i pi z + log((1 - e^(2 pi i z)) i/2)
+    for Im z >= 0 (the conjugate below), which cannot overflow."""
+    z = np.asarray(z, dtype=complex)
+    left = z.real < 0.0
+    if left.any():
+        out, zl = np.empty_like(z), z[left]
+        out[~left] = loggamma(z[~left])
+        up = np.where(zl.imag < 0.0, zl.conj(), zl)
+        a, b = -2.0 * math.pi * up.imag, 2.0 * math.pi * (up.real - np.round(up.real))
+        ea = np.exp(a)     # 1 - e^(a + ib), a <= 0, has a real part of two terms >= 0
+        log_sin = np.log(0.5j * (2 * ea * np.sin(b / 2) ** 2 - np.expm1(a) - 1j * ea * np.sin(b)))
+        log_sin -= 1j * math.pi * up
+        out[left] = (math.log(math.pi) - np.where(zl.imag < 0.0, log_sin.conj(), log_sin)
+                     - loggamma(1.0 - zl))
+        return out
+    w, prod = z, 1.0      # out of place: in place, a length-1 array can round otherwise
+    for _ in range(7):
+        prod, w = prod * w, w + 1.0
+    r2, ser = 1.0 / (w * w), _STIRLING[0]
+    for c in _STIRLING[1:]:
+        ser = ser * r2 + c
+    return (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi) + ser / w - np.log(prod)
+
+
+def gamma(x: float) -> float:
+    """math.gamma(x) for real x off the poles, and inf past its overflow at 171.624..."""
+    return math.inf if x > 171.6243769563027 else math.gamma(x)
+
+
+# W. J. Cody, Math. Comp. 23 (1969) 631-637, as in his CALERF: (P, Q), highest power
+# first, of erf(x) = x P(x^2)/Q(x^2) below 0.5, e^(x^2) erfc(x) = P(x)/Q(x) up to 4,
+# and beyond (1/sqrt(pi) - P(1/x^2)/(x^2 Q(1/x^2)))/x, here x^10 P(1/x^2) in x^2
+_CODY_ERF = ((0.18577770618460315, 3.1611237438705655, 113.86415415105016, 377.485237685302,
+              3209.3775891384694),
+             (1.0, 23.601290952344122, 244.02463793444417, 1282.6165260773723, 2844.236833439171))
+_CODY_MID = ((2.1531153547440383e-08, 0.5641884969886701, 8.883149794388377, 66.11919063714163,
+              298.6351381974001, 881.952221241769, 1712.0476126340707, 2051.0783778260716,
+              1230.3393547979972),
+             (1.0, 15.744926110709835, 117.6939508913125, 537.1811018620099, 1621.3895745666903,
+              3290.7992357334597, 4362.619090143247, 3439.3676741437216, 1230.3393548037495))
+_CODY_BIG = ((0.0006587491615298378, 0.016083785148742275, 0.12578172611122926,
+              0.36034489994980445, 0.30532663496123236, 0.016315387137302097),
+             (0.0023352049762686918, 0.06051834131244132, 0.5279051029514285,
+              1.8729528499234673, 2.568520192289822, 1.0))
+_ERFC_ZERO = 26.543     # Cody's XBIG: past it erfc is below the smallest normal double
+
+
+def _rational(pq, x):
+    num, den = np.full_like(x, pq[0][0]), np.full_like(x, pq[1][0])
+    for acc, coefs in ((num, pq[0]), (den, pq[1])):
+        for c in coefs[1:]:
+            acc *= x
+            acc += c
+    return num / den
+
+
+def erfcx(y):
+    """e^(y^2) erfc(y) for an array of y >= 0, each point by its own formula."""
+    out = np.empty_like(y)
+    part = (y >= 0.5).astype(np.intp) + (y >= 4.0)
+    low, mid, big = (np.flatnonzero(part == i) for i in range(3))
+    yl, yb = y.take(low), y.take(big)
+    out[low] = np.exp(yl * yl) * (1.0 - yl * _rational(_CODY_ERF, yl * yl))
+    out[mid] = _rational(_CODY_MID, y.take(mid))
+    out[big] = (1.0 / math.sqrt(math.pi) - _rational(_CODY_BIG, yb * yb) / (yb * yb)) / yb
+    return out
+
+
+def erfc(x):
+    """erfc(x), x >= 0, to 1e-15 relative, in blocks of 2^14 that stay in cache; e^(-x^2)
+    = e^(-h^2) e^(-(x - h)(x + h)), h = floor(16 x)/16, rounds no x^2.  0 past _ERFC_ZERO."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0):     # NaN fails too
+        raise ValueError("erfc takes x >= 0")
+    flat, out = np.minimum(x.ravel(), _ERFC_ZERO), np.empty(x.size)
+    for i in range(0, x.size, 1 << 14):
+        y = flat[i:i + (1 << 14)]
+        h = np.floor(16.0 * y) / 16.0
+        out[i:i + (1 << 14)] = (erfcx(y) * np.exp((h - y) * (y + h)) * np.exp(-h * h)
+                                * (y < _ERFC_ZERO))
+    return out.reshape(x.shape)
+
+
+def bessel_j_scaled(n: int, u):
+    """J_n(u) / u^n, integer n >= 0, at an array of real u: Poisson's integral 2^-n /
+    (sqrt(pi) Gamma(n + 1/2)) int_0^pi cos(u cos t) sin^2n t dt by the periodic
+    trapezoid rule on 2 ceil(max |u|) + 2n + 40 nodes, aliasing below 1e-17."""
+    u = np.asarray(u, dtype=float)
+    nodes = 2 * math.ceil(np.max(np.abs(u), initial=0.0)) + 2 * n + 40
+    t = 2.0 * math.pi / nodes * np.arange(nodes)
+    total = np.cos(np.multiply.outer(u, np.cos(t))) @ np.sin(t) ** (2 * n)
+    return math.sqrt(math.pi) / (nodes * 2 ** n * math.gamma(n + 0.5)) * total
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +174,14 @@ def exp_scaled_e1(x: float) -> float:
     Evaluated in extended precision through the Lentz continued fraction
     e^x E1(x) = 1/(x+1- 1/(x+3- 4/(x+5- 9/(x+7- ...)))) for x >= 2 (the
     closed form e^x*E1 cancels catastrophically when used to build
-    distortion powers), and through scipy's exp1 below that.
+    distortion powers), and below that by E1(x) = -gamma - ln x - sum_k (-x)^k / (k k!).
     """
     if not x > 0:     # NaN fails too
         raise ValueError(f"x must be positive, not {x}")
     if x < 2.0:
-        return float(np.exp(x) * sp.exp1(x))
+        xl, k = np.longdouble(x), np.arange(1, 40)
+        total = np.sum(np.cumprod(-xl / k) / k)
+        return float(np.exp(xl) * (np.longdouble("-0.57721566490153286061") - np.log(xl) - total))
     # modified Lentz on the continued fraction b0 + a1/(b1 + a2/(b2 + ...))
     tiny = np.longdouble(1e-300)
     b = np.longdouble(x) + 1.0
@@ -115,10 +218,6 @@ def tricomi_u(a: float, b: float, z: float) -> float:
     value is reached by the downward recurrence DLMF 13.3.7 from two
     integral-evaluated seeds; the recurrence runs toward the growing
     solution, so it is stable.
-
-    ``scipy.special.hyperu`` is not used: it returns NaN on 1,543 of the
-    4,522 distinct (a, b, z) that the shipped-config sweeps of
-    ``tools/output_digest.py`` request, for example U(1.376, 3, 1.4e-10).
     """
     if z <= 0:
         raise ValueError("tricomi_u requires z > 0")
@@ -156,7 +255,7 @@ def _tricomi_u_integral(a: float, b: float, z: float) -> float:
     size = float(np.sum(kernel(edges[:-1] + 0.5)))
     total = gauss_panels(kernel, edges, 1e-15 * size / n) + math.exp(a * lo) / a
     # prefactor z^-a / Gamma(a) in log space; a > 0 here
-    return float(total * np.exp(-a * math.log(z) - sp.gammaln(a)))
+    return float(total * np.exp(-a * math.log(z) - math.lgamma(a)))
 
 
 def meijer_g_2_1_1_2(z: float, a1: float, b1: float, b2: float) -> float:
@@ -179,8 +278,8 @@ def meijer_g_2_1_1_2(z: float, a1: float, b1: float, b2: float) -> float:
         raise PoleCollisionError(
             f"G^21_12(z | {a1}; {b1}, {b2}) prefactor sits on a gamma pole")
     u = tricomi_u(g1, 1.0 + b1 - b2, z)
-    return float(sp.gammasgn(g1) * sp.gammasgn(g2)
-                 * math.exp(sp.gammaln(g1) + sp.gammaln(g2) + b1 * math.log(z)) * u)
+    sign = (-1.0) ** sum(g < 0 and math.floor(g) % 2 for g in (g1, g2))   # of Gamma(g1) Gamma(g2)
+    return float(sign * math.exp(math.lgamma(g1) + math.lgamma(g2) + b1 * math.log(z)) * u)
 
 
 def brent_root(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
@@ -277,17 +376,22 @@ class ContourPlan:
 
 
 def _line_log_block(a, b, m, n, s):
-    """log of the block's gamma products along the contour points ``s``."""
-    out = np.zeros_like(s, dtype=complex)
-    for bj in b[:m]:
-        out += sp.loggamma(bj - s)
-    for aj in a[:n]:
-        out += sp.loggamma(1.0 - aj + s)
-    for bj in b[m:]:
-        out -= sp.loggamma(1.0 - bj + s)
-    for aj in a[n:]:
-        out -= sp.loggamma(aj - s)
-    return out
+    """log of the block's gamma products along the contour points ``s``, from one
+    loggamma call on the stacked arguments c + sign s.  A numerator gamma over a
+    reciprocal one k = 0, 1, ... further on is 1/(x)_k: k factors of one product."""
+    num = [(bj, -1.0) for bj in b[:m]] + [(1.0 - aj, 1.0) for aj in a[:n]]
+    den = [(aj, -1.0) for aj in a[n:]] + [(1.0 - bj, 1.0) for bj in b[m:]]
+    prod = 1.0     # multiplied out of place, as in loggamma
+    for c, sign in list(num):
+        pair = next(((d, e) for d, e in den if e == sign and d - c > -0.5
+                     and abs(d - c - round(d - c)) <= 1e-12), None)
+        if pair:
+            num.remove((c, sign))
+            den.remove(pair)
+            for i in range(round(pair[0] - c)):
+                prod = prod * (c + i + sign * s)
+    logs = loggamma([c + sign * s for c, sign in num + den]).reshape(-1, len(s))
+    return logs[:len(num)].sum(axis=0) - logs[len(num):].sum(axis=0) - np.log(prod)
 
 
 def _strip(a, b, m, n):
@@ -326,14 +430,13 @@ def _plan_abscissa(a, b, m, n, lnz=0.0):
         # ... are -inf wells of the log modulus that the search would find
         out = 0.0
         for x in [bj - sig for bj in b[:m]] + [1.0 - aj + sig for aj in a[:n]]:
-            out = out + sp.loggamma(x + 0j).real
+            out = out + math.lgamma(x)
         for x in [1.0 - bj + sig for bj in b[m:]] + [aj - sig for aj in a[n:]]:
-            out = out - np.where(x < 0.5, math.log(math.pi) - sp.gammaln(1.0 - x),
-                                 sp.loggamma(x + 0j).real)
+            out = out - (math.log(math.pi) - math.lgamma(1.0 - x) if x < 0.5 else math.lgamma(x))
         return out + sig * lnz
 
     grid = np.linspace(lo, hi, 121)
-    vals = log_mod(grid)
+    vals = [log_mod(sig) for sig in grid.tolist()]
     k = int(np.argmin(vals))
     span = grid[1] - grid[0]
     a_br, b_br = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
@@ -516,10 +619,10 @@ def _plan_bivariate(t_block):
 # reuses its lines within 26.  Thirty-two entries keep all of those reuses,
 # and 1,211 of the 1,248 line reuses of tools/output_digest.py's sweeps.
 # Worst case: the metric families here have ns/nt between 0.6 and 2.2, so a
-# level under the 4e7-node cap has at most about 9,400 s and 8,200 t nodes,
-# and one entry holds at most 0.53 MB (s-line), 0.26 MB (t-line), 0.95 MB
-# (coupling line: 17,601 values and moduli, and a 32,768-point transform)
-# and 0.23 MB (t-collapse): 63 MB for all four caches full.
+# level under the 4e7-node cap has at most about 9,400 s and 8,200 t nodes, and
+# one entry holds at most 0.53 MB (s-line), 0.26 MB (t-line), 0.95 MB (coupling
+# line: 17,601 values and moduli and a 32,768-point transform) and 0.23 MB
+# (t-collapse): 63 MB for all four caches full.
 # Under the memo, _LINE_STORE keeps each line's log gammas at the finest step
 # seen, keyed by block and abscissa: _LINE_CACHE entries of at most
 # _STORE_NODES complex values, 16.8 MB full.
@@ -576,7 +679,7 @@ def _coupling_line(sigma_w, h, n):
     """Coupling gamma on the antidiagonal sums s + t (abscissa ``sigma_w``),
     scaled by its largest modulus: (log of that scale, values, moduli, and
     their transform at the next power of two, which the t-collapse takes)."""
-    log_c = _stored_line(sp.loggamma, ("w",), sigma_w, h, n)
+    log_c = _stored_line(loggamma, ("w",), sigma_w, h, n)
     c_max = float(np.max(log_c.real))
     c_n = np.exp(log_c - c_max)
     return (c_max,) + _frozen(c_n, np.abs(c_n), fft(c_n, 1 << (len(c_n) - 1).bit_length()))
@@ -584,13 +687,12 @@ def _coupling_line(sigma_w, h, n):
 
 @functools.lru_cache(maxsize=_LINE_CACHE)
 def _s_line(coef, sigma_s, h, ns):
-    """s-contour points, log Gamma(-s) Gamma(1 - s) on them, and the
-    Pochhammer polynomial P with its termwise modulus bound, built as
+    """s-contour points, log Gamma(-s) Gamma(1 - s) = log(-s Gamma(-s)^2) on them,
+    and the Pochhammer polynomial P with its termwise modulus bound, built as
     running products."""
     u = h * np.arange(-ns, ns + 1)
     s = sigma_s + 1j * u
-    log_g = _stored_line(lambda pts: sp.loggamma(-pts) + sp.loggamma(1.0 - pts),
-                         ("s",), sigma_s, h, ns)
+    log_g = _stored_line(lambda pts: 2.0 * loggamma(-pts) + np.log(-pts), ("s",), sigma_s, h, ns)
     poch = np.ones_like(s)
     poly = np.full_like(s, coef[0])
     bound = np.full(len(s), abs(coef[0]))

@@ -31,9 +31,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special as sp
 
-from .specfun import db_to_linear, exp_scaled_e1
+from .specfun import db_to_linear, erfcx, exp_scaled_e1
 
 # Crossover balancing the closed forms (whose distortion power loses
 # ~q^4 * eps to cancellation) against the 1/ibo series (truncation error
@@ -74,7 +73,7 @@ def bussgang_sspa(ibo_linear: float) -> tuple[float, float]:
         snl = 0.5 * x * x - 4.5 * x ** 3
         return k, max(snl, 0.0)
     z = math.sqrt(q)
-    scaled = np.longdouble(sp.erfcx(z))
+    scaled = np.longdouble(erfcx(np.array([z]))[0])
     zl = np.longdouble(z)
     k = zl / 2.0 * (2.0 * zl - np.longdouble(math.sqrt(math.pi)) * scaled * (2.0 * q - 1.0))
     e = np.longdouble(exp_scaled_e1(q))
