@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__, analytics, fso_link, montecarlo, rf_link, specfun, system, transponder
 
 SWEEPABLE = ("mu_r_db", "ibo_db", "gamma_th_db", "cn2", "xi")
+SWEEP_FMT = dict.fromkeys(SWEEPABLE, ".6f") | {"cn2": ".6e"}   # cn2 is 1e-15..3e-12
 
 
 class ConfigError(ValueError):
@@ -275,7 +276,7 @@ def run(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["sweep_value_dB", "value", "error_estimate",
                              "n_samples", "scenario_fingerprint"])
-            writer.writerows([f"{sweep:.6f}", f"{val:.12e}", f"{err:.6e}", n, fp]
+            writer.writerows([f"{sweep:{SWEEP_FMT[variable]}}", f"{val:.12e}", f"{err:.6e}", n, fp]
                              for sweep, val, err, n, fp in results)
         files.append(str(fname))
 

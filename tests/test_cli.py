@@ -356,6 +356,19 @@ def test_sweep_points_match_fresh_builds(tmp_path, variable):
         assert row["scenario_fingerprint"] == fresh.fingerprint()
 
 
+def test_cn2_sweep_rows_parse_back_to_the_grid(tmp_path):
+    # cn2 values of 1e-15..3e-12 once all printed as 0.000000
+    grid = "1e-15 1.5e-14 3e-13 3e-12"
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(CONFIG + f"grid = {grid}\n")
+    out = tmp_path / "s"
+    assert _run(["--config", str(cfg), "--sweep", "cn2", "--metric", "moments",
+                 "--method", "exact", "--out", str(out)]) == 0
+    with open(out / "moments_exact.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["sweep_value_dB"]) for r in rows] == [float(v) for v in grid.split()]
+
+
 # (variable, grid, explicit gamma_bar2, Monte Carlo calls the sweep makes)
 _MC_SWEEPS = [
     ("mu_r_db", "20 30 40", True, 1),
