@@ -324,9 +324,8 @@ def selftest() -> int:
         z = rng.uniform(0.05, 8.0)
         got = specfun.meijer_g_many((), (b1, b2), 2, 0, [z])[0][0]
         nu, x = b1 - b2, 2.0 * math.sqrt(z)     # K_nu(x) = int_0^12 e^(-x cosh t) cosh(nu t) dt
-        k_nu = specfun.gauss_panels(lambda t: np.exp(-x * np.cosh(t)) * np.cosh(nu * t),
-                                    np.arange(13.0), 1e-12 * math.exp(-x))
-        ref = 2.0 * z ** (0.5 * (b1 + b2)) * k_nu
+        ref = 2.0 * z ** (0.5 * (b1 + b2)) * specfun.gauss_panels(
+            lambda t: np.exp(-x * np.cosh(t)) * np.cosh(nu * t), np.arange(13.), 1e-12 * np.exp(-x))
         ok &= abs(got - ref) <= 1e-7 * abs(ref)
     check("meijer G Bessel reduction (20 draws)", ok)
 

@@ -57,8 +57,7 @@ _STIRLING = (77683 / 5796, -174611 / 125400, 43867 / 244188, -3617 / 122400, 1 /
 
 
 def _clog(w):
-    """Principal complex log from real log, hypot and arctan2, several times faster
-    than numpy's complex log."""
+    """Principal log from real log, hypot and arctan2: faster than numpy's complex log."""
     return np.log(np.hypot(w.real, w.imag)) + 1j * np.arctan2(w.imag, w.real)
 
 
@@ -80,8 +79,7 @@ def loggamma(z):
         out[left] = (math.log(math.pi) - np.where(zl.imag < 0.0, log_sin.conj(), log_sin)
                      - loggamma(1.0 - zl))
         return out
-    # z (z+1) ... (z+6) in pairs about z + 3, out of place: in place, numpy can
-    # round a length-1 array otherwise
+    # z ... (z+6) in pairs, out of place (numpy rounds a length-1 array in place otherwise)
     near, u = np.abs(z) < 10.0, z * (z + 6.0)
     w, prod = np.where(near, z + 7.0, z), np.where(near, u * (u + 5.0) * (u + 8.0) * (z + 3.0), 1.0)
     r2, ser = 1.0 / (w * w), _STIRLING[0]
@@ -115,10 +113,9 @@ _ERFC_ZERO = 26.543     # Cody's XBIG: past it erfc is below the smallest normal
 
 def _rational(pq, x):
     num, den = np.full_like(x, pq[0][0]), np.full_like(x, pq[1][0])
-    for acc, coefs in ((num, pq[0]), (den, pq[1])):
-        for c in coefs[1:]:
-            acc *= x
-            acc += c
+    for acc, c in [(num, c) for c in pq[0][1:]] + [(den, c) for c in pq[1][1:]]:
+        acc *= x
+        acc += c
     return num / den
 
 
@@ -683,9 +680,8 @@ def _t_line(t_block, sigma_t, h, nt):
 
 @functools.lru_cache(maxsize=_LINE_CACHE)
 def _coupling_line(sigma_w, h, n):
-    """Coupling gamma on the antidiagonal sums s + t (abscissa ``sigma_w``),
-    scaled by its largest modulus: (log of that scale, values, moduli, and
-    their transform at the next power of two, which the t-collapse takes)."""
+    """Coupling gamma on the antidiagonal sums s + t (abscissa ``sigma_w``), scaled by
+    its largest modulus: (log of that scale, values, moduli, and the values' FFT)."""
     log_c = _stored_line(loggamma, ("w",), sigma_w, h, n)
     c_max = float(np.max(log_c.real))
     c_n = np.exp(log_c - c_max)

@@ -418,6 +418,14 @@ def test_parameter_collision_handling(layout, rf_params):
     assert math.isfinite(analytics.sndr_moments(1, on))
 
 
+def test_expansion_raises_where_no_perturbation_separates_poles(scn_imdd_twta, monkeypatch):
+    # every joint perturbation still on a coincidence: PoleCollisionError
+    # before any gamma is taken
+    monkeypatch.setattr(analytics, "_collides", lambda *args: True)
+    with pytest.raises(specfun.PoleCollisionError, match="could not separate"):
+        analytics.outage_asymptotic(10 ** 0.5, scn_imdd_twta)
+
+
 def _collides_per_term(xi2, al, be, r, m):
     # every expansion gamma argument and denominator, listed term by term
     risky = [al - be, be - al, xi2 - al, xi2 - be]

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -481,19 +482,61 @@ def test_every_config_key_reaches_a_metric_input():
             assert _moves(cp, section, key, value), f"[{section}] {key}"
 
 
-def test_cli_import_loads_no_scipy_beyond_special():
-    # scipy.optimize, which one root search used to need, pulls in linalg,
-    # sparse and spatial: about 23 MB and a quarter second in every process
+def _src_env():
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_cli_import_loads_no_scipy_beyond_special():
+    # scipy.optimize pulls in linalg, sparse and spatial (about 23 MB and a
+    # quarter second in every process), and scipy.special alone costs about
+    # 0.2 s and 20 MB
     code = ("import sys, optfeeder.cli\n"
             "print(optfeeder.cli.__file__)\n"
-            "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))\n"
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True, timeout=120).stdout.splitlines()
     assert Path(out[0]).resolve() == Path(cli.__file__).resolve()
     loaded = set(out[1].split())
     for name in ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.spatial",
                  "scipy.integrate"):
         assert name not in loaded
+    assert out[2] == "False"
+
+
+_BLOCK_SCIPY = """
+import importlib.abc, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def test_library_runs_without_scipy(tmp_path):
+    # with every scipy import blocked, --selftest and a two-point outage sweep
+    # by the exact, oracle and Monte Carlo methods run, so an import inside a
+    # function fails here; and no module under src/optfeeder imports scipy
+    cfg, out_dir = tmp_path / "sweep.ini", tmp_path / "out"
+    cfg.write_text(CONFIG + "grid = 30 40\n")
+    argv = ["--config", str(cfg), "--metric", "outage", "--method",
+            "exact,oracle,monte-carlo", "--samples", "20000", "--out", str(out_dir)]
+    code = _BLOCK_SCIPY + (
+        "from optfeeder import cli\n"
+        "assert cli.main(['--selftest']) == 0\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    for method in ("exact", "oracle", "monte_carlo"):
+        with open(out_dir / f"outage_{method}.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 2
+    for path in Path(cli.__file__).resolve().parent.glob("*.py"):
+        assert not re.search(r"^\s*(import|from)\s+scipy\b", path.read_text(), re.M), path

@@ -276,6 +276,18 @@ def test_gamma1_pdf_normalization_and_mean(turb, r):
                                    rel=1e-6)
 
 
+@pytest.mark.parametrize("xi,order,r,mu_r,error", [
+    (1.1, 50, 2, 1.0, ZeroDivisionError), (1.1, 200, 1, 1.0, ZeroDivisionError),
+    (0.3, 400, 1, 1.0, ZeroDivisionError), (1.1, 400, 1, 1.0, OverflowError),
+    (1.1, 100, 2, 1e5, OverflowError)])
+def test_gamma1_moment_large_orders_fail_as_before(turb, xi, order, r, mu_r, error):
+    # Gamma(alpha + k) past its overflow reads inf, so the denominator
+    # overflows and the moment divides by zero; where mu_r^order or
+    # (al be xi^2)^k overflows first, OverflowError
+    with pytest.raises(error):
+        fso_link.gamma1_moment(order, r, turb, fso_link.PointingConfig(xi=xi), mu_r)
+
+
 def test_gamma1_sampler_against_pdf(turb):
     point = fso_link.PointingConfig(xi=1.1)
     mu_r = 100.0

@@ -1,5 +1,5 @@
-"""Special-function layer: the scipy functions the library calls and its own
-scalar functions against independent oracles, and the Mellin-Barnes engines
+"""Special-function layer: the library's own special functions against
+scipy.special, mpmath and independent oracles, and the Mellin-Barnes engines
 against reduction identities and brute-force quadrature."""
 
 import math
@@ -51,15 +51,16 @@ def _stirling_ln_gamma(x, shift=12):
 
 
 def test_ln_gamma_values():
-    # meijer_g_2_1_1_2 builds its gamma prefactors from gammaln and gammasgn
-    assert sp.gammasgn(0.5) == 1.0
-    assert sp.gammaln(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-    assert sp.gammaln(1.0) == pytest.approx(0.0, abs=1e-14)
-    # two independent series oracles agree, then pin scipy's value to them
-    lan = _lanczos_ln_gamma(10.3)
-    sti = _stirling_ln_gamma(10.3)
-    assert lan == pytest.approx(sti, rel=1e-12)
-    assert sp.gammaln(10.3) == pytest.approx(lan, rel=1e-12)
+    # meijer_g_2_1_1_2 builds its gamma prefactors from math.lgamma, and the
+    # contour lines from specfun.loggamma
+    for ln_gamma in (math.lgamma, lambda x: float(specfun.loggamma(x).real)):
+        assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
+        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
+        # two independent series oracles agree, then pin the value to them
+        lan = _lanczos_ln_gamma(10.3)
+        sti = _stirling_ln_gamma(10.3)
+        assert lan == pytest.approx(sti, rel=1e-12)
+        assert ln_gamma(10.3) == pytest.approx(lan, rel=1e-12)
 
 
 def test_ln_gamma_relative_error_sweep():
@@ -67,7 +68,8 @@ def test_ln_gamma_relative_error_sweep():
     for _ in range(200):
         x = math.exp(rng.uniform(math.log(1e-3), math.log(170.0)))
         ref = _lanczos_ln_gamma(x)
-        assert sp.gammaln(x) == pytest.approx(ref, rel=1e-13, abs=1e-13)
+        assert math.lgamma(x) == pytest.approx(ref, rel=1e-13, abs=1e-13)
+        assert float(specfun.loggamma(x).real) == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
 
 def _rising(a, k):
@@ -130,11 +132,15 @@ def test_exp_scaled_e1():
 
 
 def test_erfc_and_bessels():
-    assert sp.erfc(0.0) == 1.0
-    # half-integer closed form K_{1/2}(x) = sqrt(pi/(2x)) e^-x
+    assert specfun.erfc(0.0) == 1.0
+    # half-integer closed form K_{1/2}(x) = sqrt(pi/(2x)) e^-x, against the
+    # integral K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt that --selftest
+    # takes by gauss_panels
     ref = math.sqrt(math.pi / 4.0) * math.exp(-2.0)
-    assert sp.kv(0.5, 2.0) == pytest.approx(ref, rel=1e-12)
-    assert sp.kv(0.5, 2.0) == pytest.approx(0.1199377, rel=1e-6)
+    k_half = specfun.gauss_panels(lambda t: np.exp(-2.0 * np.cosh(t)) * np.cosh(0.5 * t),
+                                  np.arange(13.0), 1e-12 * math.exp(-2.0))
+    assert k_half == pytest.approx(ref, rel=1e-12)
+    assert k_half == pytest.approx(0.1199377, rel=1e-6)
 
 
 def _bessel_j1_series(x, terms=60):
@@ -157,7 +163,171 @@ def test_bessel_j1_first_zero():
             hi = mid
     zero = 0.5 * (lo + hi)
     assert zero == pytest.approx(3.8317059702, abs=1e-8)
-    assert abs(sp.jv(1, zero)) < 1e-10
+    assert abs(zero * specfun.bessel_j_scaled(1, zero)) < 1e-10
+
+
+def _real_error(got, ref):
+    return np.abs(got.real - ref.real) / np.maximum(1.0, np.abs(ref.real))
+
+
+def _phase_error(got, ref):
+    return np.abs((got.imag - ref.imag + np.pi) % (2.0 * np.pi) - np.pi)
+
+
+def test_loggamma_on_the_engine_lines_matches_scipy(scenario_factory, monkeypatch):
+    # every point at which a gamma_bar2 fit and seeded families of every
+    # metric's t-block evaluate log-gammas (Re z in [0.15, 13], |Im z| up to
+    # about 30): the real part within 9.8e-15 of max(1, |log Gamma|), the
+    # phase within 1.1e-13 mod 2 pi of scipy's
+    seen = []
+    loggamma = specfun.loggamma
+
+    def recorded(z):
+        seen.append(np.ravel(z))
+        return loggamma(z)
+
+    _clear_line_caches()
+    monkeypatch.setattr(specfun, "loggamma", recorded)
+    analytics.fit_gamma_bar2(scenario_factory(mu_r_db=50.0, gamma_bar2=None),
+                             0.105, 10 ** 0.5, lo=1.0, hi=1e13)
+    rng = rng_for(2901)
+    for case in range(8):
+        t_block, w = _seeded_family(rng, case)
+        specfun.meijer_g_bivariate_family(w, t_block, 0.05, 20.0, rel_tol=1e-9)
+    _clear_line_caches()
+    z = np.concatenate(seen)
+    assert z.size > 20_000
+    got, ref = loggamma(z), sp.loggamma(z)
+    assert np.max(_real_error(got, ref)) <= 9.8e-15
+    assert np.max(_phase_error(got, ref)) <= 1.1e-13
+
+
+def test_loggamma_against_mpmath():
+    # 300 points of the engine lines' range at the tolerances above, and 300
+    # across the reflection, Re z in [-3, 13], up to |Im z| = 200 (the shipped
+    # sweeps plan at most 44), within 1.5e-14 and 4.8e-13
+    import mpmath
+    rng = rng_for(2902)
+    for re_lo, re_hi, height, tol_re, tol_phase in ((0.15, 12.9, 29.0, 9.8e-15, 1.1e-13),
+                                                    (-3.0, 13.0, 200.0, 1.5e-14, 4.8e-13)):
+        z = rng.uniform(re_lo, re_hi, 300) + 1j * rng.uniform(-height, height, 300)
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.loggamma(mpmath.mpc(v.real, v.imag))) for v in z])
+        got = specfun.loggamma(z)
+        assert np.max(_real_error(got, ref)) <= tol_re
+        assert np.max(_phase_error(got, ref)) <= tol_phase
+
+
+def test_loggamma_keeps_its_bits_in_any_batch():
+    # the line store computes a point in batches of any size, down to one,
+    # and each value must keep its bits: a value depends on its point only
+    rng = rng_for(2903)
+    z = np.concatenate((rng.uniform(-3.0, 13.0, 500) + 1j * rng.uniform(-30.0, 30.0, 500),
+                        [9.999 + 0j, 10.001j, 0.5, -2.5 + 1e-3j]))
+    whole = specfun.loggamma(z)
+    for size in (1, 2, 3, 7, 16, 33):
+        parts = [specfun.loggamma(z[i:i + size]) for i in range(0, z.size, size)]
+        assert np.array_equal(np.concatenate(parts), whole), size
+
+
+@pytest.mark.parametrize("block,rows", [
+    ("cdf1", 3), ("cdf2", 5), ("ber2", 6), ("pdf1", 3), ("gamma1_pdf", 2)])
+def test_line_log_block_cancels_gamma_pairs(monkeypatch, block, rows):
+    # a numerator gamma over a reciprocal one k = 0, 1, ... further on is
+    # 1/(x)_k: the pointing pole Gamma(xi2/r + t)/Gamma(1 + xi2/r + t) takes
+    # no gamma, nor does the (1 - xi2)/2 pair of r = 2, which cancels; the
+    # block still equals the factor-by-factor sum of scipy's log-gammas
+    alpha, beta, xi2 = 2.57, 5.36, 1.21
+    cdf = {r: _cdf_t_block(r, alpha, beta, xi2) for r in (1, 2)}
+    a, b, m, n = {
+        "cdf1": (cdf[1].a, cdf[1].b, 0, 3),
+        "cdf2": (cdf[2].a, cdf[2].b, 0, 6),
+        "ber2": (cdf[2].a, (0.5,) + cdf[2].b, 1, 6),
+        "pdf1": (cdf[1].a, cdf[1].b[:-1] + (1.0,), 0, 3),
+        "gamma1_pdf": ((xi2 + 1.0,), (xi2, alpha, beta), 3, 0)}[block]
+    s = 0.3 + 1j * np.linspace(-25.0, 25.0, 201)
+    ref = (sum(sp.loggamma(bj - s) for bj in b[:m]) + sum(sp.loggamma(1 - aj + s) for aj in a[:n])
+           - sum(sp.loggamma(1 - bj + s) for bj in b[m:]) - sum(sp.loggamma(aj - s) for aj in a[n:]))
+    shapes = []
+    loggamma = specfun.loggamma
+    monkeypatch.setattr(specfun, "loggamma", lambda z: shapes.append(np.shape(z)) or loggamma(z))
+    got = specfun._line_log_block(a, b, m, n, s)
+    assert shapes == [(rows, s.size)]
+    assert np.max(_real_error(got, ref)) <= 1e-13
+    assert np.max(_phase_error(got, ref)) <= 1e-12
+
+
+def test_erfc_against_mpmath_and_scipy():
+    # the Monte Carlo BER takes erfc at sqrt(q gamma), 1.8e-4..577: within
+    # 1e-15 of mpmath wherever erfc is a normal double; scipy's own error
+    # grows like x^2 eps, so against it within 1e-15 (1 + x^2); 0 past
+    # Cody's 26.543, where erfc is below the smallest normal double
+    import mpmath
+    rng = rng_for(2904)
+    x = np.concatenate((np.exp(rng.uniform(math.log(1.8e-4), math.log(26.5), 600)),
+                        [0.0, 0.46875, 0.5, 4.0, 26.5]))
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.erfc(v)) for v in x])
+    assert np.max(np.abs(specfun.erfc(x) - ref) / ref) <= 1e-15
+    x = np.exp(rng.uniform(math.log(1.8e-4), math.log(577.0), 100_000))
+    got, ref = specfun.erfc(x), sp.erfc(x)
+    normal = x < 26.5
+    assert np.max(np.abs(got - ref)[normal] / ref[normal] / (1.0 + x[normal] ** 2)) <= 1e-15
+    assert np.all(got[x >= 26.543] == 0.0) and np.all(ref[x >= 26.543] < 2.3e-308)
+    assert np.array_equal(specfun.erfc(x[:12].reshape(3, 4)), got[:12].reshape(3, 4))
+    for bad in (-1e-300, math.nan):
+        with pytest.raises(ValueError):
+            specfun.erfc(np.array([1.0, bad]))
+
+
+def test_erfcx_and_exp_scaled_e1_against_mpmath_and_scipy():
+    # the Bussgang pairs take erfcx(sqrt(ibo)), ibo up to 1e3, and e^x E1(x),
+    # a series below x = 2: erfcx within 1e-15 of mpmath and 2e-15 of scipy,
+    # e^x E1(x) within 4.5e-16 and 1e-15
+    import mpmath
+    rng = rng_for(2905)
+    y = np.concatenate((np.exp(rng.uniform(math.log(1e-4), math.log(32.0), 400)),
+                        [0.0, 0.4999, 0.5, 4.0]))
+    x = np.concatenate((np.exp(rng.uniform(math.log(1e-8), math.log(2.0), 400)), [1.9999]))
+    with mpmath.workdps(40):
+        ref_x = np.array([float(mpmath.erfc(v) * mpmath.exp(mpmath.mpf(v) ** 2)) for v in y])
+        ref_e = np.array([float(mpmath.exp(v) * mpmath.e1(v)) for v in x])
+    got_x = specfun.erfcx(y)
+    got_e = np.array([specfun.exp_scaled_e1(v) for v in x])
+    assert np.max(np.abs(got_x - ref_x) / ref_x) <= 1e-15
+    assert np.max(np.abs(got_x - sp.erfcx(y)) / ref_x) <= 2e-15
+    assert np.max(np.abs(got_e - ref_e) / ref_e) <= 4.5e-16
+    assert np.max(np.abs(got_e - np.exp(x) * sp.exp1(x)) / ref_e) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_bessel_j_scaled_against_scipy(n):
+    # the beam pattern's J_n(u)/u^n: within 2e-15 of scipy's jv(n, u)/u^n for
+    # u up to 40, 1e-14 relative below u = 1, and 1/(2^n n!) at u = 0
+    rng = rng_for(2906 + n)
+    u = np.concatenate((rng.uniform(0.0, 40.0, 400), np.exp(rng.uniform(-17.0, 0.0, 200))))
+    ref = sp.jv(n, u) / u ** n
+    got = specfun.bessel_j_scaled(n, u)
+    assert np.max(np.abs(got - ref)) <= 2e-15
+    assert np.max((np.abs(got - ref) / np.abs(ref))[u < 1.0]) <= 1e-14
+    assert specfun.bessel_j_scaled(n, 0.0) == pytest.approx(1.0 / (2 ** n * math.factorial(n)),
+                                                           rel=1e-15)
+
+
+def test_gamma_keeps_scipys_overflow_and_poles_raise():
+    # math.gamma within 1.3e-15 of scipy's gamma on [0.3, 60]; past its
+    # overflow at 171.624... inf, as scipy returns, where math.gamma raises;
+    # at a pole ValueError, where scipy returns inf or NaN
+    xs = np.linspace(0.3, 60.0, 2000)
+    assert max(abs(specfun.gamma(x) / sp.gamma(x) - 1.0) for x in xs) <= 1.3e-15
+    top = 171.6243769563027     # math.gamma's last finite value; scipy's overflows sooner
+    assert specfun.gamma(top) == math.gamma(top) < math.inf
+    assert specfun.gamma(math.nextafter(top, 200.0)) == sp.gamma(171.7) == math.inf
+    assert math.isnan(specfun.gamma(math.nan))
+    assert specfun.gamma(-200.5) == 0.0
+    for pole in (0.0, -2.0):
+        with pytest.raises(ValueError):
+            specfun.gamma(pole)
 
 
 def test_gauss_panels_closed_forms():
