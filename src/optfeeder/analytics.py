@@ -6,15 +6,17 @@ ergodic capacity all reduce to the same family with different t-side blocks
 and arguments.  An independent single-integral form (complementary user-link
 CDF against the feeder density) serves as the numerical oracle for the
 closed forms, and simple four-term expansions cover the high-SNR regime.
-All of them take the feeder law from one record, :class:`fso_link.FeederLaw`
-(``scn.feeder_law``; the expansion builds a perturbed one at a coincidence).
+All of them read each link's law from one record built once per scenario:
+:class:`fso_link.FeederLaw` (``scn.feeder_law``; the expansion builds a
+perturbed one at a coincidence) and :class:`rf_link.UserLaw` (``scn.user_law``).
 
 Sum handling: for integer severity m the k-sum weights are binomial and
-positive, so the (k, j) double sum is regrouped as one weight per j, and
-the closed forms and the expansions share these per-j weights.  Only the
-s-side gamma Gamma(j - s) changes with j, and Gamma(j - s) = Gamma(-s) (-s)_j,
-so the evaluator integrates the whole weighted sum at once, with the
-Pochhammer polynomial sum_j w_j (-s)_j on the s-side.  The links are
+positive, so the (k, j) double sum is regrouped as one weight per j.  The
+closed forms and the expansions share these per-j weights, which come from
+``scn.user_law.weights``, and the shadowing prefactor ``scn.user_law.lead``.
+Only the s-side gamma Gamma(j - s) changes with j, and Gamma(j - s) =
+Gamma(-s) (-s)_j, so the evaluator integrates the whole weighted sum at once,
+with the Pochhammer polynomial sum_j w_j (-s)_j on the s-side.  The links are
 independent, so a moment is the feeder moment E[gamma_1^n] in closed form
 times one gamma_2 quadrature.  The expansions, which sum their terms one by
 one, use compensated summation because the term magnitudes span many orders.
@@ -114,31 +116,15 @@ def capacity_tau(scn: ScenarioConfig) -> float:
 # shared assembly pieces
 # ---------------------------------------------------------------------------
 
-def _sum_weights(shadow: rf_link.ShadowedRicianParams) -> np.ndarray:
-    """Per-j weight after regrouping the (k, j) double sum.
-
-    w_j = (1/j!) sum_{k=j}^{m-1} C(m-1, k) (Omega/(2bm))^k; the binomial
-    form of (-1)^k (1-m)_k / k! makes every weight positive.
-    """
-    coeffs = rf_link.series_coeffs(shadow).tolist()
-    weights = np.empty(len(coeffs))
-    partial = 0.0
-    for j in range(len(coeffs) - 1, -1, -1):
-        partial += coeffs[j]
-        weights[j] = partial / math.factorial(j)
-    return weights
-
-
 def _prefactor(scn: ScenarioConfig) -> float:
     law = scn.feeder_law
-    m = scn.shadowing.m_int
     return (law.xi2 * law.r ** (law.alpha + law.beta - 2.0)
             / (law.gamma_alpha * law.gamma_beta * (2.0 * math.pi) ** (law.r - 1))
-            * scn.shadowing.power_ratio ** (m - 1))
+            * scn.user_law.lead)
 
 
 def _x1(scn: ScenarioConfig) -> float:
-    return scn.noise_amp_c * scn.shadowing.m / (scn.kappa * scn.gamma_bar2)
+    return scn.noise_amp_c * scn.user_law.m / (scn.kappa * scn.gamma_bar2)
 
 
 def _x2_base(scn: ScenarioConfig) -> float:
@@ -169,12 +155,12 @@ def _family_total(scn: ScenarioConfig, x2: float, rel_tol: float,
     x1 = _x1(scn)
     try:
         total, err, _ = specfun.meijer_g_bivariate_family(
-            _sum_weights(scn.shadowing), t_block, x1, x2,
+            scn.user_law.weights, t_block, x1, x2,
             rel_tol=rel_tol, abs_tol=abs_tol)
     except (specfun.ConvergenceError, specfun.PoleCollisionError) as exc:
         raise type(exc)(
             f"{exc} (scenario {scn.fingerprint()}, shared-kernel family of "
-            f"{scn.shadowing.m_int} terms, x1={x1:.6g}, x2={x2:.6g})") from exc
+            f"{scn.user_law.m} terms, x1={x1:.6g}, x2={x2:.6g})") from exc
     return total, err
 
 
@@ -210,8 +196,7 @@ def sndr_moments(order: int, scn: ScenarioConfig) -> float:
     """n-th moment of the end-to-end SNDR: E[gamma_1^n] in closed form times one
     quadrature in ln(gamma_2/gbar2) of a(gamma_2)^n, a(g) = sndr(1, g) < (|b|^2 kappa)^-1."""
     n = check_moment_order(order)
-    g1_moment = fso_link.gamma1_moment(n, scn.detection_r, scn.turbulence,
-                                       scn.feeder.pointing, scn.mu_r)
+    g1_moment = fso_link.gamma1_moment(n, scn.feeder_law, scn.mu_r)
 
     # in v = ln(gamma_2/gbar2) the density t f(t; 1) cannot overflow or go
     # subnormal; past 2^60 C/kappa, sndr(1, gamma_2) = 1/(|b|^2 kappa) to double
@@ -222,7 +207,7 @@ def sndr_moments(order: int, scn: ScenarioConfig) -> float:
     def integrand(v):
         t = np.exp(v)
         g2 = np.exp(np.minimum(v + ln_gbar2, ln_g2_max))
-        return (t * rf_link.gamma2_pdf(t, scn.shadowing, 1.0)
+        return (t * rf_link.gamma2_pdf(t, scn.user_law, 1.0)
                 * system.sndr(1.0, g2, scn) ** n)
 
     edges = np.arange(-60.0, 7.0)
@@ -246,11 +231,9 @@ def sndr_cdf_oracle(x: float, scn: ScenarioConfig) -> float:
     shift = scn.kappa * cap_x
 
     def integrand(z):
-        cc = rf_link.gamma2_ccdf(scn.noise_amp_c * cap_x / z, scn.shadowing,
+        cc = rf_link.gamma2_ccdf(scn.noise_amp_c * cap_x / z, scn.user_law,
                                  scn.gamma_bar2)
-        fg = fso_link.gamma1_pdf(shift + z, scn.detection_r, scn.turbulence,
-                                 scn.feeder.pointing, scn.mu_r)
-        return cc * fg
+        return cc * fso_link.gamma1_pdf(shift + z, scn.feeder_law, scn.mu_r)
 
     # panel edges must bracket both active scales: the user-link transition
     # (z ~ C X / gbar2) and the feeder density support (z ~ mu_r); the upper
@@ -327,11 +310,14 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
     expansion's residues (the true limits carry logarithmic corrections the
     printed coefficients omit).  The three channel parameters are then
     perturbed jointly so evaluation survives, and a RuntimeWarning marks
-    the result as indicative; away from exact coincidences no perturbation
-    occurs and the expansion is quantitative.
+    the result.  The perturbed value is not an estimate of the limit: at
+    xi = 1 (heterodyne, mu_r = 50 dB, gamma_th = 5 dB on
+    configs/outage_strong_turbulence.ini) it reads -1.346e3 where the exact
+    outage is 5.35e-3 (ROADMAP item 3).  Away from exact coincidences no
+    perturbation occurs and the expansion is quantitative.
     """
     law = base = scn.feeder_law
-    m = scn.shadowing.m_int
+    user = scn.user_law
     if _collides(law.xi2, law.alpha, law.beta, law.r):
         for k in range(1, 4):
             law = fso_link.feeder_law(base.r, base.alpha + 2 * k * EPS_PERTURB,
@@ -360,7 +346,7 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
 
     # the (k, j) double sum regrouped: term j carries the shared weight w_j
     total = []
-    for j, w_j in enumerate(_sum_weights(scn.shadowing)):
+    for j, w_j in enumerate(user.weights):
         # J1: exponent j
         j1 = (specfun.gamma(al - r * j) * specfun.gamma(be - r * j)
               * (1.0 / (xi2 - r * j)) * (x1 * a_const) ** j)
@@ -371,7 +357,7 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
             bracket = specfun.gamma(j - theta) * x1 ** theta + g212 / specfun.gamma(1.0 - theta)
             total.append(w_j * lead[key] * a_const ** theta * bracket
                          * exponent_weight(theta) / scn.mu_r ** theta)
-    pref = xi2 / (law.gamma_alpha * law.gamma_beta) * scn.shadowing.power_ratio ** (m - 1)
+    pref = xi2 / (law.gamma_alpha * law.gamma_beta) * user.lead
     return pref * math.fsum(total)
 
 

@@ -217,9 +217,8 @@ def feeder_law(r: int, alpha: float, beta: float, xi2: float) -> FeederLaw:
                      abx / (xi2 + 1.0), upper, split(-xi2))
 
 
-def gamma1_moment(order: float, r: int, turb: TurbulenceParams,
-                  pointing: PointingConfig, mu_r: float) -> float:
-    """E[gamma_1^order] of the feeder electrical SNR under detection order r.
+def gamma1_moment(order: float, law: FeederLaw, mu_r: float) -> float:
+    """E[gamma_1^order] of the feeder electrical SNR.
 
     With k = r * order, E[gamma_1^order] = mu_r^order / M_k, where
     M_k = (xi^2+k) (alpha beta xi^2)^k Gamma(al) Gamma(be)
@@ -227,41 +226,40 @@ def gamma1_moment(order: float, r: int, turb: TurbulenceParams,
     At order 1 this is the average SNR gbar1; with r = 1 and
     mu_r = E[I] = xi^2/(xi^2+1) it is the irradiance moment E[I^order].
     """
-    law = feeder_law(r, turb.alpha, turb.beta, pointing.xi ** 2)
-    k = r * order
+    k = law.r * order
     num = (law.xi2 + k) * law.abx ** k * law.gamma_alpha * law.gamma_beta
     den = (law.xi2 * (law.xi2 + 1.0) ** k * specfun.gamma(law.alpha + k)
            * specfun.gamma(law.beta + k))
     return mu_r ** order / float(num / den)
 
 
-def gamma1_pdf(gamma1, r: int, turb: TurbulenceParams, pointing: PointingConfig,
-               mu_r: float):
-    """Density of the feeder electrical SNR gamma_1 under detection order r."""
+def gamma1_pdf(gamma1, law: FeederLaw, mu_r: float):
+    """Density of the feeder electrical SNR gamma_1."""
     g = np.atleast_1d(np.asarray(gamma1, dtype=float))
     if not (np.all(g > 0) and mu_r > 0):     # NaN fails too
         raise ValueError("gamma1 and mu_r must be positive")
-    law = feeder_law(r, turb.alpha, turb.beta, pointing.xi ** 2)
     arg = law.scale * (g / mu_r) ** (1.0 / law.r)
     out = np.zeros_like(g)
     keep = arg <= _G_ARG_CUTOFF
     if np.any(keep):
         vals, _, _ = specfun.meijer_g_many((law.xi2 + 1.0,), (law.xi2, law.alpha, law.beta),
                                            3, 0, arg[keep])
-        out[keep] = law.xi2 / (law.r * law.gamma_alpha * law.gamma_beta * g[keep]) * vals
+        # a batch is accurate relative to its largest value: far-tail noise
+        # below zero reads 0
+        out[keep] = np.maximum(
+            law.xi2 / (law.r * law.gamma_alpha * law.gamma_beta * g[keep]) * vals, 0.0)
     return out if np.ndim(gamma1) else float(out[0])
 
 
-def sample_gamma1(r: int, turb: TurbulenceParams, pointing: PointingConfig,
-                  mu_r: float, rng: np.random.Generator, n: int):
+def sample_gamma1(law: FeederLaw, mu_r: float, rng: np.random.Generator, n: int):
     """Draw gamma_1 = mu_r * (I / E[I])^r, E[I] = xi^2/(xi^2+1).
 
     I = I_a * I_p: unit-mean Gamma-Gamma turbulence times the pointing
     factor U^(1/xi^2).  Every constant scale of I (peak collected fraction,
     path loss, photoelectric gain) cancels between gamma_1 and mu_r.
     """
-    xi2 = pointing.xi ** 2
-    i_a = (rng.gamma(turb.alpha, 1.0 / turb.alpha, n)
-           * rng.gamma(turb.beta, 1.0 / turb.beta, n))
+    xi2 = law.xi2
+    i_a = (rng.gamma(law.alpha, 1.0 / law.alpha, n)
+           * rng.gamma(law.beta, 1.0 / law.beta, n))
     i = i_a * rng.random(n) ** (1.0 / xi2)
-    return mu_r * (i / (xi2 / (xi2 + 1.0))) ** r
+    return mu_r * (i / (xi2 / (xi2 + 1.0))) ** law.r

@@ -97,8 +97,7 @@ def simulate_sndr(plan: SimPlan):
     while remaining > 0:
         n = min(plan.batch_size, remaining)
         rng = _batch_rng(plan, index)
-        x = fso_link.sample_gamma1(first.detection_r, first.turbulence,
-                                   first.feeder.pointing, 1.0, rng, n)
+        x = fso_link.sample_gamma1(first.feeder_law, 1.0, rng, n)
         g2 = rf_link.sample_gamma2(first.shadowing, first.gamma_bar2, rng, n)
         for scn in scns:
             yield system.sndr(scn.mu_r * x, g2, scn)

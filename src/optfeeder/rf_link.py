@@ -116,56 +116,64 @@ class ShadowedRicianParams:
             raise ValueError(f"need finite b > 0 and omega >= 0, not b = {self.b}, "
                              f"omega = {self.omega}")
 
-    @property
-    def m_int(self) -> int:
-        if self.m != int(self.m):
-            raise NonIntegerShadowingError(
-                f"m={self.m} is not an integer; use the Monte Carlo path")
-        return int(self.m)
 
-    @property
-    def power_ratio(self) -> float:
-        """2bm / (2bm + Omega), the base of the shadowing prefactor."""
-        return 2.0 * self.b * self.m / (2.0 * self.b * self.m + self.omega)
+@dataclass(frozen=True)
+class UserLaw:
+    """Law of gamma_2 under integer severity m, by its finite series: the
+    density is (m/gbar2) lead e^-u sum_{k<m} coeffs[k] u^k / k!, u = m x/gbar2."""
+    m: int
+    coeffs: tuple[float, ...]    # C(m-1, k) (Omega/(2bm))^k = (-1)^k (1-m)_k / k! z^k
+    weights: tuple[float, ...]   # w_j = (1/j!) sum_{k>=j} coeffs[k]: a (k, j) sum per j
+    lead: float                  # (2bm / (2bm + Omega))^(m-1)
 
 
-def series_coeffs(p: ShadowedRicianParams) -> np.ndarray:
-    """C(m-1, k) (Omega/(2 b m))^k, k < m: the finite-sum weights
-    (-1)^k (1-m)_k / k! z^k of integer severity, all nonnegative."""
-    z = p.omega / (2.0 * p.b * p.m)
-    return np.array([math.comb(p.m_int - 1, k) * z ** k for k in range(p.m_int)])
+def user_law(p: ShadowedRicianParams) -> UserLaw:
+    """The law of p's severity m, which must be an integer: only the Monte
+    Carlo path takes other m."""
+    if p.m != int(p.m):
+        raise NonIntegerShadowingError(
+            f"m={p.m} is not an integer; use the Monte Carlo path")
+    m = int(p.m)
+    two_bm = 2.0 * p.b * p.m
+    z = p.omega / two_bm
+    coeffs = [math.comb(m - 1, k) * z ** k for k in range(m)]
+    weights = np.empty(m)    # numpy scalars: a term that divides by zero reads inf
+    partial = 0.0
+    for j in range(m - 1, -1, -1):
+        partial += coeffs[j]
+        weights[j] = partial / math.factorial(j)
+    return UserLaw(m, tuple(coeffs), tuple(weights), (two_bm / (two_bm + p.omega)) ** (m - 1))
 
 
-def _series_terms(x, p: ShadowedRicianParams, gbar2: float):
-    """(m, series_coeffs(p), m x / gbar2): the terms of the user-link SNR's sums."""
-    m = p.m_int
+def _ratio(x, law: UserLaw, gbar2: float):
+    """m x / gbar2, the argument of the user-link SNR's series."""
     if not 0 < gbar2 < math.inf:     # NaN fails too
         raise ValueError(f"gbar2 must be positive and finite, not {gbar2}")
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(xx >= 0):     # NaN fails too
         raise ValueError("the user-link SNR must be nonnegative")
-    return m, series_coeffs(p), m * xx / gbar2
+    return law.m * xx / gbar2
 
 
-def gamma2_pdf(gamma2, p: ShadowedRicianParams, gbar2: float):
+def gamma2_pdf(gamma2, law: UserLaw, gbar2: float):
     """User-link SNR density for integer severity (finite-sum form)."""
-    m, coeffs, ratio = _series_terms(gamma2, p, gbar2)
+    ratio = _ratio(gamma2, law, gbar2)
     acc = np.zeros_like(ratio)
-    for k in range(m):
-        acc += coeffs[k] * ratio ** k / math.factorial(k)
-    out = (m / gbar2) * p.power_ratio ** (m - 1) * np.exp(-ratio) * acc
+    for k, c in enumerate(law.coeffs):
+        acc += c * ratio ** k / math.factorial(k)
+    out = (law.m / gbar2) * law.lead * np.exp(-ratio) * acc
     return out if np.ndim(gamma2) else float(out[0])
 
 
-def gamma2_ccdf(x, p: ShadowedRicianParams, gbar2: float):
+def gamma2_ccdf(x, law: UserLaw, gbar2: float):
     """Complementary CDF of the user-link SNR, integer severity."""
-    m, coeffs, ratio = _series_terms(x, p, gbar2)
+    ratio = _ratio(x, law, gbar2)
     acc = np.zeros_like(ratio)
     partial = np.zeros_like(ratio)   # sum_{j<=k} ratio^j / j!
-    for k in range(m):
+    for k, c in enumerate(law.coeffs):
         partial = partial + ratio ** k / math.factorial(k)
-        acc += coeffs[k] * partial
-    out = p.power_ratio ** (m - 1) * np.exp(-ratio) * acc
+        acc += c * partial
+    out = law.lead * np.exp(-ratio) * acc
     return out if np.ndim(x) else float(out[0])
 
 

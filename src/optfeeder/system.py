@@ -113,8 +113,7 @@ class ScenarioConfig:
             raise ValueError(f"user_index must lie in [0, {len(row_norms_sq)}), "
                              f"not {self.user_index}")
         b_row_norm_sq = row_norms_sq[self.user_index]
-        gbar1 = fso_link.gamma1_moment(1, self.detection_r, self.turbulence,
-                                       self.feeder.pointing, self.mu_r)
+        gbar1 = fso_link.gamma1_moment(1, self.feeder_law, self.mu_r)
         if not math.isfinite(trace_term * gbar1):
             raise ValueError(f"mu_r = {self.mu_r} overflows tr[(B B^H)^-1] gbar1")
         if self.gain_mode == "fixed":
@@ -150,6 +149,10 @@ class ScenarioConfig:
     def feeder_law(self) -> fso_link.FeederLaw:
         return fso_link.feeder_law(self.detection_r, self.turbulence.alpha,
                                    self.turbulence.beta, self.feeder.pointing.xi ** 2)
+
+    @functools.cached_property
+    def user_law(self) -> rf_link.UserLaw:
+        return rf_link.user_law(self.shadowing)
 
     def at_mu_r(self, mu_r: float) -> "ScenarioConfig":
         """Same system at another feeder operating point."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from optfeeder import analytics, cli, fso_link, montecarlo, specfun
+from optfeeder import analytics, cli, fso_link, montecarlo, rf_link, specfun
 from conftest import HEAVY_SHADOWING, rng_for
 
 
@@ -60,10 +60,10 @@ def test_modulation_table():
 
 
 # ---------------------------------------------------------------------------
-# the feeder law
+# the link laws
 # ---------------------------------------------------------------------------
 
-def _feeder_sites(scn):
+def _law_sites(scn):
     ook = analytics.modulation("ook")
     return {
         "sndr_cdf_exact": analytics.sndr_cdf_exact(2.0, scn),
@@ -77,15 +77,27 @@ def _feeder_sites(scn):
     }
 
 
+def _nudge(scn, name, field):
+    # replace the scenario's cached record by one with a field moved by 1e-4
+    law = getattr(scn, name)
+    scn.__dict__[name] = dataclasses.replace(
+        law, **{field: getattr(law, field) * (1.0 + 1e-4)})
+
+
 @pytest.mark.parametrize("field", ["gamma_alpha", "xi2"])
 def test_feeder_law_is_the_only_home(scenario_factory, monkeypatch, field):
-    # a record with one field nudged reaches every gamma_1 site, so no site
-    # computes the law from the Gamma-Gamma shapes on its own
-    before = _feeder_sites(scenario_factory(mu_r_db=30.0))
-    gbar1 = scenario_factory(mu_r_db=30.0).gbar1
-    # built before the patch: its gbar1, kappa and C stay as they were, and
-    # only its record (built on first use) carries the nudge
+    # the scenario's record with one field nudged reaches every gamma_1 site,
+    # so no site computes the law from the Gamma-Gamma shapes on its own;
+    # gbar1, kappa and C were derived before the nudge and stay as they were
+    before = _law_sites(scenario_factory(mu_r_db=30.0))
     scn = scenario_factory(mu_r_db=30.0)
+    gbar1 = scn.gbar1
+    _nudge(scn, "feeder_law", field)
+    after = _law_sites(scn)
+    assert scn.gbar1 == gbar1
+    for name, value in before.items():
+        assert not math.isclose(after[name], value, rel_tol=1e-7), name
+    # and gbar1 itself is derived from the record
     real = fso_link.feeder_law
 
     def nudged(*args):
@@ -93,11 +105,35 @@ def test_feeder_law_is_the_only_home(scenario_factory, monkeypatch, field):
         return dataclasses.replace(law, **{field: getattr(law, field) * (1.0 + 1e-4)})
 
     monkeypatch.setattr(fso_link, "feeder_law", nudged)
-    after = _feeder_sites(scn)
-    assert scn.gbar1 == gbar1
+    assert not math.isclose(scenario_factory(mu_r_db=30.0).gbar1, gbar1, rel_tol=1e-7)
+
+
+def test_user_law_is_the_only_home(scenario_factory):
+    # a nudged shadowing prefactor reaches every closed form, the oracle, the
+    # moments and both expansions: no site rebuilds the gamma_2 series
+    before = _law_sites(scenario_factory(mu_r_db=30.0))
+    scn = scenario_factory(mu_r_db=30.0)
+    _nudge(scn, "user_law", "lead")
+    after = _law_sites(scn)
     for name, value in before.items():
         assert not math.isclose(after[name], value, rel_tol=1e-7), name
-    assert not math.isclose(scenario_factory(mu_r_db=30.0).gbar1, gbar1, rel_tol=1e-7)
+
+
+def test_each_law_is_built_once_per_scenario(scenario_factory, monkeypatch):
+    # building the scenario and every metric of it, a Monte Carlo estimate
+    # included, build each link's record once
+    built = {"feeder_law": 0, "user_law": 0}
+    for module, name in ((fso_link, "feeder_law"), (rf_link, "user_law")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            built[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    scn = scenario_factory(mu_r_db=30.0)
+    law = scn.feeder_law
+    assert not analytics._collides(law.xi2, law.alpha, law.beta, law.r)
+    _law_sites(scn)
+    montecarlo.empirical_outage(montecarlo.SimPlan((scn,), 1000, seed=1), [2.0])
+    assert built == {"feeder_law": 1, "user_law": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +143,9 @@ def test_feeder_law_is_the_only_home(scenario_factory, monkeypatch, field):
 def test_sum_weight_regrouping():
     # the per-j weights must reproduce the raw (k, j) double sum with the
     # alternating-Pochhammer coefficients, for arbitrary inner values
-    from optfeeder import rf_link
     p = rf_link.ShadowedRicianParams(m=19, b=0.158, omega=1.29)
-    m = p.m_int
+    law = rf_link.user_law(p)
+    m = law.m
     z = p.omega / (2 * p.b * p.m)
     rng = np.random.default_rng(5)
     g = rng.uniform(0.1, 3.0, m)     # stand-in per-j term values
@@ -119,8 +155,7 @@ def test_sum_weight_regrouping():
         (-1) ** k * poch[k]
         / (math.factorial(k) * math.factorial(j)) * z ** k * g[j]
         for k in range(m) for j in range(k + 1))
-    weights = analytics._sum_weights(p)
-    assert math.fsum(weights * g) == pytest.approx(raw, rel=1e-12)
+    assert math.fsum(np.array(law.weights) * g) == pytest.approx(raw, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +198,6 @@ def test_cdf_exact_vs_oracle_quick(scn_imdd_twta, scn_het_lin):
 def _oracle_per_panel(x, scn):
     # the oracle with each panel recursing on its own, two density calls
     # per visit
-    from optfeeder import fso_link, rf_link
     cap_x = scn.b_row_norm_sq * x
     c_x = scn.noise_amp_c * cap_x
     c_over_g2 = c_x / scn.gamma_bar2
@@ -171,8 +205,8 @@ def _oracle_per_panel(x, scn):
     turb, point, r = scn.turbulence, scn.feeder.pointing, scn.detection_r
 
     def integrand(z):
-        return (rf_link.gamma2_ccdf(c_x / z, scn.shadowing, scn.gamma_bar2)
-                * fso_link.gamma1_pdf(shift + z, r, turb, point, scn.mu_r))
+        return (rf_link.gamma2_ccdf(c_x / z, scn.user_law, scn.gamma_bar2)
+                * fso_link.gamma1_pdf(shift + z, scn.feeder_law, scn.mu_r))
 
     w_density = turb.alpha * turb.beta * point.xi ** 2 / (point.xi ** 2 + 1.0)
     lo = min(c_over_g2, scn.mu_r, shift + scn.mu_r) * 1e-10
@@ -199,7 +233,6 @@ def test_oracle_level_batch_matches_per_panel_recursion(scenario_factory, monkey
     # a user-link scale so large that the panel grid reaches its 1e-280
     # floor: wide panels near the origin must split, several levels deep.
     # The level batches visit the same panels and give the same value
-    from optfeeder import fso_link
     scn = scenario_factory(mu_r_db=30.0, gamma_bar2=1e200)
     ref, visits = _oracle_per_panel(10 ** 0.5, scn)
     assert len(visits) > 120 and max(visits) >= 2
@@ -269,9 +302,12 @@ def test_moments_against_mpmath_term_sum(config, mu_r_db, detection, shadowing):
     al, be = scn.turbulence.alpha, scn.turbulence.beta
     xi2 = scn.feeder.pointing.xi ** 2
     r = scn.detection_r
-    weights = analytics._sum_weights(scn.shadowing)
+    shadow = scn.shadowing
+    weights = rf_link.user_law(shadow).weights
     with mp.workdps(30):
-        x1 = mp.mpf(scn.noise_amp_c) * scn.shadowing.m / (mp.mpf(scn.kappa) * scn.gamma_bar2)
+        x1 = mp.mpf(scn.noise_amp_c) * shadow.m / (mp.mpf(scn.kappa) * scn.gamma_bar2)
+        two_bm = 2 * mp.mpf(shadow.b) * shadow.m
+        lead = (two_bm / (two_bm + shadow.omega)) ** (int(shadow.m) - 1)
         for n in (1, 2, 3):
             k = r * n
             g1_moment = (mp.mpf(scn.mu_r) ** n * xi2 * (xi2 + 1) ** k * mp.gamma(al + k)
@@ -280,7 +316,7 @@ def test_moments_against_mpmath_term_sum(config, mu_r_db, detection, shadowing):
             terms = mp.fsum(w * mp.meijerg([[1 - n], []], [[j, 1], []], x1)
                             for j, w in enumerate(weights))
             ref = (g1_moment / ((mp.mpf(scn.kappa) * scn.b_row_norm_sq) ** n * mp.gamma(n))
-                   * mp.mpf(scn.shadowing.power_ratio) ** (scn.shadowing.m_int - 1) * terms)
+                   * lead * terms)
             assert analytics.sndr_moments(n, scn) == pytest.approx(float(ref), rel=1e-12)
 
 
@@ -306,8 +342,7 @@ def test_moments_saturate_at_huge_gamma_bar2():
     cfg = Path(__file__).resolve().parent.parent / "configs" / "floor_phenomenology.ini"
     cp, _ = cli.load_config(str(cfg))
     scn = cli._scenario_from_config(cp, 40.0, {})
-    limit = (fso_link.gamma1_moment(2, scn.detection_r, scn.turbulence,
-                                    scn.feeder.pointing, scn.mu_r)
+    limit = (fso_link.gamma1_moment(2, scn.feeder_law, scn.mu_r)
              / (scn.b_row_norm_sq * scn.kappa) ** 2)
     saturated = analytics.sndr_moments(2, scn.with_gamma_bar2(1e300))
     assert saturated == pytest.approx(limit, rel=1e-12)
@@ -361,7 +396,7 @@ def test_expansion_brackets_once_per_exponent(scenario_factory, monkeypatch):
 
     monkeypatch.setattr(specfun, "meijer_g_2_1_1_2", counted)
     analytics.outage_asymptotic(10 ** 0.5, scn)
-    assert len(calls) == 3 * scn.shadowing.m_int == 57
+    assert len(calls) == 3 * scn.user_law.m == 57
 
 
 def test_outage_slope_before_floor(scenario_factory):

@@ -176,17 +176,21 @@ def turb():
     return fso_link.scintillation_params(make_atmosphere(5e-13))
 
 
+def _law(r, turb, point):
+    return fso_link.feeder_law(r, turb.alpha, turb.beta, point.xi ** 2)
+
+
 # the irradiance is gamma_1 at r = 1 with mu_r = E[I]
 def _mean_irradiance(point):
     return point.xi ** 2 / (point.xi ** 2 + 1.0)
 
 
 def _irradiance_pdf(i, turb, point):
-    return fso_link.gamma1_pdf(i, 1, turb, point, _mean_irradiance(point))
+    return fso_link.gamma1_pdf(i, _law(1, turb, point), _mean_irradiance(point))
 
 
 def _sample_irradiance(turb, point, rng, n):
-    return fso_link.sample_gamma1(1, turb, point, _mean_irradiance(point), rng, n)
+    return fso_link.sample_gamma1(_law(1, turb, point), _mean_irradiance(point), rng, n)
 
 
 def test_irradiance_pdf_normalization_and_mean(turb):
@@ -200,7 +204,7 @@ def test_irradiance_pdf_normalization_and_mean(turb):
     mean_i = xi2 / (xi2 + 1)
     assert mean == pytest.approx(mean_i, rel=1e-6)
     assert mean == pytest.approx(
-        fso_link.gamma1_moment(1, 1, turb, point, mean_i), rel=1e-6)
+        fso_link.gamma1_moment(1, _law(1, turb, point), mean_i), rel=1e-6)
 
 
 def test_irradiance_pdf_matches_histogram(turb):
@@ -260,7 +264,8 @@ def test_sampler_turbulence_moments(turb):
 def test_gamma1_pdf_normalization_and_mean(turb, r):
     point = fso_link.PointingConfig(xi=1.1)
     mu_r = 250.0
-    pdf = lambda g: fso_link.gamma1_pdf(g, r, turb, point, mu_r)
+    law = _law(r, turb, point)
+    pdf = lambda g: fso_link.gamma1_pdf(g, law, mu_r)
     norm, _ = quad(lambda t: pdf(math.tan(t)) / math.cos(t) ** 2,
                    1e-10, math.pi / 2 - 1e-10, limit=400)
     assert norm == pytest.approx(1.0, abs=1e-6)
@@ -268,12 +273,24 @@ def test_gamma1_pdf_normalization_and_mean(turb, r):
                    1e-10, math.pi / 2 - 1e-10, limit=400)
     # E[gamma_1] must equal the gbar1 implied by the mu_r conversion; this
     # pins the r-shifted gamma factor of the second shape parameter
-    gbar1 = fso_link.gamma1_moment(1, r, turb, point, mu_r)
+    gbar1 = fso_link.gamma1_moment(1, law, mu_r)
     assert mean == pytest.approx(gbar1, rel=1e-6)
     second, _ = quad(lambda t: math.tan(t) ** 2 * pdf(math.tan(t)) / math.cos(t) ** 2,
                      1e-10, math.pi / 2 - 1e-10, limit=400)
-    assert second == pytest.approx(fso_link.gamma1_moment(2, r, turb, point, mu_r),
-                                   rel=1e-6)
+    assert second == pytest.approx(fso_link.gamma1_moment(2, law, mu_r), rel=1e-6)
+
+
+def test_gamma1_pdf_batch_is_nonnegative():
+    # one batch of G values is accurate relative to its largest entry, so
+    # the far tail of a wide batch came out as small negative noise (about
+    # -1e-20 at 31.6 mu_r and -5e-165 at 562 mu_r); a density reads >= 0
+    turb = fso_link.scintillation_params(make_atmosphere(1e-14))
+    assert (turb.alpha, turb.beta) == pytest.approx((23.3, 25.6), abs=0.05)
+    mu_r = 100.0
+    law = _law(1, turb, fso_link.PointingConfig(xi=0.7))
+    vals = fso_link.gamma1_pdf(mu_r * np.geomspace(1e-3, 1e6, 9), law, mu_r)
+    assert np.all(vals >= 0.0)
+    assert vals[0] > 0.0
 
 
 @pytest.mark.parametrize("xi,order,r,mu_r,error", [
@@ -285,7 +302,7 @@ def test_gamma1_moment_large_orders_fail_as_before(turb, xi, order, r, mu_r, err
     # overflows and the moment divides by zero; where mu_r^order or
     # (al be xi^2)^k overflows first, OverflowError
     with pytest.raises(error):
-        fso_link.gamma1_moment(order, r, turb, fso_link.PointingConfig(xi=xi), mu_r)
+        fso_link.gamma1_moment(order, _law(r, turb, fso_link.PointingConfig(xi=xi)), mu_r)
 
 
 def test_gamma1_sampler_against_pdf(turb):
@@ -293,11 +310,12 @@ def test_gamma1_sampler_against_pdf(turb):
     mu_r = 100.0
     rng = rng_for(24)
     n = 100_000
-    draws = fso_link.sample_gamma1(2, turb, point, mu_r, rng, n)
+    law = _law(2, turb, point)
+    draws = fso_link.sample_gamma1(law, mu_r, rng, n)
     qs = np.quantile(draws, np.linspace(0.05, 0.95, 10))
     cdf_vals = []
     for q in qs:
-        val, _ = quad(lambda g: fso_link.gamma1_pdf(g, 2, turb, point, mu_r),
+        val, _ = quad(lambda g: fso_link.gamma1_pdf(g, law, mu_r),
                       1e-10, q, limit=400)
         cdf_vals.append(val)
     ecdf = np.searchsorted(np.sort(draws), qs, side="right") / n
@@ -319,4 +337,4 @@ def test_feeder_config_validation(turb):
     point = fso_link.PointingConfig(1.1)
     for g, mu_r in ((math.nan, 1.0), ([1.0, math.nan], 1.0), (1.0, math.nan)):
         with pytest.raises(ValueError):
-            fso_link.gamma1_pdf(g, 2, turb, point, mu_r)
+            fso_link.gamma1_pdf(g, _law(2, turb, point), mu_r)

@@ -121,37 +121,39 @@ def test_sampler_moment_identities():
 # ---------------------------------------------------------------------------
 
 def test_gamma2_pdf_m1_exponential():
-    p = HEAVY_SHADOWING
+    law = rf_link.user_law(HEAVY_SHADOWING)
     gbar2 = 3.0
     g = np.linspace(0.01, 20, 50)
     ref = np.exp(-g / gbar2) / gbar2
-    np.testing.assert_allclose(rf_link.gamma2_pdf(g, p, gbar2), ref, rtol=1e-12)
+    np.testing.assert_allclose(rf_link.gamma2_pdf(g, law, gbar2), ref, rtol=1e-12)
 
 
 @pytest.mark.parametrize("p", [LIGHT_SHADOWING, HEAVY_SHADOWING])
 def test_gamma2_ccdf_boundary_and_consistency(p):
+    law = rf_link.user_law(p)
     gbar2 = 5.0
-    assert rf_link.gamma2_ccdf(0.0, p, gbar2) == pytest.approx(1.0, rel=1e-12)
+    assert rf_link.gamma2_ccdf(0.0, law, gbar2) == pytest.approx(1.0, rel=1e-12)
     rng = rng_for(33)
     for x in rng.uniform(0.05, 25.0, 20):
-        tail, _ = quad(lambda g: rf_link.gamma2_pdf(g, p, gbar2), x, np.inf,
+        tail, _ = quad(lambda g: rf_link.gamma2_pdf(g, law, gbar2), x, np.inf,
                        limit=300)
-        assert rf_link.gamma2_ccdf(x, p, gbar2) == pytest.approx(tail, abs=1e-8)
+        assert rf_link.gamma2_ccdf(x, law, gbar2) == pytest.approx(tail, abs=1e-8)
 
 
 def test_gamma2_ccdf_golden_at_mean_scale():
     # quadrature-oracle value at x = gbar2 under light shadowing
-    p = LIGHT_SHADOWING
+    law = rf_link.user_law(LIGHT_SHADOWING)
     gbar2 = 4.0
-    ref, _ = quad(lambda g: rf_link.gamma2_pdf(g, p, gbar2), gbar2, np.inf,
+    ref, _ = quad(lambda g: rf_link.gamma2_pdf(g, law, gbar2), gbar2, np.inf,
                   limit=300)
-    assert rf_link.gamma2_ccdf(gbar2, p, gbar2) == pytest.approx(ref, rel=1e-9)
+    assert rf_link.gamma2_ccdf(gbar2, law, gbar2) == pytest.approx(ref, rel=1e-9)
 
 
 @pytest.mark.parametrize("p", [LIGHT_SHADOWING, HEAVY_SHADOWING])
 def test_gamma2_mean_identity(p):
+    law = rf_link.user_law(p)
     gbar2 = 7.5
-    mean, _ = quad(lambda g: g * rf_link.gamma2_pdf(g, p, gbar2), 0, np.inf,
+    mean, _ = quad(lambda g: g * rf_link.gamma2_pdf(g, law, gbar2), 0, np.inf,
                    limit=400)
     assert mean == pytest.approx(gamma2_mean(p, gbar2), rel=1e-6)
     assert gamma2_mean(p, gbar2) == pytest.approx(
@@ -170,19 +172,19 @@ def test_gamma2_sampler_mean():
 def test_gamma2_law_rejects_nan_and_infinity():
     # gbar2 must be positive and finite and every x nonnegative; NaN fails
     # both checks instead of coming back as a NaN or a value near 1
-    p = LIGHT_SHADOWING
+    law = rf_link.user_law(LIGHT_SHADOWING)
     for fn in (rf_link.gamma2_pdf, rf_link.gamma2_ccdf):
         for x, gbar2 in ((1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -2.0),
                          (math.nan, 1.0), ([0.5, math.nan], 1.0), (-1.0, 1.0)):
             with pytest.raises(ValueError):
-                fn(x, p, gbar2)
-        assert np.isfinite(fn(np.array([0.0, 1.0, 1e3]), p, 1e300)).all()
+                fn(x, law, gbar2)
+        assert np.isfinite(fn(np.array([0.0, 1.0, 1e3]), law, 1e300)).all()
 
 
 def test_non_integer_severity_rejected():
     p = rf_link.ShadowedRicianParams(m=2.5, b=0.1, omega=0.5)
     with pytest.raises(rf_link.NonIntegerShadowingError):
-        rf_link.gamma2_pdf(1.0, p, 1.0)
+        rf_link.user_law(p)
     # sampling still works for non-integer m
     rng = rng_for(35)
     d = rf_link.sample_shadowed_rician(p, rng, 1000)

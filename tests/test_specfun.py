@@ -91,7 +91,7 @@ def test_pochhammer():
         z = p.omega / (2 * p.b * p.m)
         ref = [(-1) ** k * _rising(1.0 - m, k) / math.factorial(k) * z ** k
                for k in range(m)]
-        np.testing.assert_allclose(rf_link.series_coeffs(p), ref, rtol=1e-14)
+        np.testing.assert_allclose(rf_link.user_law(p).coeffs, ref, rtol=1e-14)
         assert _rising(1.0 - m, m) == 0.0
 
 
@@ -672,10 +672,9 @@ def test_bivariate_step_halving_within_error():
 def test_bivariate_family_matches_single_calls():
     # the family total against the weighted sum of single-term calls (a unit
     # weight at j each); the second family has no j = 0 term
-    from optfeeder import analytics
     t_block = _cdf_t_block(1, 2.57, 5.36, 1.21)
-    w19 = analytics._sum_weights(
-        rf_link.ShadowedRicianParams(m=19, b=0.158, omega=1.29))
+    w19 = rf_link.user_law(
+        rf_link.ShadowedRicianParams(m=19, b=0.158, omega=1.29)).weights
     for w in (w19, [0.0, 0.5, 2.0, 0.25]):
         total, _, _ = specfun.meijer_g_bivariate_family(
             w, t_block, 0.7, 3.0, rel_tol=1e-9)
@@ -767,7 +766,7 @@ def _seeded_family(rng, case):
     shadow = rf_link.ShadowedRicianParams(
         m=int(rng.integers(1, 20)), b=rng.uniform(0.05, 0.3),
         omega=rng.uniform(0.1, 2.0))
-    return t_block, analytics._sum_weights(shadow)
+    return t_block, np.array(rf_link.user_law(shadow).weights)
 
 
 def test_bivariate_hankel_matches_dense_kernel():
