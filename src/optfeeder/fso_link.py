@@ -9,6 +9,7 @@ its sampler for Monte Carlo work.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -208,6 +209,7 @@ class FeederLaw:
     t_lower: tuple[float, ...]   # in a bivariate t-block, duplication-split
 
 
+@functools.lru_cache(maxsize=32)
 def feeder_law(r: int, alpha: float, beta: float, xi2: float) -> FeederLaw:
     """The law of detection order r, Gamma-Gamma shapes alpha, beta and xi^2."""
     abx = alpha * beta * xi2

@@ -10,6 +10,7 @@ Abdi et al. (2003): Nakagami line of sight over Rayleigh scatter.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,6 +128,7 @@ class UserLaw:
     lead: float                  # (2bm / (2bm + Omega))^(m-1)
 
 
+@functools.lru_cache(maxsize=32)
 def user_law(p: ShadowedRicianParams) -> UserLaw:
     """The law of p's severity m, which must be an integer: only the Monte
     Carlo path takes other m."""

@@ -2,7 +2,7 @@
 Meijer G functions.
 
 The special functions are the ones the library needs: a vectorised complex
-log-gamma, erfc and erfcx, J_n(u)/u^n, e^x E1(x), Tricomi's U.  The univariate
+log-gamma, erfc and erfcx, J_n(u)/u^n, Tricomi's U.  The univariate
 evaluator handles the parameter shapes of Gamma-Gamma / pointing-error channel
 statistics (G_{1,3}^{3,0}, G_{0,2}^{2,0}, G_{1,2}^{2,1}, ...).  The bivariate
 evaluator computes the weighted sum of the double Mellin-Barnes integrals
@@ -170,45 +170,6 @@ def db_to_linear(name: str, value_db: float) -> float:
     if not math.isfinite(value):     # NaN in, or the overflow
         raise ValueError(f"{name} = {value_db} dB has no finite linear value")
     return value
-
-
-def exp_scaled_e1(x: float) -> float:
-    """e^x * E1(x) = -e^x * Ei(-x) for x > 0, stable at large x.
-
-    Evaluated in extended precision through the Lentz continued fraction
-    e^x E1(x) = 1/(x+1- 1/(x+3- 4/(x+5- 9/(x+7- ...)))) for x >= 2 (the
-    closed form e^x*E1 cancels catastrophically when used to build
-    distortion powers), and below that by E1(x) = -gamma - ln x - sum_k (-x)^k / (k k!).
-    """
-    if not x > 0:     # NaN fails too
-        raise ValueError(f"x must be positive, not {x}")
-    if x < 2.0:
-        xl, k = np.longdouble(x), np.arange(1, 40)
-        total = np.sum(np.cumprod(-xl / k) / k)
-        return float(np.exp(xl) * (np.longdouble("-0.57721566490153286061") - np.log(xl) - total))
-    # modified Lentz on the continued fraction b0 + a1/(b1 + a2/(b2 + ...))
-    tiny = np.longdouble(1e-300)
-    b = np.longdouble(x) + 1.0
-    c = np.longdouble(1e308)
-    d = 1.0 / b
-    h = d
-    for i in range(1, 400):
-        a = np.longdouble(-(i * i))
-        b = b + 2.0
-        d = a * d + b
-        if d == 0:
-            d = tiny
-        c = b + a / c
-        if c == 0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        h = h * delta
-        if abs(float(delta) - 1.0) < 1e-19:
-            break
-    else:
-        raise ConvergenceError(f"continued fraction for e^x E1(x) stalled at x={x}")
-    return float(h)
 
 
 def tricomi_u(a: float, b: float, z: float) -> float:

@@ -4,82 +4,77 @@ linearization of its memoryless AM/AM curve.
 For a circularly symmetric Gaussian input of power P the memoryless envelope
 nonlinearity f splits into a scaled replica plus uncorrelated distortion
 (Bussgang), with gain K = E[f(rho) rho]/P and distortion power
-sigma_NL^2 = E[f(rho)^2] - K^2 P.  Both closed-form pairs used here follow
-from Rayleigh-envelope expectations:
+sigma_NL^2 = E[f(rho)^2] - K^2 P.  With u = rho^2/P, which is Exp(1), and the
+curve's shortfall s(u) = 1 - f(rho)/rho, both follow from expectations whose
+integrands never cancel:
 
-* TWTA: the Saleh curve A^2 rho / (rho^2 + A^2) gives
-      K = q (1 - q e^q E1(q)),   E[f^2] = A^2 q [(1+q) e^q E1(q) - 1],
+    1 - K = E[u s],    sigma_NL^2 = E[u (1 - K - s)^2].
+
+* TWTA: the Saleh curve A^2 rho / (rho^2 + A^2) falls short by u/(u + q),
   with q = A^2/P the input back-off.
 * SSPA: the smooth envelope limiter rho (1 + rho^2/A^2)^(-1/2) (the Rapp
-  curve with smoothness 1) gives
-      K = sqrt(q)/2 [2 sqrt(q) - sqrt(pi) erfcx(sqrt(q)) (2q - 1)],
-      E[f^2] = P q (1 - q e^q E1(q)).
+  curve with smoothness 1) falls short by x/(sqrt(1+x)(1 + sqrt(1+x))), x = u/q.
 
-Several published tabulations attach these two pairs to the opposite
-amplifier families; the assignment here is fixed by re-deriving the
-expectations (see the tests, which check both K values against brute-force
-Bussgang estimators on the matching waveform curves).
+Published tabulations attach the pairs' closed forms to opposite families at
+times; the tests settle the assignment with brute-force Bussgang estimators
+on the waveform curves, and check each pair against 60-digit closed forms.
 
 Everything depends on the back-off only; powers are in units of P_r, the
-mean power at the gain-block output.  Closed forms cancel catastrophically
-at large back-off, so the implementation switches to asymptotic series there.
+mean power at the gain-block output.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import db_to_linear, erfcx, exp_scaled_e1
+from .specfun import db_to_linear, gauss_panels
 
-# Crossover balancing the closed forms (whose distortion power loses
-# ~q^4 * eps to cancellation) against the 1/ibo series (truncation error
-# ~100/ibo^2); both sides stay within ~1e-4 of the true sigma_NL^2 here.
-_SERIES_CUTOFF = 1e3
+# Exp(1) panels on u, fine where a shortfall bends; past 60, e^-u < 1e-26
+_EDGES = np.concatenate(([0.0], 2.0 ** np.arange(-30, 0), np.arange(1.0, 61.0)))
+_PANEL_TOL = 1e-15 / (_EDGES.size - 1)
 
 
 # ---------------------------------------------------------------------------
 # Bussgang pairs
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _pair(shortfall, ibo_linear: float) -> tuple[float, float]:
+    """(1 - K, sigma_NL^2) of the curve falling short by shortfall(u, q), kept per
+    curve and back-off; the integrands are in units of min(1, 1/q), the size of
+    1 - K, so the panel tolerance is relative and nothing underflows early."""
+    if not 0 < ibo_linear < math.inf:     # NaN fails too
+        raise ValueError(f"back-off ibo_linear must be positive and finite, not {ibo_linear}")
+    scale = min(1.0, 1.0 / ibo_linear)
+    s = lambda u: shortfall(u, ibo_linear) / scale  # noqa: E731
+    gap = gauss_panels(lambda u: u * s(u) * np.exp(-u), _EDGES, _PANEL_TOL)
+    spread = gauss_panels(lambda u: u * (gap - s(u)) ** 2 * np.exp(-u), _EDGES, _PANEL_TOL)
+    return scale * gap, scale * scale * spread
+
+
+def _saleh_shortfall(u, q):
+    return u / (u + q)
+
+
+def _limiter_shortfall(u, q):
+    root = np.sqrt(1.0 + u / q)
+    return u / q / (root * (1.0 + root))
+
+
 def bussgang_twta(ibo_linear: float) -> tuple[float, float]:
     """(K, sigma_NL^2) for the Saleh-curve amplifier at back-off A^2/P_r."""
-    if not ibo_linear > 0:     # NaN fails too
-        raise ValueError(f"back-off ibo_linear must be positive, not {ibo_linear}")
-    q = ibo_linear
-    if q > _SERIES_CUTOFF:
-        x = 1.0 / q
-        k = 1.0 - 2.0 * x + 6.0 * x * x - 24.0 * x ** 3
-        snl = 2.0 * x * x - 24.0 * x ** 3
-        return k, max(snl, 0.0)
-    e = np.longdouble(exp_scaled_e1(q))
-    ql = np.longdouble(q)
-    k = ql * (1.0 - ql * e)
-    mean_sq = ql * ql * ((1.0 + ql) * e - 1.0)       # E[f^2]
-    snl = float(mean_sq - k * k)
-    return float(k), max(snl, 0.0)
+    gap, sigma_nl_sq = _pair(_saleh_shortfall, ibo_linear)
+    return 1.0 - gap, sigma_nl_sq
 
 
 def bussgang_sspa(ibo_linear: float) -> tuple[float, float]:
     """(K, sigma_NL^2) for the smooth envelope limiter at back-off A^2/P_r."""
-    if not ibo_linear > 0:     # NaN fails too
-        raise ValueError(f"back-off ibo_linear must be positive, not {ibo_linear}")
-    q = ibo_linear
-    if q > _SERIES_CUTOFF:
-        x = 1.0 / q
-        k = 1.0 - x + 2.25 * x * x - 7.5 * x ** 3
-        snl = 0.5 * x * x - 4.5 * x ** 3
-        return k, max(snl, 0.0)
-    z = math.sqrt(q)
-    scaled = np.longdouble(erfcx(np.array([z]))[0])
-    zl = np.longdouble(z)
-    k = zl / 2.0 * (2.0 * zl - np.longdouble(math.sqrt(math.pi)) * scaled * (2.0 * q - 1.0))
-    e = np.longdouble(exp_scaled_e1(q))
-    mean_sq = np.longdouble(q) * (1.0 - np.longdouble(q) * e)   # E[f^2]
-    snl = float(mean_sq - k * k)
-    return float(k), max(snl, 0.0)
+    gap, sigma_nl_sq = _pair(_limiter_shortfall, ibo_linear)
+    return 1.0 - gap, sigma_nl_sq
 
 
 # family -> (K, sigma_NL^2) at a back-off; 'linear' is the identity device

@@ -1,11 +1,13 @@
 """Closed forms that only the tests read: the waveform AM/AM curves behind the
-brute-force Bussgang estimators, the shadowed-Rician amplitude density, the
-mean user-link SNR, the scintillation index, and the bivariate engine's
-t-collapse as a direct Hankel product.  The library computes none of them, so
-keeping them here leaves each check independent of the code it checks."""
+brute-force Bussgang estimators, the Bussgang pairs' closed forms in 60-digit
+arithmetic, the shadowed-Rician amplitude density, the mean user-link SNR,
+the scintillation index, and the bivariate engine's t-collapse as a direct
+Hankel product.  The library computes none of them, so keeping them here
+leaves each check independent of the code it checks."""
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.special as sp
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,6 +27,29 @@ def rapp_amam(x, amp_sat: float, smoothness: float = 1.0):
         raise ValueError("smoothness must be positive")
     x = np.asarray(x, dtype=float)
     return x / (1.0 + (x / amp_sat) ** (2.0 * smoothness)) ** (1.0 / (2.0 * smoothness))
+
+
+def bussgang_closed_form(family: str, ibo: float) -> tuple[float, float, float]:
+    """(K, 1 - K, sigma_NL^2) of the 'twta' or 'sspa' pair at back-off q, from
+    the closed forms on Rayleigh-envelope expectations, in 60-digit arithmetic,
+    which leaves the cancellation of E[f^2] - K^2 over 40 digits:
+
+        TWTA: K = q (1 - q e^q E1(q)),   E[f^2] = q^2 ((1 + q) e^q E1(q) - 1)
+        SSPA: K = sqrt(q)/2 (2 sqrt(q) - sqrt(pi) erfcx(sqrt(q)) (2q - 1)),
+              E[f^2] = q (1 - q e^q E1(q))
+    """
+    with mpmath.workdps(60):
+        q = mpmath.mpf(ibo)
+        e1x = mpmath.exp(q) * mpmath.e1(q)
+        if family == "twta":
+            k = q * (1 - q * e1x)
+            mean_sq = q * q * ((1 + q) * e1x - 1)
+        else:
+            z = mpmath.sqrt(q)
+            erfcx = mpmath.exp(q) * mpmath.erfc(z)
+            k = z / 2 * (2 * z - mpmath.sqrt(mpmath.pi) * erfcx * (2 * q - 1))
+            mean_sq = q * (1 - q * e1x)
+        return float(k), float(1 - k), float(mean_sq - k * k)
 
 
 def shadowed_rician_pdf(y, p: rf_link.ShadowedRicianParams):

@@ -136,6 +136,20 @@ def test_each_law_is_built_once_per_scenario(scenario_factory, monkeypatch):
     assert built == {"feeder_law": 1, "user_law": 1}
 
 
+def test_clones_build_no_law_record(scenario_factory):
+    # neither record depends on mu_r or gamma_bar2, so the clones that move
+    # them find both records kept by the builders instead of building anew
+    scn = scenario_factory(mu_r_db=30.0)
+    records = (scn.feeder_law, scn.user_law)
+    builders = (fso_link.feeder_law, rf_link.user_law)
+    misses = [b.cache_info().misses for b in builders]
+    clones = (scn.at_mu_r_db(45.0), scn.with_gamma_bar2(7.0),
+              scn.at_mu_r_db(60.0).with_gamma_bar2(3.0))
+    for clone in clones:
+        assert (clone.feeder_law, clone.user_law) == records
+    assert [b.cache_info().misses for b in builders] == misses
+
+
 # ---------------------------------------------------------------------------
 # sum regrouping
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Amplifier characteristics and Bussgang linearization pairs.
 
-The closed-form pairs are pinned to brute-force Bussgang estimators built
-directly on the matching waveform curves (Saleh for the TWTA, the
-smoothness-1 Rapp limiter for the SSPA), which settles the family-to-
-formula assignment independently of any published tabulation.
+The pairs are pinned to brute-force Bussgang estimators built directly on
+the matching waveform curves (Saleh for the TWTA, the smoothness-1 Rapp
+limiter for the SSPA), which settles the family-to-formula assignment
+independently of any published tabulation, and to the closed forms of those
+expectations in 60-digit arithmetic.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ from scipy.integrate import quad
 from optfeeder import transponder
 
 from conftest import rng_for
-from oracles import rapp_amam, saleh_amam
+from oracles import bussgang_closed_form, rapp_amam, saleh_amam
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +108,42 @@ def test_asymptotic_gain_values():
     assert k_sspa == pytest.approx(1 - 1e-2 + 2.25e-4 - 7.5e-6, abs=3e-6)
 
 
-def test_limits_at_extreme_backoff(monkeypatch):
+def test_limits_at_extreme_backoff():
     for fn in (transponder.bussgang_twta, transponder.bussgang_sspa):
         k, snl = fn(1e6)
         assert 0.999 <= k <= 1.0
         assert snl <= 1e-3
-        # series and closed-form branches agree at the same back-off
-        ibo = transponder._SERIES_CUTOFF
-        monkeypatch.setattr(transponder, "_SERIES_CUTOFF", 1e18)
-        k_closed, s_closed = fn(ibo)
-        monkeypatch.setattr(transponder, "_SERIES_CUTOFF", 1.0)
-        k_series, s_series = fn(ibo)
-        monkeypatch.undo()
-        assert k_closed == pytest.approx(k_series, rel=1e-9)
-        assert s_closed == pytest.approx(s_series, rel=5e-4)
+
+
+FAMILY_PAIRS = {"twta": (transponder.bussgang_twta, transponder._saleh_shortfall),
+                "sspa": (transponder.bussgang_sspa, transponder._limiter_shortfall)}
+
+
+@pytest.mark.parametrize("family", ["twta", "sspa"])
+def test_pairs_against_closed_forms_in_60_digits(family):
+    # K, 1 - K (before it is rounded into K) and sigma_NL^2 within 1e-14
+    # relative of the closed forms, evaluated where their cancellation costs
+    # nothing, over 0-60 dB and either side of 30 dB
+    pair, shortfall = FAMILY_PAIRS[family]
+    for ibo_db in list(np.arange(0.0, 60.25, 0.5)) + [29.99, 30.01]:
+        ibo = 10.0 ** (ibo_db / 10.0)
+        k, snl = pair(ibo)
+        gap = transponder._pair(shortfall, ibo)[0]
+        assert k == 1.0 - gap
+        for got, ref in zip((k, gap, snl), bussgang_closed_form(family, ibo)):
+            assert abs(got - ref) <= 1e-14 * ref, (family, ibo_db, got, ref)
+
+
+def test_pairs_are_kept_per_backoff():
+    # each family's pair is computed once per back-off; an invalid one raises
+    for pair, _ in FAMILY_PAIRS.values():
+        first = pair(10.0 ** 2.5)
+        misses = transponder._pair.cache_info().misses
+        assert pair(10.0 ** 2.5) == first
+        assert transponder._pair.cache_info().misses == misses
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="ibo_linear"):
+                pair(bad)
 
 
 def test_gain_monotone_and_distortion_ordering():
@@ -142,7 +165,7 @@ def test_gain_monotone_and_distortion_ordering():
 
 def test_bussgang_residual_uncorrelated():
     # the decomposition f(rho) = K rho + residual leaves the residual
-    # uncorrelated with the input when K is the matching closed form
+    # uncorrelated with the input when K is the family's gain
     n = 2_000_000
     rng = rng_for(42)
     rho = np.sqrt(rng.exponential(1.0, n))
@@ -162,7 +185,7 @@ def test_bussgang_residual_uncorrelated():
 
 def test_kappa_values():
     assert transponder.HpaState("linear", math.inf).kappa_for_gain(1.0) == 1.0
-    # the state's pair is the audited closed form at its back-off
+    # the state's pair is the family's pair at its back-off
     k, snl = transponder.bussgang_twta(10 ** 2.5)
     hpa = transponder.HpaState("twta", 10 ** 2.5)
     assert (hpa.k_gain, hpa.sigma_nl_sq) == (k, snl)
