@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ from . import __version__, analytics, fso_link, montecarlo, rf_link, specfun, sy
 
 SWEEPABLE = ("mu_r_db", "ibo_db", "gamma_th_db", "cn2", "xi")
 SWEEP_FMT = dict.fromkeys(SWEEPABLE, ".6f") | {"cn2": ".6e"}   # cn2 is 1e-15..3e-12
+# detection spellings, in a config and after --detection, and their order r
+DETECTION_R = {"imdd": 2, "het": 1, "heterodyne": 1}
 
 
 class ConfigError(ValueError):
@@ -99,9 +102,30 @@ def load_config(path: str | None) -> tuple[configparser.ConfigParser, dict]:
     return cp, used_defaults
 
 
+def _with_feeder(scn, **changes) -> system.ScenarioConfig:
+    feeder = replace(scn.feeder, **changes)     # only a new atmosphere reruns the pipeline
+    turbulence = (fso_link.scintillation_params(feeder.atmosphere)
+                  if "atmosphere" in changes else scn.turbulence)
+    return replace(scn, feeder=feeder, turbulence=turbulence)
+
+
+# sweep variable or CLI flag -> the clone of a scenario at value v, derived
+# fields re-derived; functions are looked up at call time, so wrappers apply
+CLONES = {
+    "mu_r_db": lambda scn, v: scn.at_mu_r_db(v),
+    "ibo_db": lambda scn, v: replace(scn, hpa=transponder.hpa_state(scn.hpa.family, v)),
+    "cn2": lambda scn, v: _with_feeder(
+        scn, atmosphere=replace(scn.feeder.atmosphere, cn2_ground=v)),
+    "xi": lambda scn, v: _with_feeder(scn, pointing=fso_link.PointingConfig(v)),
+    "detection": lambda scn, v: _with_feeder(scn, detection_r=DETECTION_R[v]),
+    "hpa": lambda scn, v: replace(scn, hpa=replace(scn.hpa, family=v)),
+}
+
+
 def _scenario_from_config(cp: configparser.ConfigParser, mu_r_db: float,
                           overrides: dict) -> system.ScenarioConfig:
-    """The scenario a config describes at one operating point."""
+    """The scenario a config describes at one operating point; ``overrides``
+    (``CLONES`` keys) apply once the whole config is read and checked."""
     a = cp["atmosphere"]
     atmo = fso_link.AtmosphereConfig(
         altitude_sat=a.getfloat("altitude_sat_m"),
@@ -109,17 +133,16 @@ def _scenario_from_config(cp: configparser.ConfigParser, mu_r_db: float,
         zenith_rad=math.radians(a.getfloat("zenith_deg")),
         wavelength=a.getfloat("wavelength_nm") * 1e-9,
         wind_rms=a.getfloat("wind_rms_ms"),
-        cn2_ground=overrides.get("cn2", a.getfloat("cn2_ground")),
+        cn2_ground=a.getfloat("cn2_ground"),
         beam_radius_tx=a.getfloat("beam_radius_tx_m"),
         beam_wander=a.getboolean("beam_wander"),
     )
-    pointing = fso_link.PointingConfig(
-        xi=overrides.get("xi", cp["pointing"].getfloat("xi")))
-    det = overrides.get("detection", cp["feeder"].get("detection")).lower()
-    if det not in ("imdd", "heterodyne", "het"):
+    det = cp["feeder"].get("detection").lower()
+    if det not in DETECTION_R:
         raise ConfigError(f"unknown detection {det!r}")
     feeder = fso_link.FeederConfig(
-        detection_r=2 if det == "imdd" else 1, atmosphere=atmo, pointing=pointing)
+        detection_r=DETECTION_R[det], atmosphere=atmo,
+        pointing=fso_link.PointingConfig(cp["pointing"].getfloat("xi")))
     r = cp["rf"]
     rf = rf_link.RfLinkParams(
         carrier_hz=r.getfloat("carrier_ghz") * 1e9,
@@ -135,18 +158,19 @@ def _scenario_from_config(cp: configparser.ConfigParser, mu_r_db: float,
     shadow = rf_link.ShadowedRicianParams(
         m=s.getfloat("m"), b=s.getfloat("b"), omega=s.getfloat("omega"))
     h = cp["hpa"]
-    family = overrides.get("hpa", h.get("family")).lower()
-    ibo_db = overrides.get("ibo_db", h.getfloat("ibo_db"))
-    hpa = transponder.hpa_state(family, ibo_db)
+    hpa = transponder.hpa_state(h.get("family").lower(), h.getfloat("ibo_db"))
     sysc = cp["system"]
     g2_raw = sysc.get("gamma_bar2").strip()
-    return system.build_scenario(
+    scn = system.build_scenario(
         feeder, layout, rf, shadow, hpa, mu_r_db,
         gamma_bar2=float(g2_raw) if g2_raw else None,
         sigma2_sq=sysc.getfloat("sigma2_sq"),
         user_index=sysc.getint("user_index"),
         gain_mode=sysc.get("gain_mode"),
         fixed_gain=sysc.getfloat("fixed_gain"))
+    for key, value in overrides.items():
+        scn = CLONES[key](scn, value)
+    return scn
 
 
 def _sweep_grid(cp, args) -> tuple[str, list[float]]:
@@ -243,25 +267,16 @@ def run(args) -> int:
         if m in methods[:i]:
             raise ConfigError(f"method {m!r} is listed twice")
 
-    overrides = {}
-    if args.detection:
-        overrides["detection"] = {"imdd": "imdd", "het": "heterodyne",
-                                  "heterodyne": "heterodyne"}[args.detection]
-    if args.hpa:
-        overrides["hpa"] = args.hpa
-    if args.ibo_db is not None:
-        overrides["ibo_db"] = args.ibo_db
+    overrides = {key: {"het": "heterodyne"}.get(v, v)     # the manifest spells "het" out
+                 for key in ("detection", "hpa", "ibo_db") if (v := vars(args)[key]) is not None}
     args = argparse.Namespace(
         **vars(args), mod=analytics.modulation(args.modulation, args.mod_order))
     scn0 = _scenario_from_config(cp, args.mu_r_db, overrides)
 
-    points = []
-    for point in grid:
-        point_over = {**overrides, variable: point}
-        mu_db = point_over.pop("mu_r_db", args.mu_r_db)
-        th_db = point_over.pop("gamma_th_db", args.gamma_th_db)
-        points.append((point, _scenario_from_config(cp, mu_db, point_over),
-                       specfun.db_to_linear("gamma_th_db", th_db)))
+    # every point is a clone of scn0; a gamma_th_db point moves only the threshold
+    points = [(p, scn0, p) if variable == "gamma_th_db"
+              else (p, CLONES[variable](scn0, p), args.gamma_th_db) for p in grid]
+    points = [(p, scn, specfun.db_to_linear("gamma_th_db", th)) for p, scn, th in points]
     rows = {(args.metric, m): [_row(m, point, scn, out) for (point, scn, _), out
                                in zip(points, _evaluate(args.metric, m, points, args))]
             for m in methods}
@@ -379,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--metric", choices=METRICS, default="outage")
     ap.add_argument("--method", default="exact",
                     help="comma list from: " + ", ".join(METHODS))
-    ap.add_argument("--detection", choices=("imdd", "het", "heterodyne"))
+    ap.add_argument("--detection", choices=DETECTION_R)
     ap.add_argument("--hpa", choices=transponder.HPA_FAMILIES)
     ap.add_argument("--ibo-db", type=float, dest="ibo_db")
     ap.add_argument("--gamma-th-db", type=float, default=5.0, dest="gamma_th_db")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from optfeeder import analytics, cli, montecarlo, specfun
+from optfeeder import analytics, cli, fso_link, montecarlo, specfun, system
 
 
 CONFIG = """
@@ -224,6 +224,9 @@ _HET_BER = ["--metric", "ber", "--detection", "het"]
     ("", ["--gamma-th-db", "4000", "--method", "monte-carlo", "--samples", "2000"],
      "gamma_th_db"),
     ("[rf]\ngain_tx_dbi = 4000\n", [], "gain_tx_dbi"),
+    # the config is checked in full before a flag overrides any of it
+    ("[hpa]\nibo_db = 4000\n", ["--ibo-db", "10"], "ibo_db"),
+    ("[feeder]\ndetection = bogus\n", ["--detection", "het"], "detection 'bogus'"),
     # a fixed gain must leave kappa finite
     ("[system]\ngain_mode = fixed\nfixed_gain = inf\n", [], "fixed_gain"),
     ("[system]\ngain_mode = fixed\nfixed_gain = 1e-160\n", [], "relay_g = 1e-160"),
@@ -242,6 +245,7 @@ _HET_BER = ["--metric", "ber", "--detection", "het"]
         "shadowing_m_nan", "shadowing_b_nan", "omega_nan",
         "mu_r_db_overflow", "ibo_db_overflow", "config_ibo_db_overflow",
         "gamma_th_db_overflow_exact", "gamma_th_db_overflow_mc", "gain_tx_dbi_overflow",
+        "config_ibo_db_overflow_under_flag", "config_detection_under_flag",
         "fixed_gain_inf", "fixed_gain_1e-160", "fixed_gain_1e-200"])
 def test_malformed_config_exit_code(tmp_path, capsys, text, argv, named):
     bad = tmp_path / "malformed.ini"
@@ -355,6 +359,52 @@ def test_sweep_points_match_fresh_builds(tmp_path, variable):
             overrides = {variable: point}
         fresh = cli._scenario_from_config(cp, mu_r_db, overrides)
         assert row["scenario_fingerprint"] == fresh.fingerprint()
+
+
+# sweep variable -> its key in the config
+_CONFIG_KEYS = {"cn2": ("atmosphere", "cn2_ground"), "xi": ("pointing", "xi"),
+                "ibo_db": ("hpa", "ibo_db")}
+
+
+@pytest.mark.parametrize("variable", list(_CONFIG_KEYS))
+def test_sweep_points_match_config_builds(tmp_path, variable):
+    # the reference reads each point from the config, so it bypasses the
+    # clone table that the sweep and its overrides go through
+    grid = _SWEEPS[variable]
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(CONFIG + f"grid = {grid}\n")
+    out = tmp_path / "s"
+    assert _run(["--config", str(cfg), "--sweep", variable, "--metric", "moments",
+                 "--method", "exact", "--mu-r-db", "35", "--out", str(out)]) == 0
+    with open(out / "moments_exact.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(grid.split())
+    cp, _ = cli.load_config(str(cfg))
+    section, key = _CONFIG_KEYS[variable]
+    for point, row in zip(grid.split(), rows):
+        cp[section][key] = point
+        reference = cli._scenario_from_config(cp, 35.0, {})
+        assert row["scenario_fingerprint"] == reference.fingerprint()
+
+
+@pytest.mark.parametrize("variable,grid,pipelines", [
+    ("mu_r_db", "0 10 20 30 40 50", 1),
+    ("cn2", "2e-12 1e-12 2e-12 5e-13", 5),     # 1 + k: each point runs its own
+    ("gamma_th_db", "0 5 10", 1),
+])
+def test_sweep_builds_one_scenario(tmp_path, monkeypatch, variable, grid, pipelines):
+    # a run builds one scenario; its points are clones, and only a new
+    # atmosphere runs the turbulence pipeline again
+    calls = []
+    for module, name in ((system, "build_scenario"), (fso_link, "scintillation_params")):
+        monkeypatch.setattr(module, name, lambda *a, _f=getattr(module, name), _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(CONFIG + f"grid = {grid}\n")
+    assert _run(["--config", str(cfg), "--sweep", variable, "--metric", "outage",
+                 "--method", "asymptotic", "--out", str(tmp_path / "s")]) == 0
+    assert calls.count("build_scenario") == 1
+    assert calls.count("scintillation_params") == pipelines
 
 
 def test_cn2_sweep_rows_parse_back_to_the_grid(tmp_path):
