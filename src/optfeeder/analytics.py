@@ -3,9 +3,9 @@
 The distribution of the end-to-end SNDR admits an exact representation as a
 finite double sum of two-variable Meijer G terms; outage, average BER, and
 ergodic capacity all reduce to the same family with different t-side blocks
-and arguments.  An independent single-integral form (complementary user-link
-CDF against the feeder density) serves as the numerical oracle for the
-closed forms, and simple four-term expansions cover the high-SNR regime.
+and arguments.  An independent single integral (the feeder CDF averaged
+over the user-link SNR) serves as the numerical oracle for the closed
+forms, and simple four-term expansions cover the high-SNR regime.
 All of them read each link's law from one record built once per scenario:
 :class:`fso_link.FeederLaw` (``scn.feeder_law``; the expansion builds a
 perturbed one at a coincidence) and :class:`rf_link.UserLaw` (``scn.user_law``).
@@ -17,8 +17,9 @@ closed forms and the expansions share these per-j weights, which come from
 Only the s-side gamma Gamma(j - s) changes with j, and Gamma(j - s) =
 Gamma(-s) (-s)_j, so the evaluator integrates the whole weighted sum at once,
 with the Pochhammer polynomial sum_j w_j (-s)_j on the s-side.  The links are
-independent, so a moment is the feeder moment E[gamma_1^n] in closed form
-times one gamma_2 quadrature.  The expansions, which sum their terms one by
+independent and the SNDR is a(gamma_2) gamma_1, so one gamma_2 quadrature
+serves a moment, times E[gamma_1^n] in closed form, and the oracle, of the
+feeder CDF in closed form.  The expansions, which sum their terms one by
 one, use compensated summation because the term magnitudes span many orders.
 """
 
@@ -192,60 +193,43 @@ def sndr_pdf_exact(x: float, scn: ScenarioConfig) -> float:
     return max(pref * total, 0.0)
 
 
-def sndr_moments(order: int, scn: ScenarioConfig) -> float:
-    """n-th moment of the end-to-end SNDR: E[gamma_1^n] in closed form times one
-    quadrature in ln(gamma_2/gbar2) of a(gamma_2)^n, a(g) = sndr(1, g) < (|b|^2 kappa)^-1."""
-    n = check_moment_order(order)
-    g1_moment = fso_link.gamma1_moment(n, scn.feeder_law, scn.mu_r)
-
-    # in v = ln(gamma_2/gbar2) the density t f(t; 1) cannot overflow or go
-    # subnormal; past 2^60 C/kappa, sndr(1, gamma_2) = 1/(|b|^2 kappa) to double
-    # precision, so gamma_2 stops there and kappa gamma_2 stays finite
+def _gamma2_expectation(h, scn: ScenarioConfig, abs_tol: float) -> float:
+    """E[h(gamma_2)] of the vectorized h, to ``abs_tol`` absolute: one unit
+    Gauss panel per e-fold of v = ln(gamma_2/gbar2) on [-60, 6]."""
+    # in v the density t f(t; 1) cannot overflow or go subnormal; past
+    # 2^60 C/kappa, sndr(1, gamma_2) = 1/(|b|^2 kappa) to double precision, so
+    # gamma_2 stops there and kappa gamma_2 stays finite
     ln_gbar2 = math.log(scn.gamma_bar2)
     ln_g2_max = math.log(2.0 ** 60 * scn.noise_amp_c / scn.kappa)
 
     def integrand(v):
         t = np.exp(v)
         g2 = np.exp(np.minimum(v + ln_gbar2, ln_g2_max))
-        return (t * rf_link.gamma2_pdf(t, scn.user_law, 1.0)
-                * system.sndr(1.0, g2, scn) ** n)
+        return t * rf_link.gamma2_pdf(t, scn.user_law, 1.0) * h(g2)
 
     edges = np.arange(-60.0, 7.0)
-    tol = 1e-15 / (scn.b_row_norm_sq * scn.kappa) ** n / (len(edges) - 1)
-    return g1_moment * specfun.gauss_panels(integrand, edges, tol)
+    return specfun.gauss_panels(integrand, edges, abs_tol / (len(edges) - 1))
+
+
+def sndr_moments(order: int, scn: ScenarioConfig) -> float:
+    """n-th moment of the end-to-end SNDR: E[gamma_1^n] in closed form times
+    E[a(gamma_2)^n], a(g) = sndr(1, g) < (|b|^2 kappa)^-1."""
+    n = check_moment_order(order)
+    tol = 1e-15 / (scn.b_row_norm_sq * scn.kappa) ** n
+    return fso_link.gamma1_moment(n, scn.feeder_law, scn.mu_r) * _gamma2_expectation(
+        lambda g2: system.sndr(1.0, g2, scn) ** n, scn, tol)
 
 
 def sndr_cdf_oracle(x: float, scn: ScenarioConfig) -> float:
-    """Single-integral CDF, independent of the bivariate machinery.
-
-    F(x) = 1 - int_0^inf  ccdf_g2(C X / z) f_g1(kappa X + z) dz,  X = |b|^2 x,
-    integrated by :func:`specfun.gauss_panels` on 120 geometric panels that
-    bracket both links' scales, each to an absolute tolerance of
-    ``_ORACLE_ABS_TOL / 121``; each refinement level evaluates the densities
-    of all its panels in one batch.
-    """
+    """Single-integral CDF, independent of the bivariate machinery: F(x) =
+    E[F_g1(x / a(gamma_2))], a(g) = sndr(1, g), the feeder CDF
+    :func:`fso_link.gamma1_cdf` averaged to ``_ORACLE_ABS_TOL``.  Nothing is
+    subtracted, so a tail value keeps the relative accuracy of its integrand."""
     if not x > 0:     # NaN fails too
         raise ValueError(f"x must be positive, not {x}")
-    cap_x = scn.b_row_norm_sq * x
-    c_over_g2 = scn.noise_amp_c * cap_x / scn.gamma_bar2
-    shift = scn.kappa * cap_x
-
-    def integrand(z):
-        cc = rf_link.gamma2_ccdf(scn.noise_amp_c * cap_x / z, scn.user_law,
-                                 scn.gamma_bar2)
-        return cc * fso_link.gamma1_pdf(shift + z, scn.feeder_law, scn.mu_r)
-
-    # panel edges must bracket both active scales: the user-link transition
-    # (z ~ C X / gbar2) and the feeder density support (z ~ mu_r); the upper
-    # end stops where the feeder density tail has fallen below relevance
-    gamma1_cut = scn.mu_r * (1e4 / scn.feeder_law.scale) ** scn.detection_r
-    anchors = [c_over_g2, scn.mu_r, shift + scn.mu_r]
-    lo = min(anchors) * 1e-10
-    hi = max(gamma1_cut, 1e4 * c_over_g2)
-    edges = np.geomspace(max(lo, 1e-280), hi, 121)
-    tol = max(_ORACLE_ABS_TOL / len(edges), 1e-13)
-    integral = specfun.gauss_panels(integrand, edges, tol)
-    return min(max(1.0 - integral, 0.0), 1.0)
+    cdf = lambda g2: fso_link.gamma1_cdf(  # noqa: E731
+        x / system.sndr(1.0, g2, scn), scn.feeder_law, scn.mu_r)
+    return min(max(_gamma2_expectation(cdf, scn, _ORACLE_ABS_TOL), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

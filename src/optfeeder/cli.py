@@ -271,9 +271,10 @@ def run(args) -> int:
                  for key in ("detection", "hpa", "ibo_db") if (v := vars(args)[key]) is not None}
     args = argparse.Namespace(
         **vars(args), mod=analytics.modulation(args.modulation, args.mod_order))
-    scn0 = _scenario_from_config(cp, args.mu_r_db, overrides)
-
-    # every point is a clone of scn0; a gamma_th_db point moves only the threshold
+    # every point is a clone of scn0, built at the first point of a mu_r_db
+    # sweep; a gamma_th_db point moves only the threshold
+    scn0 = _scenario_from_config(cp, grid[0] if variable == "mu_r_db" else args.mu_r_db,
+                                 overrides)
     points = [(p, scn0, p) if variable == "gamma_th_db"
               else (p, CLONES[variable](scn0, p), args.gamma_th_db) for p in grid]
     points = [(p, scn, specfun.db_to_linear("gamma_th_db", th)) for p, scn, th in points]

@@ -19,8 +19,8 @@ from . import specfun
 
 BEAM_WANDER_SCALING = 2.0 * math.pi   # C_r in the pointing-variance bracket
 
-# Beyond this Meijer-G argument the transformed densities fall below
-# ~1e-300 (double underflow); the far tail is reported as exactly zero.
+# Beyond this Meijer-G argument the densities fall below ~1e-300 and the
+# CDF within 1e-15 of 1; the far tail reads exactly 0 and 1.
 _G_ARG_CUTOFF = 2.0e5
 
 
@@ -235,22 +235,35 @@ def gamma1_moment(order: float, law: FeederLaw, mu_r: float) -> float:
     return mu_r ** order / float(num / den)
 
 
-def gamma1_pdf(gamma1, law: FeederLaw, mu_r: float):
-    """Density of the feeder electrical SNR gamma_1."""
+def _feeder_g(gamma1, law: FeederLaw, mu_r: float, top, bottom, n: int, fill: float, finish):
+    """finish(gamma_1, K G^{3,n}(scale (gamma_1/mu_r)^(1/r) | top; bottom)) at positive
+    gamma1, K = xi^2/(Gamma(al) Gamma(be)); past _G_ARG_CUTOFF the G term reads ``fill``."""
     g = np.atleast_1d(np.asarray(gamma1, dtype=float))
     if not (np.all(g > 0) and mu_r > 0):     # NaN fails too
         raise ValueError("gamma1 and mu_r must be positive")
     arg = law.scale * (g / mu_r) ** (1.0 / law.r)
-    out = np.zeros_like(g)
+    out = np.full_like(g, fill)
     keep = arg <= _G_ARG_CUTOFF
     if np.any(keep):
-        vals, _, _ = specfun.meijer_g_many((law.xi2 + 1.0,), (law.xi2, law.alpha, law.beta),
-                                           3, 0, arg[keep])
-        # a batch is accurate relative to its largest value: far-tail noise
-        # below zero reads 0
-        out[keep] = np.maximum(
-            law.xi2 / (law.r * law.gamma_alpha * law.gamma_beta * g[keep]) * vals, 0.0)
+        vals, _, _ = specfun.meijer_g_many(top, bottom, 3, n, arg[keep])
+        out[keep] = law.xi2 / (law.gamma_alpha * law.gamma_beta) * vals
+    out = finish(g, out)
     return out if np.ndim(gamma1) else float(out[0])
+
+
+def gamma1_pdf(gamma1, law: FeederLaw, mu_r: float):
+    """Density of the feeder electrical SNR gamma_1.  A batch is accurate relative
+    to its largest value, so far-tail noise below zero reads 0."""
+    return _feeder_g(gamma1, law, mu_r, (law.xi2 + 1.0,), (law.xi2, law.alpha, law.beta), 0,
+                     0.0, lambda g, v: np.maximum(v / (law.r * g), 0.0))
+
+
+def gamma1_cdf(gamma1, law: FeederLaw, mu_r: float):
+    """CDF of the feeder electrical SNR gamma_1,
+    K G^{3,1}_{2,4}(scale (gamma_1/mu_r)^(1/r) | 1, xi^2+1; xi^2, al, be, 0)."""
+    return _feeder_g(gamma1, law, mu_r, (1.0, law.xi2 + 1.0),
+                     (law.xi2, law.alpha, law.beta, 0.0), 1, 1.0,
+                     lambda g, v: np.clip(v, 0.0, 1.0))
 
 
 def sample_gamma1(law: FeederLaw, mu_r: float, rng: np.random.Generator, n: int):

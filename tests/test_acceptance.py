@@ -12,11 +12,13 @@ fixed here and nowhere else.  Scenario regimes:
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from optfeeder import analytics, fso_link, montecarlo, rf_link, system, transponder
+from optfeeder import (analytics, cli, fso_link, montecarlo, rf_link, specfun, system,
+                       transponder)
 
 from conftest import (CALIBRATED_GAMMA_BAR2, DEEP_GAMMA_BAR2, HEAVY_SHADOWING,
                       LIGHT_SHADOWING, make_atmosphere, rng_for)
@@ -88,6 +90,66 @@ def test_criterion_3_oracle_chain(scenario_factory):
             assert est.covers(oracle)
         _report(f"criterion 3 [{detection}/{family}]",
                 f"max |exact - oracle| = {worst:.2e}")
+
+
+# Deep-tail rows of the lower-tail referee (scipy quad at epsrel 1e-11 of
+# the single integral; its 49.8 dB row matches a 30-digit mpmath value):
+# IM/DD unless marked, linear HPA, cn2 = 1e-13, xi = 1.93, m = 5, gbar2 = 8e11
+TAIL_REFEREE = {("imdd", 49.8): 7.656555e-9, ("imdd", 60.0): 1.061792e-10,
+                ("imdd", 70.0): 1.116323e-11, ("heterodyne", 60.0): 4.156780e-12}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_criterion_3_oracle_tail_rows(scenario_factory):
+    """Oracle vs the referee's seven digits to 1e-6 relative, 1e-8..1e-11."""
+    shadowing = rf_link.ShadowedRicianParams(m=5, b=0.158, omega=1.29)
+    for (detection, mu_r_db), ref in TAIL_REFEREE.items():
+        scn = scenario_factory(detection=detection, hpa_family="linear", ibo_db=None,
+                               shadowing=shadowing, mu_r_db=mu_r_db,
+                               gamma_bar2=8e11, cn2=1e-13, xi=1.93)
+        assert analytics.sndr_cdf_oracle(0.18, scn) == pytest.approx(ref, rel=1e-6)
+    _report("criterion 3: oracle tail rows", f"{len(TAIL_REFEREE)} rows to 1e-6 relative")
+
+
+def test_criterion_3_oracle_threshold_sweep():
+    """Oracle vs closed form to 1e-9 absolute along gamma_th_db, 0..80 dB,
+    on the default config at mu_r = 50 dB, up to outage 1."""
+    cp, _ = cli.load_config(None)
+    scn = cli._scenario_from_config(cp, 50.0, {})
+    for gth_db in np.arange(0.0, 85.0, 5.0):
+        x = specfun.db_to_linear("gamma_th_db", gth_db)
+        assert analytics.sndr_cdf_oracle(x, scn) == pytest.approx(
+            analytics.outage_exact(x, scn), abs=1e-9)
+    _report("criterion 3: oracle along gamma_th_db", "17 points to 1e-9")
+
+
+def test_criterion_3_oracle_cn2_grid():
+    """Oracle vs closed form to 1e-9 absolute over cn2 = 1e-15..3e-12, both
+    shipped configs, both detections, at mu_r = 50 dB and a 5 dB threshold."""
+    for config in sorted(CONFIGS.glob("*.ini")):
+        cp, _ = cli.load_config(str(config))
+        for detection in ("imdd", "heterodyne"):
+            base = cli._scenario_from_config(cp, 50.0, {"detection": detection})
+            for cn2 in (1e-15, 1e-14, 1e-13, 3e-13, 1e-12, 3e-12):
+                scn = cli.CLONES["cn2"](base, cn2)
+                assert analytics.sndr_cdf_oracle(GTH_5DB, scn) == pytest.approx(
+                    analytics.outage_exact(GTH_5DB, scn), abs=1e-9), (config.stem, cn2)
+    _report("criterion 3: oracle along cn2", "24 points to 1e-9")
+
+
+def test_criterion_3_oracle_is_independent(scenario_factory, monkeypatch):
+    """The oracle runs on neither the bivariate engine nor the two densities
+    of its earlier single integral."""
+    scn = scenario_factory(mu_r_db=30.0)
+    expected = analytics.sndr_cdf_oracle(GTH_5DB, scn)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called a closed-form evaluator")
+
+    monkeypatch.setattr(specfun, "meijer_g_bivariate_family", forbidden)
+    monkeypatch.setattr(fso_link, "gamma1_pdf", forbidden)
+    monkeypatch.setattr(rf_link, "gamma2_ccdf", forbidden)
+    assert analytics.sndr_cdf_oracle(GTH_5DB, scn) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -209,58 +209,17 @@ def test_cdf_exact_vs_oracle_quick(scn_imdd_twta, scn_het_lin):
             assert e == pytest.approx(o, abs=1e-7)
 
 
-def _oracle_per_panel(x, scn):
-    # the oracle with each panel recursing on its own, two density calls
-    # per visit
-    cap_x = scn.b_row_norm_sq * x
-    c_x = scn.noise_amp_c * cap_x
-    c_over_g2 = c_x / scn.gamma_bar2
-    shift = scn.kappa * cap_x
-    turb, point, r = scn.turbulence, scn.feeder.pointing, scn.detection_r
-
-    def integrand(z):
-        return (rf_link.gamma2_ccdf(c_x / z, scn.user_law, scn.gamma_bar2)
-                * fso_link.gamma1_pdf(shift + z, scn.feeder_law, scn.mu_r))
-
-    w_density = turb.alpha * turb.beta * point.xi ** 2 / (point.xi ** 2 + 1.0)
-    lo = min(c_over_g2, scn.mu_r, shift + scn.mu_r) * 1e-10
-    hi = max(scn.mu_r * (1e4 / w_density) ** r, 1e4 * c_over_g2)
-    edges = np.geomspace(max(lo, 1e-280), hi, 121)
-    nodes20, w20 = np.polynomial.legendre.leggauss(20)
-    nodes40, w40 = np.polynomial.legendre.leggauss(40)
-    visits = []
-
-    def panel(a, b, depth=0):
-        visits.append(depth)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        v20 = half * float(w20 @ integrand(mid + half * nodes20))
-        v40 = half * float(w40 @ integrand(mid + half * nodes40))
-        if abs(v40 - v20) <= max(1e-8 / len(edges), 1e-13) or depth >= 12:
-            return v40
-        return panel(a, mid, depth + 1) + panel(mid, b, depth + 1)
-
-    integral = math.fsum(panel(a, b) for a, b in zip(edges[:-1], edges[1:]))
-    return min(max(1.0 - integral, 0.0), 1.0), visits
-
-
-def test_oracle_level_batch_matches_per_panel_recursion(scenario_factory, monkeypatch):
-    # a user-link scale so large that the panel grid reaches its 1e-280
-    # floor: wide panels near the origin must split, several levels deep.
-    # The level batches visit the same panels and give the same value
-    scn = scenario_factory(mu_r_db=30.0, gamma_bar2=1e200)
-    ref, visits = _oracle_per_panel(10 ** 0.5, scn)
-    assert len(visits) > 120 and max(visits) >= 2
-    points = []
-    pdf = fso_link.gamma1_pdf
-
-    def counted(gamma1, *args):
-        points.append(np.size(gamma1))
-        return pdf(gamma1, *args)
-
-    monkeypatch.setattr(fso_link, "gamma1_pdf", counted)
-    got = analytics.sndr_cdf_oracle(10 ** 0.5, scn)
-    assert len(points) == max(visits) + 1 and sum(points) == 60 * len(visits)
-    assert got == pytest.approx(ref, abs=1e-13)
+def test_oracle_saturates_at_huge_gamma_bar2(scenario_factory):
+    # past gbar2 ~ 1e200 the user link no longer limits the SNDR, so
+    # a(gamma_2) = 1/(|b|^2 kappa) and the oracle is the feeder CDF at
+    # x |b|^2 kappa, as test_moments_saturate_at_huge_gamma_bar2 finds for
+    # the moments
+    scn = scenario_factory(mu_r_db=30.0)
+    x = 10 ** 0.5
+    limit = fso_link.gamma1_cdf(x * scn.b_row_norm_sq * scn.kappa, scn.feeder_law, scn.mu_r)
+    for gbar2 in (1e200, 1e300, 1e308):
+        assert analytics.sndr_cdf_oracle(x, scn.with_gamma_bar2(gbar2)) == pytest.approx(
+            limit, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")

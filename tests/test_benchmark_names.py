@@ -30,7 +30,8 @@ def test_traced_function_resolves(name):
 def test_traced_counters_read_the_work_done(scenario_factory, monkeypatch):
     # the counters read their work from arguments by position, so a moved
     # signature must fail here: the density's count is checked against a
-    # wrapper beneath the tracer that sees the points actually evaluated
+    # wrapper beneath the tracer that sees the points actually evaluated.
+    # No library path calls the density, so the test calls it on a batch
     from optfeeder import analytics, fso_link
     scn = scenario_factory(mu_r_db=30.0)
     points = []
@@ -43,7 +44,7 @@ def test_traced_counters_read_the_work_done(scenario_factory, monkeypatch):
     monkeypatch.setattr(fso_link, "gamma1_pdf", counted)
     recorder = tracing.Recorder()
     with recorder.installed(tracing.TRACED_FUNCTIONS):
-        analytics.sndr_cdf_oracle(2.0, scn)
+        fso_link.gamma1_pdf(scn.mu_r * np.geomspace(1e-3, 1e3, 40), scn.feeder_law, scn.mu_r)
         analytics.outage_exact(2.0, scn)
     stats = recorder.layer_stats()
     assert sum(points) > len(points)

@@ -217,7 +217,7 @@ _HET_BER = ["--metric", "ber", "--detection", "het"]
     ("[shadowing]\nb = nan\n", [], "b = nan"),
     ("[shadowing]\nomega = nan\n", [], "omega = nan"),
     # a dB input whose linear value overflows names the input
-    ("", ["--mu-r-db", "4000"], "mu_r_db"),
+    ("", ["--sweep", "gamma_th_db", "--mu-r-db", "4000"], "mu_r_db"),
     ("", ["--ibo-db", "4000"], "ibo_db"),
     ("[hpa]\nibo_db = 4000\n", [], "ibo_db"),
     ("", ["--gamma-th-db", "4000"], "gamma_th_db"),
@@ -405,6 +405,18 @@ def test_sweep_builds_one_scenario(tmp_path, monkeypatch, variable, grid, pipeli
                  "--method", "asymptotic", "--out", str(tmp_path / "s")]) == 0
     assert calls.count("build_scenario") == 1
     assert calls.count("scintillation_params") == pipelines
+
+
+def test_mu_r_sweep_ignores_the_mu_r_flag(tmp_path):
+    # a mu_r_db sweep builds its scenario at its own first point, so the
+    # flag's value, here one whose linear value overflows, reaches neither
+    # the points nor the manifest
+    out = tmp_path / "s"
+    assert _run(["--sweep", "mu_r_db", "--mu-r-db", "4000", "--metric", "outage",
+                 "--method", "asymptotic", "--out", str(out)]) == 0
+    with open(out / "manifest.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["scenario"]["mu_r"] == 1.0     # the default grid starts at 0 dB
 
 
 def test_cn2_sweep_rows_parse_back_to_the_grid(tmp_path):

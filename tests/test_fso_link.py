@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad, simpson
 from scipy.stats import ks_1samp
 
-from optfeeder import fso_link
+from optfeeder import fso_link, specfun
 
 from conftest import make_atmosphere, rng_for
 from oracles import scintillation_index
@@ -322,6 +322,52 @@ def test_gamma1_sampler_against_pdf(turb):
     # Dvoretzky-Kiefer-Wolfowitz band at significance 0.01
     bound = math.sqrt(math.log(2 / 0.01) / (2 * n))
     assert np.max(np.abs(np.array(cdf_vals) - ecdf)) < bound
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_gamma1_cdf_against_pdf_integral(turb, r):
+    # in u = ln(gamma_1/mu_r) the mass below e^-60 mu_r is about
+    # e^(-60 xi^2/r) < 1e-15, so unit panels from -60 hold the whole CDF
+    law = _law(r, turb, fso_link.PointingConfig(xi=1.1))
+    mu_r = 250.0
+    density = lambda u: mu_r * np.exp(u) * fso_link.gamma1_pdf(mu_r * np.exp(u), law, mu_r)  # noqa: E731
+    for y in mu_r * np.geomspace(1e-3, 30.0, 7):
+        u_top = math.log(y / mu_r)
+        edges = np.append(np.arange(-60.0, u_top), u_top)
+        ref = specfun.gauss_panels(density, edges, 1e-12)
+        assert fso_link.gamma1_cdf(y, law, mu_r) == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_gamma1_cdf_against_sampler(turb, r):
+    law = _law(r, turb, fso_link.PointingConfig(xi=1.1))
+    mu_r = 100.0
+    n = 200_000
+    draws = np.sort(fso_link.sample_gamma1(law, mu_r, rng_for(27 + r), n))
+    qs = np.quantile(draws, [0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+    cdf = fso_link.gamma1_cdf(qs, law, mu_r)
+    ecdf = np.searchsorted(draws, qs, side="right") / n
+    assert np.all(np.abs(cdf - ecdf) <= 3.0 * np.sqrt(cdf * (1.0 - cdf) / n))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_gamma1_cdf_at_the_cutoff(turb, r):
+    # past the G argument where the density is cut to 0, the CDF reads
+    # exactly 1; just below it, it is already 1 to double precision
+    law = _law(r, turb, fso_link.PointingConfig(xi=1.1))
+    mu_r = 100.0
+    edge = mu_r * (fso_link._G_ARG_CUTOFF / law.scale) ** r
+    assert fso_link.gamma1_cdf(edge * 1.001, law, mu_r) == 1.0
+    assert fso_link.gamma1_cdf([edge * 2.0, edge * 1e10], law, mu_r).tolist() == [1.0, 1.0]
+    assert fso_link.gamma1_cdf(edge * 0.999, law, mu_r) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, [1.0, 0.0], [1.0, math.nan]])
+def test_gamma1_cdf_rejects_non_positive_points(turb, bad):
+    law = _law(2, turb, fso_link.PointingConfig(1.1))
+    for fn in (fso_link.gamma1_pdf, fso_link.gamma1_cdf):
+        with pytest.raises(ValueError, match="gamma1 and mu_r must be positive"):
+            fn(bad, law, 100.0)
 
 
 def test_feeder_config_validation(turb):

@@ -4,7 +4,7 @@
     PYTHONPATH=src python3 tools/output_digest.py OUT_DIR --against LISTING
     python3 tools/output_digest.py --values OLD_DIR NEW_DIR
 
-Runs eighteen sweeps over each config in ``configs/`` in-process through
+Runs nineteen sweeps over each config in ``configs/`` in-process through
 ``optfeeder.cli.main``, then four along ``cn2`` and four along ``xi``, each
 into its own subdirectory of OUT_DIR, and prints one line per output file:
 run name, exit code, file name, SHA-256.  The ``cn2`` and ``xi`` grids reach
@@ -72,6 +72,8 @@ RUNS = {
     # back-off, which a mu_r sweep leaves at the run's value
     "gamma_th_exact": ["--sweep", "gamma_th_db", "--metric", "outage",
                        "--method", "exact"],
+    "gamma_th_oracle": ["--sweep", "gamma_th_db", "--metric", "outage",
+                        "--method", "oracle"],
     "gamma_th_mc": ["--sweep", "gamma_th_db", "--metric", "outage"] + MC,
     "ibo_exact": ["--sweep", "ibo_db", "--metric", "outage", "--method", "exact"],
     "ibo_sspa_exact_mc": ["--sweep", "ibo_db", "--metric", "outage", "--hpa", "sspa",
