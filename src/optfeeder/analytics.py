@@ -1,14 +1,14 @@
-"""Closed-form and asymptotic performance metrics of the forward link.
+"""Closed-form, oracle and asymptotic performance metrics of the forward link.
 
-The distribution of the end-to-end SNDR admits an exact representation as a
-finite double sum of two-variable Meijer G terms; outage, average BER, and
-ergodic capacity all reduce to the same family with different t-side blocks
-and arguments.  An independent single integral (the feeder CDF averaged
-over the user-link SNR) serves as the numerical oracle for the closed
-forms, and simple four-term expansions cover the high-SNR regime.
-All of them read each link's law from one record built once per scenario:
-:class:`fso_link.FeederLaw` (``scn.feeder_law``; the expansion builds a
-perturbed one at a coincidence) and :class:`rf_link.UserLaw` (``scn.user_law``).
+Outage, average BER and ergodic capacity are each a weighted sum of E[h] for
+one Meijer-G kernel h of the end-to-end SNDR, whose row in ``KERNELS`` every
+method reads: the exact finite double sum of two-variable Meijer G terms (the
+row's t-block), an independent single integral (the feeder expectation
+averaged over the user-link SNR) as the oracle, and four-term expansions for
+the high-SNR regime.  All of them read each link's law from one record built
+once per scenario: :class:`fso_link.FeederLaw` (``scn.feeder_law``; the
+expansion builds a perturbed one at a coincidence) and :class:`rf_link.UserLaw`
+(``scn.user_law``).
 
 Sum handling: for integer severity m the k-sum weights are binomial and
 positive, so the (k, j) double sum is regrouped as one weight per j.  The
@@ -18,9 +18,9 @@ Only the s-side gamma Gamma(j - s) changes with j, and Gamma(j - s) =
 Gamma(-s) (-s)_j, so the evaluator integrates the whole weighted sum at once,
 with the Pochhammer polynomial sum_j w_j (-s)_j on the s-side.  The links are
 independent and the SNDR is a(gamma_2) gamma_1, so one gamma_2 quadrature
-serves a moment, times E[gamma_1^n] in closed form, and the oracle, of the
-feeder CDF in closed form.  The expansions, which sum their terms one by
-one, use compensated summation because the term magnitudes span many orders.
+serves a moment, times E[gamma_1^n] in closed form, and each oracle, of the
+feeder expectation in closed form.  The expansions, which sum their terms one
+by one, use compensated summation because the term magnitudes span many orders.
 """
 
 from __future__ import annotations
@@ -40,10 +40,20 @@ _ORACLE_ABS_TOL = 1e-8  # oracle integral, absolute
 EPS_PERTURB = 1e-6      # joint parameter shift of the expansion at a coincidence
 
 
-# p of the unified conditional BER delta/(2 Gamma(p)) sum_u Gamma(p, q_u gamma)
-# for every modulation in the table: Gamma(1/2, q gamma) / Gamma(1/2) =
-# erfc(sqrt(q gamma)), the conditional BER the Monte Carlo path averages
+# p of the conditional BER delta/(2 Gamma(p)) sum_u Gamma(p, q_u gamma), Gamma(p, u) =
+# G^{2,0}_{1,2}(u | 1; p, 0): Gamma(1/2, q gamma)/Gamma(1/2) = erfc(sqrt(q gamma)), which
+# the Monte Carlo path averages.  The capacity is E[ln(1 + tau gamma)]/ln 2, ln(1 + u) =
+# G^{1,2}_{2,2}(u | 1, 1; 1, 0).  Both approach h(0+) only algebraically, so they read it
+# 10x further out (at 2e5, 1.1e-12 from no cutoff on the heterodyne 16-QAM BER oracle)
 BER_P = 0.5
+KERNELS = {
+    "outage": fso_link.STEP_KERNEL,
+    "density": fso_link.DELTA_KERNEL,
+    "ber": fso_link.Kernel(((1.0,), (BER_P, 0.0), 2, 0), specfun.gamma(BER_P), 1.0,
+                           ((), (BER_P,), 0.0), lambda th: specfun.gamma(BER_P + th), cutoff=2e6),
+    "capacity": fso_link.Kernel(((1.0, 1.0), (1.0, 0.0), 1, 2), 0.0, -1.0, ((1.0,), (1.0,), 0.0),
+                                lambda th: math.pi / math.sin(math.pi * th), cutoff=2e6),
+}
 
 
 @dataclass(frozen=True)
@@ -136,33 +146,28 @@ def _x2_base(scn: ScenarioConfig) -> float:
             / (law.abx ** law.r * scn.kappa * scn.b_row_norm_sq))
 
 
-def _family_total(scn: ScenarioConfig, x2: float, rel_tol: float,
-                  out_scale: float, top: tuple[float, ...] = (),
-                  bottom: tuple[float, ...] = (),
-                  last: float = 0.0) -> tuple[float, float]:
-    """Weighted sum of the shared-kernel G terms of one metric.
-
-    The t-block is the metric's own upper parameters ``top`` (numerator
-    gammas), lower parameters ``bottom`` (right poles) and final reciprocal
-    parameter ``last``, around the duplication-split feeder gammas.
-    ``out_scale`` is the prefactor the caller will multiply the total by;
-    the absolute convergence floor is set so the assembled metric carries
-    roughly ``rel_tol`` absolute error even when the total underflows.
-    """
-    law = scn.feeder_law
+def _expectation_exact(kernel: fso_link.Kernel, scn: ScenarioConfig, pref: float, x2s,
+                       rel_tol: float = _REL_TOL, ceiling: float | None = None) -> float:
+    """Closed form of a weighted sum of E[h], unclamped: ceiling - sign pref
+    sum_u T(x2_u), T the shared-kernel family of the row's t-block around the
+    duplication-split feeder gammas.  ``pref`` is the weight times
+    :func:`_prefactor`, ``ceiling`` the weighted sum of h(0+) (h0 by default);
+    the absolute floor keeps the metric's error near ``rel_tol`` when T underflows."""
+    law, (top, bottom, last) = scn.feeder_law, kernel.t_block
     t_block = specfun.GBlock(a=top + law.t_upper, b=bottom + law.t_lower + (last,),
                              m=len(bottom), n=len(top) + len(law.t_upper))
-    abs_tol = 0.5 * rel_tol / max(out_scale, 1e-300)
-    x1 = _x1(scn)
-    try:
-        total, err, _ = specfun.meijer_g_bivariate_family(
-            scn.user_law.weights, t_block, x1, x2,
-            rel_tol=rel_tol, abs_tol=abs_tol)
-    except (specfun.ConvergenceError, specfun.PoleCollisionError) as exc:
-        raise type(exc)(
-            f"{exc} (scenario {scn.fingerprint()}, shared-kernel family of "
-            f"{scn.user_law.m} terms, x1={x1:.6g}, x2={x2:.6g})") from exc
-    return total, err
+    abs_tol = 0.5 * rel_tol / max(pref, 1e-300)
+    x1, acc = _x1(scn), []
+    for x2 in x2s:
+        try:
+            total, _, _ = specfun.meijer_g_bivariate_family(
+                scn.user_law.weights, t_block, x1, x2, rel_tol=rel_tol, abs_tol=abs_tol)
+        except (specfun.ConvergenceError, specfun.PoleCollisionError) as exc:
+            raise type(exc)(
+                f"{exc} (scenario {scn.fingerprint()}, shared-kernel family of "
+                f"{scn.user_law.m} terms, x1={x1:.6g}, x2={x2:.6g})") from exc
+        acc.append(total)
+    return (kernel.h0 if ceiling is None else ceiling) - kernel.sign * pref * math.fsum(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +178,7 @@ def sndr_cdf_exact(x: float, scn: ScenarioConfig) -> float:
     """CDF of the end-to-end SNDR from the bivariate closed form."""
     if not x > 0:     # NaN fails too
         raise ValueError(f"x must be positive, not {x}")
-    pref = _prefactor(scn)
-    total, err = _family_total(scn, _x2_base(scn) / x, _REL_TOL, out_scale=pref)
-    raw = 1.0 - pref * total
+    raw = _expectation_exact(KERNELS["outage"], scn, _prefactor(scn), (_x2_base(scn) / x,))
     clamped = min(max(raw, 0.0), 1.0)
     if abs(raw - clamped) > 1e-6:
         raise specfun.ConvergenceError(
@@ -187,10 +190,8 @@ def sndr_pdf_exact(x: float, scn: ScenarioConfig) -> float:
     """Density of the end-to-end SNDR (derivative of the closed-form CDF)."""
     if not x > 0:     # NaN fails too
         raise ValueError(f"x must be positive, not {x}")
-    pref = _prefactor(scn) / x
-    total, _ = _family_total(scn, _x2_base(scn) / x, _PDF_REL_TOL,
-                             out_scale=pref, last=1.0)
-    return max(pref * total, 0.0)
+    return max(_expectation_exact(KERNELS["density"], scn, _prefactor(scn) / x,
+                                  (_x2_base(scn) / x,), _PDF_REL_TOL), 0.0)
 
 
 def _gamma2_expectation(h, scn: ScenarioConfig, abs_tol: float) -> float:
@@ -220,16 +221,26 @@ def sndr_moments(order: int, scn: ScenarioConfig) -> float:
         lambda g2: system.sndr(1.0, g2, scn) ** n, scn, tol)
 
 
+def _expectation_oracle(kernel: fso_link.Kernel, scn: ScenarioConfig, scales,
+                        weight: float, ceiling: float) -> float:
+    """Single integral of a weighted sum of E[h], clamped to [0, ceiling]: weight
+    sum_u E[feeder_expectation(scales[u] / a(gamma_2))], a(g) = sndr(1, g), to
+    ``_ORACLE_ABS_TOL``.  It subtracts nothing and calls no bivariate engine."""
+    def inner(g2):
+        a = system.sndr(1.0, g2, scn)
+        with np.errstate(divide="ignore", over="ignore"):     # a = 0: y = inf reads h0
+            ys = [c / a for c in scales]
+        return sum(fso_link.feeder_expectation(kernel, scn.feeder_law, scn.mu_r, y) for y in ys)
+
+    value = weight * _gamma2_expectation(inner, scn, _ORACLE_ABS_TOL / weight)
+    return min(max(value, 0.0), ceiling)
+
+
 def sndr_cdf_oracle(x: float, scn: ScenarioConfig) -> float:
-    """Single-integral CDF, independent of the bivariate machinery: F(x) =
-    E[F_g1(x / a(gamma_2))], a(g) = sndr(1, g), the feeder CDF
-    :func:`fso_link.gamma1_cdf` averaged to ``_ORACLE_ABS_TOL``.  Nothing is
-    subtracted, so a tail value keeps the relative accuracy of its integrand."""
+    """Single-integral CDF: F(x) = E[F_g1(x / a(gamma_2))], the step row."""
     if not x > 0:     # NaN fails too
         raise ValueError(f"x must be positive, not {x}")
-    cdf = lambda g2: fso_link.gamma1_cdf(  # noqa: E731
-        x / system.sndr(1.0, g2, scn), scn.feeder_law, scn.mu_r)
-    return min(max(_gamma2_expectation(cdf, scn, _ORACLE_ABS_TOL), 0.0), 1.0)
+    return _expectation_oracle(KERNELS["outage"], scn, (x,), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +255,9 @@ def outage_exact(gamma_th: float, scn: ScenarioConfig) -> float:
 def ber_exact(mod: ModulationSpec, scn: ScenarioConfig) -> float:
     """Average BER of the served user for one Gray-coded modulation."""
     check_detection(mod, scn)
-    x2b = _x2_base(scn)
-    pref = (mod.delta / (2.0 * specfun.gamma(BER_P))) * _prefactor(scn)
-    acc = []
-    for q_u in mod.q_values:
-        total, _ = _family_total(scn, q_u * x2b, _REL_TOL, out_scale=pref,
-                                 bottom=(BER_P,))
-        acc.append(total)
-    value = mod.ber_ceiling - pref * math.fsum(acc)
+    kernel, x2b = KERNELS["ber"], _x2_base(scn)
+    value = _expectation_exact(kernel, scn, mod.delta / (2.0 * kernel.h0) * _prefactor(scn),
+                               [q_u * x2b for q_u in mod.q_values], ceiling=mod.ber_ceiling)
     if not (-1e-6 <= value <= mod.ber_ceiling + 1e-6):
         raise specfun.ConvergenceError(f"BER {value} escapes [0, delta n/2]")
     return min(max(value, 0.0), mod.ber_ceiling)
@@ -263,13 +269,24 @@ def capacity_exact(scn: ScenarioConfig) -> float:
     Exact under heterodyne detection; a lower bound under IM/DD (the
     expectation E[log2(1 + tau gamma)] with tau = e/(2 pi)).
     """
-    pref = _prefactor(scn) / math.log(2.0)
-    total, _ = _family_total(scn, capacity_tau(scn) * _x2_base(scn), _REL_TOL,
-                             out_scale=pref, top=(1.0,), bottom=(1.0,))
-    value = pref * total
+    value = _expectation_exact(KERNELS["capacity"], scn, _prefactor(scn) / math.log(2.0),
+                               (capacity_tau(scn) * _x2_base(scn),))
     if value < -1e-9:
         raise specfun.ConvergenceError(f"negative capacity {value}")
     return max(value, 0.0)
+
+
+def ber_oracle(mod: ModulationSpec, scn: ScenarioConfig) -> float:
+    """Average BER as a single integral, y_u = 1/(q_u a(gamma_2))."""
+    check_detection(mod, scn)
+    return _expectation_oracle(KERNELS["ber"], scn, [1.0 / q_u for q_u in mod.q_values],
+                               mod.delta / (2.0 * KERNELS["ber"].h0), mod.ber_ceiling)
+
+
+def capacity_oracle(scn: ScenarioConfig) -> float:
+    """Ergodic capacity as a single integral, y = 1/(tau a(gamma_2))."""
+    return _expectation_oracle(KERNELS["capacity"], scn, (1.0 / capacity_tau(scn),),
+                               1.0 / math.log(2.0), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +304,8 @@ def _asymptotic_sum(scn: ScenarioConfig, exponent_weight) -> float:
     """Common core of the high-SNR expansions.
 
     ``exponent_weight(theta)`` supplies the factor multiplying each term
-    beyond (1/mu_r)^theta: outage uses gamma_th^theta, the average BER uses
-    Gamma(p + theta) sum_u q_u^(-theta) * delta/(2 Gamma(p)).
+    beyond (1/mu_r)^theta, the row's theta M_h(theta) times gamma_th^theta for
+    outage, times sum_u q_u^(-theta) delta/(2 Gamma(p)) for the average BER.
 
     Integer coincidences among (xi^2, alpha, beta, r j) degenerate the
     expansion's residues (the true limits carry logarithmic corrections the
@@ -353,7 +370,7 @@ def outage_asymptotic(gamma_th: float, scn: ScenarioConfig) -> float:
     """
     if not gamma_th > 0:     # NaN fails too
         raise ValueError(f"threshold gamma_th must be positive, not {gamma_th}")
-    return 1.0 - _asymptotic_sum(scn, lambda th: gamma_th ** th)
+    return 1.0 - _asymptotic_sum(scn, lambda t: KERNELS["outage"].theta_mellin(t) * gamma_th ** t)
 
 
 def ber_asymptotic(mod: ModulationSpec, scn: ScenarioConfig) -> float:
@@ -362,7 +379,7 @@ def ber_asymptotic(mod: ModulationSpec, scn: ScenarioConfig) -> float:
 
     def weight(theta):
         qsum = math.fsum(q ** (-theta) for q in mod.q_values)
-        return specfun.gamma(BER_P + theta) * qsum * mod.delta / (2.0 * specfun.gamma(BER_P))
+        return KERNELS["ber"].theta_mellin(theta) * qsum * mod.delta / (2.0 * KERNELS["ber"].h0)
 
     return mod.ber_ceiling - _asymptotic_sum(scn, weight)
 

@@ -214,9 +214,11 @@ EVALUATORS = {
         lambda scns, ths, a: montecarlo.empirical_outage(_sim(scns, a), ths),
     ("ber", "exact"): lambda scn, th, a: analytics.ber_exact(a.mod, scn),
     ("ber", "asymptotic"): lambda scn, th, a: analytics.ber_asymptotic(a.mod, scn),
+    ("ber", "oracle"): lambda scn, th, a: analytics.ber_oracle(a.mod, scn),
     ("ber", "monte-carlo"):
         lambda scns, ths, a: montecarlo.empirical_ber(_sim(scns, a), a.mod),
     ("capacity", "exact"): lambda scn, th, a: analytics.capacity_exact(scn),
+    ("capacity", "oracle"): lambda scn, th, a: analytics.capacity_oracle(scn),
     ("capacity", "monte-carlo"):
         lambda scns, ths, a: montecarlo.empirical_capacity(_sim(scns, a)),
     ("moments", "exact"): lambda scn, th, a: analytics.sndr_moments(a.order, scn),

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +21,8 @@ from . import specfun
 
 BEAM_WANDER_SCALING = 2.0 * math.pi   # C_r in the pointing-variance bracket
 
-# Beyond this Meijer-G argument the densities fall below ~1e-300 and the
-# CDF within 1e-15 of 1; the far tail reads exactly 0 and 1.
+# Beyond this argument scale (y/mu_r)^(1/r) the density falls below ~1e-300
+# and the CDF within 1e-15 of 1; the far tail reads exactly 0 and 1.
 _G_ARG_CUTOFF = 2.0e5
 
 
@@ -235,35 +237,61 @@ def gamma1_moment(order: float, law: FeederLaw, mu_r: float) -> float:
     return mu_r ** order / float(num / den)
 
 
-def _feeder_g(gamma1, law: FeederLaw, mu_r: float, top, bottom, n: int, fill: float, finish):
-    """finish(gamma_1, K G^{3,n}(scale (gamma_1/mu_r)^(1/r) | top; bottom)) at positive
-    gamma1, K = xi^2/(Gamma(al) Gamma(be)); past _G_ARG_CUTOFF the G term reads ``fill``."""
-    g = np.atleast_1d(np.asarray(gamma1, dtype=float))
+class Kernel(NamedTuple):
+    """A metric's kernel h(u) = G^{m,n}_{p,q}(u | a; b), g = (a, b, m, n), falling from
+    h0 = h(0+) or rising from h0 = 0.  Its Mellin transform M_h(s) = sign T(-s)
+    Gamma(s)/Gamma(1+s), with the closed form's t_block (top, bottom, last) in
+    T(t) = prod Gamma(1-top+t) prod Gamma(bottom-t) Gamma(1+t)/Gamma(1-last+t)."""
+    g: tuple
+    h0: float
+    sign: float
+    t_block: tuple
+    theta_mellin: Callable[[float], float]     # theta M_h(theta), the expansion's weight
+    mellin_degree: int | None = None           # k if M_h(s) = s^-k
+    cutoff: float = _G_ARG_CUTOFF              # past scale (y/mu_r)^(1/r) = cutoff, read h0
+
+
+# the CDF, 1{u < 1} = G^{1,0}_{1,1}(u | 1; 0), and the density, delta(u - 1)
+STEP_KERNEL = Kernel(((1.0,), (0.0,), 1, 0), 1.0, 1.0, ((), (), 0.0), lambda th: 1.0, 1)
+DELTA_KERNEL = Kernel(((), (), 0, 0), 0.0, -1.0, ((), (), 1.0), lambda th: th, 0)
+
+
+def feeder_expectation(kernel: Kernel, law: FeederLaw, mu_r: float, y):
+    """E[h(gamma_1/y)] at positive y by Mellin-Parseval: one Meijer G in the
+    kernel's gammas and those of E[gamma_1^-s], split by r unless M_h = s^-k.
+    Values are accurate relative to their batch's largest, so clipped to h's range."""
+    g = np.atleast_1d(np.asarray(y, dtype=float))
     if not (np.all(g > 0) and mu_r > 0):     # NaN fails too
         raise ValueError("gamma1 and mu_r must be positive")
     arg = law.scale * (g / mu_r) ** (1.0 / law.r)
-    out = np.full_like(g, fill)
-    keep = arg <= _G_ARG_CUTOFF
+    out = np.full_like(g, kernel.h0)
+    keep = arg <= kernel.cutoff
     if np.any(keep):
-        vals, _, _ = specfun.meijer_g_many(top, bottom, 3, n, arg[keep])
-        out[keep] = law.xi2 / (law.gamma_alpha * law.gamma_beta) * vals
-    out = finish(g, out)
-    return out if np.ndim(gamma1) else float(out[0])
+        k = kernel.mellin_degree
+        r = law.r if k is None else 1    # the order the feeder gammas are split by
+        right = ((law.xi2 / r,) + specfun.duplication_split(r, law.alpha)
+                 + specfun.duplication_split(r, law.beta))
+        const = (law.xi2 / r * (2.0 * math.pi) ** (1 - r) * r ** (law.alpha + law.beta - 1.0)
+                 / (law.gamma_alpha * law.gamma_beta) * law.r ** (0 if k is None else k - 1))
+        a, b, m, n = kernel.g
+        top = tuple(1.0 - v for v in b[:m]) + (right[0] + 1.0,) + tuple(1.0 - v for v in b[m:])
+        vals, _, _ = specfun.meijer_g_many(top, right + tuple(1.0 - v for v in a),
+                                           len(right) + n, m, arg[keep] ** r / r ** (2 * r))
+        out[keep] = const * vals
+    out = np.clip(out, 0.0, kernel.h0 or math.inf)
+    return out if np.ndim(y) else float(out[0])
 
 
 def gamma1_pdf(gamma1, law: FeederLaw, mu_r: float):
-    """Density of the feeder electrical SNR gamma_1.  A batch is accurate relative
-    to its largest value, so far-tail noise below zero reads 0."""
-    return _feeder_g(gamma1, law, mu_r, (law.xi2 + 1.0,), (law.xi2, law.alpha, law.beta), 0,
-                     0.0, lambda g, v: np.maximum(v / (law.r * g), 0.0))
+    """Density of the feeder electrical SNR gamma_1: the delta row, y f(y), over y."""
+    v = feeder_expectation(DELTA_KERNEL, law, mu_r, gamma1)
+    return v / np.asarray(gamma1, dtype=float) if np.ndim(gamma1) else float(v / gamma1)
 
 
 def gamma1_cdf(gamma1, law: FeederLaw, mu_r: float):
-    """CDF of the feeder electrical SNR gamma_1,
+    """CDF of the feeder electrical SNR gamma_1, the step row:
     K G^{3,1}_{2,4}(scale (gamma_1/mu_r)^(1/r) | 1, xi^2+1; xi^2, al, be, 0)."""
-    return _feeder_g(gamma1, law, mu_r, (1.0, law.xi2 + 1.0),
-                     (law.xi2, law.alpha, law.beta, 0.0), 1, 1.0,
-                     lambda g, v: np.clip(v, 0.0, 1.0))
+    return feeder_expectation(STEP_KERNEL, law, mu_r, gamma1)
 
 
 def sample_gamma1(law: FeederLaw, mu_r: float, rng: np.random.Generator, n: int):

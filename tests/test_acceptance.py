@@ -138,18 +138,24 @@ def test_criterion_3_oracle_cn2_grid():
 
 
 def test_criterion_3_oracle_is_independent(scenario_factory, monkeypatch):
-    """The oracle runs on neither the bivariate engine nor the two densities
-    of its earlier single integral."""
+    """Each oracle (outage, BER, capacity) runs on none of the bivariate
+    engine, the expansion's special functions and the two densities of the
+    outage oracle's earlier single integral."""
     scn = scenario_factory(mu_r_db=30.0)
-    expected = analytics.sndr_cdf_oracle(GTH_5DB, scn)
+    oracles = (lambda: analytics.sndr_cdf_oracle(GTH_5DB, scn),
+               lambda: analytics.ber_oracle(analytics.modulation("ook"), scn),
+               lambda: analytics.capacity_oracle(scn))
+    expected = [oracle() for oracle in oracles]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called a closed-form evaluator")
 
     monkeypatch.setattr(specfun, "meijer_g_bivariate_family", forbidden)
+    monkeypatch.setattr(specfun, "tricomi_u", forbidden)
+    monkeypatch.setattr(specfun, "meijer_g_2_1_1_2", forbidden)
     monkeypatch.setattr(fso_link, "gamma1_pdf", forbidden)
     monkeypatch.setattr(rf_link, "gamma2_ccdf", forbidden)
-    assert analytics.sndr_cdf_oracle(GTH_5DB, scn) == expected
+    assert [oracle() for oracle in oracles] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 moment consistency, asymptotic behavior, and the modulation table."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -556,6 +557,132 @@ def test_ber_asymptotic_tracks_exact_at_high_snr(scenario_factory):
     exact = analytics.ber_exact(mod, scn)
     asym = analytics.ber_asymptotic(mod, scn)
     assert asym == pytest.approx(exact, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# metric kernels and the BER and capacity oracles
+# ---------------------------------------------------------------------------
+
+def _mellin(row, s):
+    """M_h(s) of the row's G parameters, in mpmath."""
+    import mpmath
+    a, b, m, n = row.g
+    num = mpmath.fprod([mpmath.gamma(bj + s) for bj in b[:m]]
+                       + [mpmath.gamma(1 - aj - s) for aj in a[:n]])
+    den = mpmath.fprod([mpmath.gamma(1 - bj - s) for bj in b[m:]]
+                       + [mpmath.gamma(aj + s) for aj in a[n:]])
+    return num / den
+
+
+def _t_gammas(row, t):
+    """The row's t-block gammas relative to the CDF's, in mpmath."""
+    import mpmath
+    top, bottom, last = row.t_block
+    return (mpmath.fprod([mpmath.gamma(1 - at + t) for at in top]
+                         + [mpmath.gamma(bt - t) for bt in bottom])
+            * mpmath.gamma(1 + t) * mpmath.rgamma(1 - last + t))
+
+
+@pytest.mark.parametrize("name", list(analytics.KERNELS))
+def test_kernel_rows_are_self_consistent(name):
+    # each row's t-block, expansion weight and h(0+) against its own G
+    # parameters, and those against the kernel it stands for, in mpmath: a
+    # wrong row cannot pass by agreeing with itself across methods
+    import mpmath
+    row = analytics.KERNELS[name]
+    # the kernel each row stands for, and a real s in its Mellin strip
+    physical = {"outage": (lambda u: 1.0 if u < 1 else 0.0, 0.6),
+                "ber": (lambda u: mpmath.gammainc(analytics.BER_P, u), 0.6),
+                "capacity": (mpmath.log1p, -0.4)}
+    for s in (0.37 + 0.81j, -0.42 - 1.3j, 1.63 + 0.2j):
+        want = _mellin(row, s)
+        got = row.sign * _t_gammas(row, -s) * mpmath.gamma(s) / mpmath.gamma(1 + s)
+        assert abs(got - want) <= 1e-12 * abs(want), (name, s)
+    for theta in (0.3, 1.45, 2.7):
+        assert row.theta_mellin(theta) == pytest.approx(
+            float(theta * _mellin(row, theta)), rel=1e-12), (name, theta)
+    a, b, m, n = row.g
+    g = lambda u: mpmath.meijerg([a[:n], a[n:]], [b[:m], b[m:]], u)  # noqa: E731
+    assert row.h0 == pytest.approx(float(g(1e-30)), rel=1e-12, abs=1e-12)
+    if name in physical:
+        h, s = physical[name]
+        for u in (0.3, 2.5):
+            assert float(g(u)) == pytest.approx(float(h(u)), rel=1e-12, abs=1e-15)
+        # in v = ln u the Mellin integrand decays exponentially both ways,
+        # below e^-47 past v = -80 and v = 120
+        mellin = mpmath.quad(lambda v: mpmath.exp(s * v) * h(mpmath.exp(v)),
+                             [-80, -10, 0, 10, 40, 120])
+        assert float(_mellin(row, s)) == pytest.approx(float(mellin), rel=1e-9)
+
+
+def _sweep_points(mu_r_dbs):
+    """(scenario, modulation) over both shipped configs, both detections and
+    every amplifier family; one point per modulation of the detection."""
+    mods = {"imdd": [analytics.modulation("ook")],
+            "heterodyne": [analytics.modulation("bpsk"), analytics.modulation("mqam", 16),
+                           analytics.modulation("mpsk", 8)]}
+    for config in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini")):
+        cp, _ = cli.load_config(str(config))
+        for detection, family in itertools.product(mods, ("twta", "sspa", "linear")):
+            base = cli._scenario_from_config(cp, mu_r_dbs[0], {"detection": detection,
+                                                               "hpa": family})
+            for mu_r_db in mu_r_dbs:
+                scn = cli.CLONES["mu_r_db"](base, mu_r_db)
+                for mod in mods[detection]:
+                    yield scn, mod
+
+
+def test_ber_and_capacity_oracles_match_exact():
+    # the mu_r_db sweeps of both shipped configs at 0, 40 and 80 dB: every
+    # modulation under its detection, TWTA, SSPA and linear
+    for scn, mod in _sweep_points((0.0, 40.0, 80.0)):
+        assert analytics.ber_oracle(mod, scn) == pytest.approx(
+            analytics.ber_exact(mod, scn), abs=1e-9), (scn.fingerprint(), mod.name)
+        if mod.name in ("OOK", "BPSK"):
+            assert analytics.capacity_oracle(scn) == pytest.approx(
+                analytics.capacity_exact(scn), abs=1e-9), scn.fingerprint()
+
+
+def test_ber_oracle_deep_row():
+    # ROADMAP item 1's BER row: BPSK, heterodyne, linear HPA, 80 dB on the
+    # deep user-link config; its lower-tail referee reads 5.239291e-9
+    cp, _ = cli.load_config(str(Path(__file__).resolve().parent.parent
+                                 / "configs" / "floor_phenomenology.ini"))
+    scn = cli._scenario_from_config(cp, 80.0, {"detection": "heterodyne", "hpa": "linear"})
+    assert analytics.ber_oracle(analytics.modulation("bpsk"), scn) == pytest.approx(
+        5.239291e-9, rel=1e-6)
+
+
+def test_cutoff_barely_moves_the_ber_and_capacity_oracles(monkeypatch):
+    # the BER and capacity kernels approach h(0+) only algebraically, so
+    # reading it past their cutoff is gated: with no cutoff at all, neither
+    # oracle moves by more than 1e-12
+    points = [(scn, mod) for scn, mod in _sweep_points((0.0, 80.0))
+              if scn.hpa.family == "twta" and mod.name in ("OOK", "16-QAM")]
+    before = [(analytics.ber_oracle(mod, scn), analytics.capacity_oracle(scn))
+              for scn, mod in points]
+    for name in ("ber", "capacity"):
+        monkeypatch.setitem(analytics.KERNELS, name,
+                            analytics.KERNELS[name]._replace(cutoff=math.inf))
+    for (scn, mod), (ber, cap) in zip(points, before):
+        assert analytics.ber_oracle(mod, scn) == pytest.approx(ber, abs=1e-12)
+        assert analytics.capacity_oracle(scn) == pytest.approx(cap, abs=1e-12)
+
+
+@pytest.mark.parametrize("gamma_bar2", [1e-280, 1e-300])
+def test_oracles_at_vanishing_user_link(gamma_bar2):
+    # a(gamma_2) underflows: x / a overflows or divides by zero, and each
+    # oracle reads its limit without a warning (outage 1, BER its ceiling,
+    # capacity 0)
+    cp, _ = cli.load_config(str(Path(__file__).resolve().parent.parent
+                                 / "configs" / "outage_strong_turbulence.ini"))
+    scn = cli._scenario_from_config(cp, 50.0, {}).with_gamma_bar2(gamma_bar2)
+    ook = analytics.modulation("ook")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert analytics.sndr_cdf_oracle(3.16, scn) == pytest.approx(1.0, abs=1e-12)
+        assert analytics.ber_oracle(ook, scn) == pytest.approx(ook.ber_ceiling, abs=1e-12)
+        assert analytics.capacity_oracle(scn) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -264,14 +264,15 @@ _SUPPORTED = {
     ("outage", "monte-carlo"): None,
     ("ber", "exact"): "1.000000e-09",
     ("ber", "asymptotic"): "nan",
+    ("ber", "oracle"): "1.000000e-08",
     ("ber", "monte-carlo"): None,
     ("capacity", "exact"): "1.000000e-09",
+    ("capacity", "oracle"): "1.000000e-08",
     ("capacity", "monte-carlo"): None,
     ("moments", "exact"): "1.000000e-09",
     ("moments", "monte-carlo"): None,
 }
-_UNSUPPORTED = [("ber", "oracle"), ("capacity", "asymptotic"),
-                ("capacity", "oracle"), ("moments", "asymptotic"),
+_UNSUPPORTED = [("capacity", "asymptotic"), ("moments", "asymptotic"),
                 ("moments", "oracle"), ("outage", "fastest"),
                 ("outage", "exact,exact")]
 

@@ -4,7 +4,7 @@
     PYTHONPATH=src python3 tools/output_digest.py OUT_DIR --against LISTING
     python3 tools/output_digest.py --values OLD_DIR NEW_DIR
 
-Runs nineteen sweeps over each config in ``configs/`` in-process through
+Runs twenty-three sweeps over each config in ``configs/`` in-process through
 ``optfeeder.cli.main``, then four along ``cn2`` and four along ``xi``, each
 into its own subdirectory of OUT_DIR, and prints one line per output file:
 run name, exit code, file name, SHA-256.  The ``cn2`` and ``xi`` grids reach
@@ -56,13 +56,20 @@ RUNS = {
                             "--method", "exact"],
     "ber_ook_exact": OOK + ["--method", "exact"],
     "ber_ook_asymptotic": OOK + ["--method", "asymptotic"],
+    "ber_ook_oracle": OOK + ["--method", "oracle"],
     "ber_ook_mc": OOK + MC,
     "ber_16qam_het_exact": ["--metric", "ber", "--modulation", "mqam",
                             "--mod-order", "16", "--detection", "het",
                             "--method", "exact"],
+    "ber_16qam_het_oracle": ["--metric", "ber", "--modulation", "mqam",
+                             "--mod-order", "16", "--detection", "het",
+                             "--method", "oracle"],
     "capacity_imdd_exact": ["--metric", "capacity", "--method", "exact"],
     "capacity_het_exact": ["--metric", "capacity", "--detection", "het",
                            "--method", "exact"],
+    "capacity_imdd_oracle": ["--metric", "capacity", "--method", "oracle"],
+    "capacity_het_oracle": ["--metric", "capacity", "--detection", "het",
+                            "--method", "oracle"],
     "moments_exact": ["--metric", "moments", "--order", "2", "--method", "exact"],
     "moments_het_exact": ["--metric", "moments", "--order", "3", "--detection", "het",
                           "--method", "exact"],
